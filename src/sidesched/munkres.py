@@ -1,13 +1,38 @@
 """Maximum-weight perfect matching on a square matrix.
 
-Shortest-augmenting-path variant of the Kuhn-Munkres algorithm with dual
-potentials, O(n^3) overall. Maximization is turned into a non-negative
-minimization by subtracting every weight from the matrix maximum; the
-per-matrix constant offset never changes which matching is optimal, so
-adding any constant to all weights leaves the argmax intact.
+Maximization is turned into a non-negative minimization by subtracting
+every weight from the matrix maximum; the per-matrix constant offset never
+changes which matching is optimal, so adding any constant to all weights
+leaves the argmax intact.
 
-Tie-breaking is deterministic: among equally tight columns the lowest
-index wins, and an earlier predecessor is kept over a later equal one.
+The kernel exploits ties, which quantized weights have in abundance:
+
+1. Duals start at u_i = min_j cost[i, j] and v = 0. Every reduced cost
+   cost[i, j] - u_i - v_j is then non-negative, and the tight (zero)
+   edges are exactly the row-maximum entries of the weights.
+2. Hopcroft-Karp (SIAM J. Comput. 1973) finds a maximum-cardinality
+   matching on the tight edges. When it is perfect it is optimal outright,
+   because the sum of row maxima bounds every matching from above.
+3. Each row it leaves free is inserted by a shortest augmenting path:
+   Dijkstra on reduced costs, warm-started from that matching and those
+   duals (Jonker and Volgenant, Computing 38, 1987). Matched edges stay
+   tight and reduced costs non-negative, so the final perfect matching is
+   optimal by complementary slackness.
+
+Tie rule. Among optimal matchings the kernel returns the one these steps
+reach with every scan in ascending index order:
+
+- each Hopcroft-Karp phase grows its search from the free rows in
+  ascending index; a row tries its tight columns in ascending index and
+  follows the first one that continues a shortest augmenting path;
+- the rows left free are then inserted in ascending index; among equally
+  tight columns the lowest index wins, and an earlier predecessor is kept
+  over a later equal one.
+
+The result depends on the cost matrix alone (no randomness, hashing or
+clock), so equal input gives an equal matching. When the row maxima admit
+a perfect matching, as they usually do for quantized feedback, every row
+receives one of its row-maximum columns.
 """
 
 from __future__ import annotations
@@ -32,43 +57,129 @@ def max_weight_assignment(weights):
     n = w.shape[0]
     cost = w.max() - w
 
+    u = cost.min(axis=1)  # row potentials
+    v = np.zeros(n + 1)   # column potentials
+    tight = cost == u[:, None]
+    row_col, col_row = _tight_matching([np.flatnonzero(r).tolist() for r in tight])
     # col_row[j]: row matched to column j, -1 while free; column n is the
     # virtual root holding the row currently being inserted.
-    col_row = np.full(n + 1, -1, dtype=np.int64)
-    u = np.zeros(n)      # row potentials
-    v = np.zeros(n + 1)  # column potentials
+    col_row = np.array(col_row + [-1], dtype=np.int64)
     for i in range(n):
-        col_row[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)            # tightest slack seen per column
-        way = np.full(n, n, dtype=np.int64)  # predecessor column in the tree
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            fidx = np.flatnonzero(~used[:n])
-            slack = cost[i0, fidx] - u[i0] - v[fidx]
-            improved = slack < minv[fidx]
-            upd = fidx[improved]
-            minv[upd] = slack[improved]
-            way[upd] = j0
-            j1 = fidx[np.argmin(minv[fidx])]
-            delta = minv[j1]
-            # grow potentials so tree edges stay tight
-            usedj = np.flatnonzero(used)
-            u[col_row[usedj]] += delta
-            v[usedj] -= delta
-            minv[fidx] -= delta
-            j0 = j1
-            if col_row[j0] < 0:
-                break
-        # augment: pull matches back along the alternating path
-        while j0 != n:
-            j1 = way[j0]
-            col_row[j0] = col_row[j1]
-            j0 = int(j1)
+        if row_col[i] < 0:
+            _insert_row(i, cost, u, v, col_row)
 
     col_of_row = np.empty(n, dtype=np.int64)
     col_of_row[col_row[:n]] = np.arange(n)
     total = float(w[np.arange(n), col_of_row].sum())
     return col_of_row, total
+
+
+def _tight_matching(adj):
+    """Maximum-cardinality matching on the tight edges (Hopcroft-Karp).
+
+    ``adj[i]`` lists the tight columns of row ``i`` in ascending order.
+    Returns ``(row_col, col_row)`` as lists with -1 for free entries.
+    """
+    n = len(adj)
+    row_col = [-1] * n
+    col_row = [-1] * n
+    while True:
+        dist = [n] * n  # n marks a row not reached in this phase
+        shortest = _layer_rows(adj, row_col, col_row, dist)
+        if shortest is None:
+            return row_col, col_row
+        nxt = [0] * n  # next position in adj[i] to try during this phase
+        for root in range(n):
+            if row_col[root] < 0:
+                _augment_from(root, adj, dist, shortest, nxt, row_col, col_row)
+
+
+def _layer_rows(adj, row_col, col_row, dist):
+    """Breadth-first layers from the free rows along alternating paths.
+
+    Fills ``dist`` with each reached row's layer and returns the layer of
+    the first row with an edge to a free column, or None when no
+    augmenting path exists. Every row up to that layer is labelled by then.
+    """
+    n = len(adj)
+    queue = [i for i in range(n) if row_col[i] < 0]
+    for i in queue:
+        dist[i] = 0
+    for i in queue:
+        for j in adj[i]:
+            r = col_row[j]
+            if r < 0:
+                return dist[i]
+            if dist[r] == n:
+                dist[r] = dist[i] + 1
+                queue.append(r)
+    return None
+
+
+def _augment_from(root, adj, dist, shortest, nxt, row_col, col_row):
+    """Depth-first search for one shortest augmenting path, then flip it.
+
+    Iterative, because the path length is bounded only by the matrix size.
+    Rows found to be dead ends are dropped from the phase's layering.
+    """
+    rows, cols = [root], []
+    while rows:
+        i = rows[-1]
+        a = adj[i]
+        while nxt[i] < len(a):
+            j = a[nxt[i]]
+            nxt[i] += 1
+            r = col_row[j]
+            if r < 0:
+                cols.append(j)
+                for row, col in zip(rows, cols):
+                    row_col[row] = col
+                    col_row[col] = row
+                return
+            if dist[i] < shortest and dist[r] == dist[i] + 1:
+                rows.append(r)
+                cols.append(j)
+                break
+        else:
+            dist[i] = -1
+            rows.pop()
+            if cols:
+                cols.pop()
+
+
+def _insert_row(i, cost, u, v, col_row):
+    """Match free row ``i`` along a shortest augmenting path on reduced costs.
+
+    Updates the duals ``u``, ``v`` and the column owners ``col_row`` in
+    place; every other row stays matched.
+    """
+    n = cost.shape[0]
+    col_row[n] = i
+    j0 = n
+    minv = np.full(n, np.inf)            # tightest slack seen per column
+    way = np.full(n, n, dtype=np.int64)  # predecessor column in the tree
+    used = np.zeros(n + 1, dtype=bool)
+    while True:
+        used[j0] = True
+        i0 = col_row[j0]
+        fidx = np.flatnonzero(~used[:n])
+        slack = cost[i0, fidx] - u[i0] - v[fidx]
+        improved = slack < minv[fidx]
+        upd = fidx[improved]
+        minv[upd] = slack[improved]
+        way[upd] = j0
+        j1 = fidx[np.argmin(minv[fidx])]
+        delta = minv[j1]
+        # grow potentials so tree edges stay tight
+        usedj = np.flatnonzero(used)
+        u[col_row[usedj]] += delta
+        v[usedj] -= delta
+        minv[fidx] -= delta
+        j0 = j1
+        if col_row[j0] < 0:
+            break
+    # augment: pull matches back along the alternating path
+    while j0 != n:
+        j1 = way[j0]
+        col_row[j0] = col_row[j1]
+        j0 = int(j1)

@@ -18,7 +18,7 @@ from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from .sideinfo import QuantizerSpec, RateMatrix, build_rate_matrices
 from .solvers import (SolveStats, evaluate, solve_greedy, solve_oracle,
-                      solve_proposed, solve_random)
+                      solve_proposed, solve_random, verify_assignment)
 
 # Stream tags keeping scenario draws and solver randomness disjoint.
 SCENARIO_STREAM = 0
@@ -51,7 +51,8 @@ def run_cell(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
 
     The scenario draw depends only on ``scenario_seed`` and the cluster,
     so different methods and bit depths see identical channels when given
-    the same seed. ``bits=0`` skips quantization.
+    the same seed. ``bits=0`` skips quantization. Every assignment is
+    checked for subframe conflicts before it is scored, whatever the method.
     """
     model_run = replace(model, seed=scenario_seed)
     sinr = generate_sinr(model_run, cluster, grid)
@@ -80,6 +81,7 @@ def run_cell(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     else:
         raise ValueError(f"unknown method {method!r}")
     runtime = time.perf_counter() - t0
+    verify_assignment(assn, grid)
 
     stats, rates = evaluate(assn, decision, truth, dummy_mask, runtime)
     return CellResult(method, bits, cluster.id, repetition, rates, stats)

@@ -1,11 +1,33 @@
 """Matching kernel against enumeration, scipy, and its own invariants."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from sidesched.assignment import compress
+from sidesched.grid import ResourceGrid
 from sidesched.munkres import max_weight_assignment
+from sidesched.scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
+from sidesched.sideinfo import QuantizerSpec, build_rate_matrices
 from util import brute_max_matching
+
+
+def scipy_optimum(w):
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    return float(w[rows, cols].sum())
+
+
+def full_load_block_maxima(model, bits):
+    """Decision block maxima of one 100-vehicle draw on a 7 x 100 grid."""
+    grid = ResourceGrid(k=7, l=100)
+    sinr = generate_sinr(model, Cluster(id=0, n_vehicles=100), grid)
+    padded, _ = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
+    decision, _ = build_rate_matrices(padded, QuantizerSpec(bits=bits), grid.b_hz)
+    return compress(decision.values.ravel(), grid.k, grid.l).d
 
 
 class TestReferenceCases:
@@ -96,3 +118,72 @@ class TestInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             max_weight_assignment(np.zeros((0, 0)))
+
+
+class TestTieHeavyAgainstScipy:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 150), k=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_total_matches_scipy(self, n, k, seed):
+        w = np.random.default_rng(seed).integers(0, k + 1, (n, n)).astype(float)
+        cols, total = max_weight_assignment(w)
+        assert sorted(cols) == list(range(n))
+        assert total == float(w[np.arange(n), cols].sum())
+        assert total == scipy_optimum(w)
+
+
+class TestKernelPaths:
+    def test_perfect_tight_cover_all_ties(self):
+        cols, total = max_weight_assignment(np.ones((150, 150)))
+        assert sorted(cols) == list(range(150))
+        assert total == 150.0
+
+    def test_perfect_tight_cover_quantized_full_load(self):
+        d = full_load_block_maxima(ScenarioModel(kind="uniform", seed=0), bits=3)
+        row_max = d.max(axis=1)
+        assert scipy_optimum(d) == pytest.approx(row_max.sum(), rel=1e-12)
+        cols, total = max_weight_assignment(d)
+        # every row sits on one of its own row-maximum columns
+        np.testing.assert_array_equal(d[np.arange(100), cols], row_max)
+        assert abs(total - scipy_optimum(d)) <= 1e-9 * total
+
+    def test_partial_cover_needs_augmentation(self):
+        model = ScenarioModel(kind="two-state", mean_db=10.0, std_db=5.0,
+                              bad_mean_db=-5.0, p_bad=0.3, seed=0)
+        d = full_load_block_maxima(model, bits=4)
+        ref = scipy_optimum(d)
+        # no matching reaches the row-maximum bound, so some rows must be
+        # inserted by augmentation after the tight-edge matching
+        assert ref < d.max(axis=1).sum() * (1 - 1e-6)
+        cols, total = max_weight_assignment(d)
+        assert sorted(cols) == list(range(100))
+        assert abs(total - ref) <= 1e-9 * ref
+
+    def test_untied_random(self):
+        w = np.random.default_rng(23).normal(0.0, 1.0, (150, 150))
+        assert np.unique(w).size == w.size
+        cols, total = max_weight_assignment(w)
+        assert sorted(cols) == list(range(150))
+        assert abs(total - scipy_optimum(w)) <= 1e-9 * abs(total)
+
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # Row i is tight on columns i and i+1, the last row only on column
+        # 0: the first phase matches row i to column i, and the last row
+        # then needs one augmenting path through every other row.
+        n = sys.getrecursionlimit() + 200
+        w = np.zeros((n, n))
+        idx = np.arange(n - 1)
+        w[idx, idx] = 1.0
+        w[idx, idx + 1] = 1.0
+        w[n - 1, 0] = 1.0
+        cols, total = max_weight_assignment(w)
+        assert total == float(n)
+        np.testing.assert_array_equal(cols, np.r_[np.arange(1, n), 0])
+
+    def test_tie_rule_pinned_cases(self):
+        cols, _ = max_weight_assignment(np.ones((5, 5)))
+        assert list(cols) == [0, 1, 2, 3, 4]
+        cols, _ = max_weight_assignment([[2.0, 2.0, 0.0],
+                                         [2.0, 2.0, 2.0],
+                                         [2.0, 0.0, 0.0]])
+        assert list(cols) == [1, 2, 0]
