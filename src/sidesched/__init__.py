@@ -14,7 +14,8 @@ from .grid import (DEFAULT_T_SPS_POOL_S, ResourceGrid, SpsTimer, draw_t_sps,
                    subframe_of, tick_window)
 from .metrics import EvalReport, SweepRow, build_report, sweep_density
 from .munkres import max_weight_assignment
-from .pipeline import CellResult, derive_seed, run_cell
+from .pipeline import (CellResult, Draw, derive_seed, draw_cluster, draw_rates,
+                       run_cell)
 from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
                        ingest_sinr, make_clusters, pad_to_square)
 from .sideinfo import (QuantizerSpec, RateMatrix, build_rate_matrices,

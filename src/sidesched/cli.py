@@ -24,16 +24,12 @@ from .errors import ConfigError, InfeasibleError, ParseError
 from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, SpsTimer, draw_t_sps
 from .metrics import build_report, sweep_density
 from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, TIMER_STREAM,
-                       derive_seed, run_cell)
+                       add_context, derive_seed, draw_cluster, draw_rates,
+                       run_cell)
 from .scenario import SCENARIO_KINDS, make_clusters, ScenarioModel
 from .solvers import METHODS
 
 log = logging.getLogger("sidesched")
-
-_KNOWN_TOP_KEYS = {
-    "grid", "scenario", "clusters", "quant", "methods", "repetitions",
-    "master_seed", "out_dir", "cdf_grid_points", "sweep", "t_sps_pool_s",
-}
 
 
 @dataclass
@@ -55,21 +51,22 @@ class ExperimentConfig:
     t_sps_pool_s: tuple[float, ...] = DEFAULT_T_SPS_POOL_S
 
 
-def _get(raw: dict, key: str, default=None):
-    cur = raw
-    for part in key.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return default
-        cur = cur[part]
-    return cur
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config; raises ConfigError naming offending keys."""
     bad = []
+    read = set()  # dotted keys looked up below; every lookup is unconditional
+
+    def get(key, default=None):
+        read.add(key)
+        cur = raw
+        for part in key.split("."):
+            if not isinstance(cur, dict) or part not in cur:
+                return default
+            cur = cur[part]
+        return cur
 
     def check(key, default, pred, cast=None):
-        val = _get(raw, key, default)
+        val = get(key, default)
         try:
             if cast is not None and val is not None:
                 val = cast(val)
@@ -79,10 +76,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             bad.append(key)
             return default
         return val
-
-    for key in raw:
-        if key not in _KNOWN_TOP_KEYS:
-            bad.append(f"unknown key {key!r}")
 
     is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
     is_num = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -106,7 +99,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     p_t_dbm = check("scenario.p_t_dbm", 23.0, is_num)
     scen_seed = check("scenario.seed", 0, lambda x: is_int(x) and x >= 0)
 
-    clusters = _get(raw, "clusters", [100])
+    clusters = get("clusters", [100])
     if not isinstance(clusters, list) or not clusters:
         bad.append("clusters")
         clusters = [100]
@@ -115,7 +108,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not (is_int(n) and 1 <= n <= l):
                 bad.append(f"clusters[{i}]")
 
-    bits = _get(raw, "quant.bits", [0])
+    bits = get("quant.bits", [0])
     if is_int(bits):
         bits = [bits]
     if not isinstance(bits, list) or not bits:
@@ -132,7 +125,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         bad.append("quant.hi_db")
         lo_db, hi_db = -15.0, 35.0
 
-    methods = _get(raw, "methods", ["proposed", "greedy", "random"])
+    methods = get("methods", ["proposed", "greedy", "random"])
     if not isinstance(methods, list) or not methods:
         bad.append("methods")
         methods = ["proposed"]
@@ -142,7 +135,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 bad.append(f"methods[{i}]")
 
     repetitions = check("repetitions", 100, lambda x: is_int(x) and x >= 1)
-    master_seed = _get(raw, "master_seed")
+    master_seed = get("master_seed")
     if master_seed is not None and not (is_int(master_seed) and master_seed >= 0):
         bad.append("master_seed")
         master_seed = None
@@ -151,7 +144,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     # default sweep: every tenth density up to the subframe count
     default_sweep = [n for n in range(10, 101, 10) if n <= l] or [l]
-    sweep_n = _get(raw, "sweep.n_vehicles", default_sweep)
+    sweep_n = get("sweep.n_vehicles", default_sweep)
     if not isinstance(sweep_n, list) or not sweep_n:
         bad.append("sweep.n_vehicles")
         sweep_n = default_sweep
@@ -160,11 +153,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not (is_int(n) and 1 <= n <= l):
                 bad.append(f"sweep.n_vehicles[{i}]")
 
-    pool = _get(raw, "t_sps_pool_s", list(DEFAULT_T_SPS_POOL_S))
+    pool = get("t_sps_pool_s", list(DEFAULT_T_SPS_POOL_S))
     if not isinstance(pool, list) or not pool or \
             not all(is_num(x) and x > 0 for x in pool):
         bad.append("t_sps_pool_s")
         pool = list(DEFAULT_T_SPS_POOL_S)
+
+    # The keys read above are the schema: a dotted key's prefix is a
+    # section, and anything else in the config is unknown.
+    sections = {key.split(".")[0] for key in read if "." in key}
+    for key, val in raw.items():
+        if key in sections and isinstance(val, dict):
+            bad.extend(f"unknown key '{key}.{sub}'" for sub in val
+                       if f"{key}.{sub}" not in read)
+        elif key in sections:
+            bad.append(key)
+        elif key not in read:
+            bad.append(f"unknown key {key!r}")
 
     if bad:
         raise ConfigError(sorted(set(bad)))
@@ -288,39 +293,42 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clusters = make_clusters(config.cluster_sizes)
-    reports = []
+    grid = config.grid
+    samples = {(m, b): [] for m in config.methods for b in config.bits_list}
     run_records = []
-    for method in config.methods:
-        for bits in config.bits_list:
-            samples = []
-            for rep in range(config.repetitions):
-                for ci, cluster in enumerate(clusters):
-                    try:
-                        cell = run_cell(
-                            config.grid, config.scenario, cluster, bits, method,
-                            scenario_seed=derive_seed(
-                                config.master_seed, SCENARIO_STREAM, rep, ci),
-                            solver_seed=derive_seed(
-                                config.master_seed, RANDOM_STREAM, rep, ci),
-                            quant_lo_db=config.quant_lo_db,
-                            quant_hi_db=config.quant_hi_db,
-                            repetition=rep)
-                    except ValueError as exc:
-                        raise type(exc)(
-                            f"cluster {cluster.id}, repetition {rep}, "
-                            f"method {method}: {exc}") from exc
-                    samples.append(cell.vehicle_rates_bps)
-                    run_records.append({
-                        "method": method, "bits": bits,
-                        "cluster": cluster.id, "repetition": rep,
-                        "sum_rate_decision_bps": cell.stats.sum_rate_decision_bps,
-                        "sum_rate_truth_bps": cell.stats.sum_rate_truth_bps,
-                        "runtime_s": cell.stats.runtime_s,
-                    })
-            reports.append(build_report(np.concatenate(samples),
-                                        config.cdf_grid_points, method, bits))
-            log.info("series %s/%d bits done (%d samples)", method, bits,
-                     reports[-1].samples.size)
+    for rep in range(config.repetitions):
+        for ci, cluster in enumerate(clusters):
+            where = [f"cluster {cluster.id}", f"repetition {rep}"]
+            try:
+                seed = derive_seed(config.master_seed, SCENARIO_STREAM, rep, ci)
+                draw = draw_cluster(grid, config.scenario, cluster, seed)
+                solver_seed = derive_seed(config.master_seed, RANDOM_STREAM, rep, ci)
+                for bits in config.bits_list:
+                    where[2:] = [f"{bits} bits"]
+                    rates = draw_rates(grid, config.scenario, draw, bits,
+                                       config.quant_lo_db, config.quant_hi_db)
+                    for method in config.methods:
+                        where[3:] = [f"method {method}"]
+                        cell = run_cell(grid, draw, rates, bits, method,
+                                        solver_seed, repetition=rep)
+                        samples[method, bits].append(cell.vehicle_rates_bps)
+                        run_records.append({
+                            "method": method, "bits": bits,
+                            "cluster": cluster.id, "repetition": rep,
+                            "sum_rate_decision_bps": cell.stats.sum_rate_decision_bps,
+                            "sum_rate_truth_bps": cell.stats.sum_rate_truth_bps,
+                            "runtime_s": cell.stats.runtime_s,
+                        })
+                    del rates  # free this width's pair before the next is built
+            except ValueError as exc:
+                add_context(exc, where)
+                raise
+    reports = []
+    for (method, bits), series in samples.items():
+        reports.append(build_report(np.concatenate(series),
+                                    config.cdf_grid_points, method, bits))
+        log.info("series %s/%d bits done (%d samples)", method, bits,
+                 reports[-1].samples.size)
     paths = {
         "cdf": out / "cdf.csv",
         "criteria": out / "criteria.csv",

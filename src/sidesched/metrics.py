@@ -8,7 +8,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InfeasibleError
-from .pipeline import RANDOM_STREAM, SCENARIO_STREAM, derive_seed, run_cell
+from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, add_context, derive_seed,
+                       draw_cluster, draw_rates, run_cell)
 from .scenario import Cluster
 
 if TYPE_CHECKING:
@@ -69,31 +70,36 @@ def sweep_density(config: ExperimentConfig, n_vehicles_list, bits_list,
                   repetitions: int) -> list[SweepRow]:
     """Mean-over-repetitions worst vehicle rate per (method, bits, N).
 
-    Within one (repetition, N) cell the scenario draw is shared across
-    methods and bit depths, so series differ only by algorithm and side
-    information granularity.
+    Each (repetition, N) draw is computed once and each width's rates
+    once per draw; every method at that width runs on them, so series
+    differ only by algorithm and side information granularity.
     """
     grid = config.grid
     for n in n_vehicles_list:
         if n > grid.l:
             raise InfeasibleError(
                 f"sweep point N={n} exceeds {grid.l} subframes")
-    rows = []
-    for method in config.methods:
-        for bits in bits_list:
-            for n in n_vehicles_list:
-                worst = []
-                for rep in range(repetitions):
-                    cluster = Cluster(id=n, n_vehicles=n)
-                    cell = run_cell(
-                        grid, config.scenario, cluster, bits, method,
-                        scenario_seed=derive_seed(
-                            config.master_seed, SCENARIO_STREAM, rep, n),
-                        solver_seed=derive_seed(
-                            config.master_seed, RANDOM_STREAM, rep, n),
-                        quant_lo_db=config.quant_lo_db,
-                        quant_hi_db=config.quant_hi_db,
-                        repetition=rep)
-                    worst.append(cell.vehicle_rates_bps.min())
-                rows.append(SweepRow(method, bits, n, float(np.mean(worst))))
-    return rows
+    worst = {(m, b, n): [] for m in config.methods for b in bits_list
+             for n in n_vehicles_list}
+    for rep in range(repetitions):
+        for n in n_vehicles_list:
+            where = [f"N={n}", f"repetition {rep}"]
+            try:
+                seed = derive_seed(config.master_seed, SCENARIO_STREAM, rep, n)
+                draw = draw_cluster(grid, config.scenario,
+                                    Cluster(id=n, n_vehicles=n), seed)
+                solver_seed = derive_seed(config.master_seed, RANDOM_STREAM, rep, n)
+                for bits in bits_list:
+                    where[2:] = [f"{bits} bits"]
+                    rates = draw_rates(grid, config.scenario, draw, bits,
+                                       config.quant_lo_db, config.quant_hi_db)
+                    for method in config.methods:
+                        where[3:] = [f"method {method}"]
+                        cell = run_cell(grid, draw, rates, bits, method,
+                                        solver_seed, repetition=rep)
+                        worst[method, bits, n].append(cell.vehicle_rates_bps.min())
+                    del rates  # free this width's pair before the next is built
+            except ValueError as exc:
+                add_context(exc, where)
+                raise
+    return [SweepRow(m, b, n, float(np.mean(w))) for (m, b, n), w in worst.items()]

@@ -1,7 +1,17 @@
-"""One experiment cell: draw a scenario, quantize, solve, evaluate.
+"""The three stages of a cell: draw, rates, and the cell itself.
+
+A *draw* (``draw_cluster``) is one channel realisation of a cluster,
+padded with dummy vehicles to a square. Its *rates* at one feedback width
+(``draw_rates``) are the (decision, truth) pair a scheduler decides on
+and is scored on. A *cell* (``run_cell``) runs one method on those
+rates: it solves, checks the assignment for subframe conflicts and
+scores it. The cell loops in ``cli.run_experiment`` and
+``metrics.sweep_density`` nest repetition x cluster, then width, then
+method, so each draw is computed once and each width's rates once per
+draw, shared by every method.
 
 Seeds are derived hierarchically from the master seed through
-SeedSequence spawn keys, making every cell a pure function of its
+SeedSequence spawn keys, making every stage a pure function of its
 arguments. Cells can therefore run in any order, or concurrently, and
 still reduce to identical artifacts.
 """
@@ -15,7 +25,8 @@ import numpy as np
 
 from .assignment import compress, expand_solution
 from .grid import ResourceGrid
-from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
+from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
+                       pad_to_square)
 from .sideinfo import QuantizerSpec, RateMatrix, build_rate_matrices
 from .solvers import (SolveStats, evaluate, solve_greedy, solve_oracle,
                       solve_proposed, solve_random, verify_assignment)
@@ -33,6 +44,25 @@ def derive_seed(master_seed: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def add_context(exc: ValueError, where: list[str]) -> None:
+    """Prefix the message of ``exc`` with the cell it came from.
+
+    The exception is changed in place and re-raised bare by the caller,
+    so it keeps its type and attributes (``ConfigError.keys``,
+    ``ParseError.row`` and ``col``).
+    """
+    exc.args = (f"{', '.join(where)}: {exc}",)
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One channel realisation of a cluster, padded to one row per subframe."""
+
+    cluster: Cluster
+    sinr: SinrMatrix
+    dummy_mask: np.ndarray  # True where a row is a padding dummy
+
+
 @dataclass
 class CellResult:
     method: str
@@ -43,27 +73,41 @@ class CellResult:
     stats: SolveStats
 
 
-def run_cell(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
-             bits: int, method: str, scenario_seed: int, solver_seed: int = 0,
-             quant_lo_db: float | None = None, quant_hi_db: float | None = None,
-             repetition: int = 0) -> CellResult:
-    """Full path for one (cluster, repetition, bits, method) combination.
-
-    The scenario draw depends only on ``scenario_seed`` and the cluster,
-    so different methods and bit depths see identical channels when given
-    the same seed. ``bits=0`` skips quantization. Every assignment is
-    checked for subframe conflicts before it is scored, whatever the method.
-    """
-    model_run = replace(model, seed=scenario_seed)
-    sinr = generate_sinr(model_run, cluster, grid)
+def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
+                 scenario_seed: int) -> Draw:
+    """The cluster's channel draw; depends only on the seed and the cluster."""
+    sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
     padded, dummy_mask = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
+    return Draw(cluster, padded, dummy_mask)
+
+
+def draw_rates(grid: ResourceGrid, model: ScenarioModel, draw: Draw, bits: int,
+               quant_lo_db: float | None = None,
+               quant_hi_db: float | None = None) -> tuple[RateMatrix, RateMatrix]:
+    """(decision, truth) rates of a draw at ``bits`` of feedback.
+
+    ``bits=0`` is ideal feedback. The quantizer range defaults to the
+    model's SINR clamp range.
+    """
     q = None
     if bits:
         q = QuantizerSpec(
             bits=bits,
             lo_db=model.sinr_floor_db if quant_lo_db is None else quant_lo_db,
             hi_db=model.sinr_ceil_db if quant_hi_db is None else quant_hi_db)
-    decision, truth = build_rate_matrices(padded, q, grid.b_hz)
+    return build_rate_matrices(draw.sinr, q, grid.b_hz)
+
+
+def run_cell(grid: ResourceGrid, draw: Draw,
+             rates: tuple[RateMatrix, RateMatrix], bits: int, method: str,
+             solver_seed: int = 0, repetition: int = 0) -> CellResult:
+    """Solve, check and score one method on a draw's rates at ``bits``.
+
+    Every assignment is checked for subframe conflicts before it is
+    scored, whatever the method.
+    """
+    decision, truth = rates
+    cluster = draw.cluster
     n_real = cluster.n_vehicles
 
     t0 = time.perf_counter()
@@ -83,5 +127,6 @@ def run_cell(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     runtime = time.perf_counter() - t0
     verify_assignment(assn, grid)
 
-    stats, rates = evaluate(assn, decision, truth, dummy_mask, runtime)
-    return CellResult(method, bits, cluster.id, repetition, rates, stats)
+    stats, vehicle_rates = evaluate(assn, decision, truth, draw.dummy_mask,
+                                    runtime)
+    return CellResult(method, bits, cluster.id, repetition, vehicle_rates, stats)

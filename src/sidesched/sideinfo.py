@@ -38,16 +38,24 @@ class QuantizerSpec:
         return (self.hi_db - self.lo_db) / self.levels
 
 
+def _bin_index(q: QuantizerSpec, sinr_db) -> np.ndarray:
+    x = np.clip(np.asarray(sinr_db, dtype=float), q.lo_db, q.hi_db)
+    return np.minimum(np.floor((x - q.lo_db) / q.bin_width_db),
+                      q.levels - 1).astype(np.int64)
+
+
+def _reconstruct(q: QuantizerSpec, idx) -> np.ndarray:
+    return q.lo_db + (idx + 0.5) * q.bin_width_db
+
+
 def quantize(q: QuantizerSpec, sinr_db):
     """Map SINR to (bin index, midpoint reconstruction in dB).
 
     Values are clamped to [lo, hi] first; the top edge folds into the
     last bin. Scalar in gives (int, float) out, arrays are elementwise.
     """
-    width = q.bin_width_db
-    x = np.clip(np.asarray(sinr_db, dtype=float), q.lo_db, q.hi_db)
-    idx = np.minimum(np.floor((x - q.lo_db) / width), q.levels - 1).astype(np.int64)
-    recon = q.lo_db + (idx + 0.5) * width
+    idx = _bin_index(q, sinr_db)
+    recon = _reconstruct(q, idx)
     if np.ndim(sinr_db) == 0:
         return int(idx), float(recon)
     return idx, recon
@@ -85,12 +93,18 @@ def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float):
     quantized reconstructions, or the fine-grained rates themselves when
     ``q`` is None (ideal feedback). The truth matrix always holds the
     fine-grained rates.
+
+    A quantized decision matrix is looked up, by bin index, in the rates
+    of the 2**bits reconstruction levels. Each level comes from the same
+    float expression ``quantize`` applies per entry, so the lookup equals
+    the rate of the reconstruction bit for bit, and the matrix takes one
+    transcendental pass instead of two.
     """
     truth_vals = rate_from_sinr(b_hz, sinr.values)
     if q is None:
         decision_vals = truth_vals.copy()
     else:
-        _, recon = quantize(q, sinr.values)
-        decision_vals = rate_from_sinr(b_hz, recon)
+        level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
+        decision_vals = level_rates[_bin_index(q, sinr.values)]
     return (RateMatrix(sinr.cluster_id, decision_vals),
             RateMatrix(sinr.cluster_id, truth_vals))

@@ -16,7 +16,7 @@ from sidesched.assignment import build_constraint_matrix, compress, expand_solut
 from sidesched.cli import ExperimentConfig, run_experiment
 from sidesched.grid import ResourceGrid
 from sidesched.pipeline import (RANDOM_STREAM, SCENARIO_STREAM, derive_seed,
-                                run_cell)
+                                draw_cluster, draw_rates, run_cell)
 from sidesched.scenario import Cluster, ScenarioModel, SinrMatrix, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, build_rate_matrices, quantize
 from sidesched.solvers import (evaluate, solve_greedy, solve_oracle,
@@ -46,8 +46,9 @@ def _mc_block(model, method, bits, n):
     sums = np.empty(SEEDS)
     worsts = np.empty(SEEDS)
     for rep in range(SEEDS):
-        cell = run_cell(GRID, model, Cluster(id=n, n_vehicles=n), bits, method,
-                        scenario_seed=derive_seed(MASTER_SEED, SCENARIO_STREAM, rep, n),
+        draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
+                            scenario_seed=derive_seed(MASTER_SEED, SCENARIO_STREAM, rep, n))
+        cell = run_cell(GRID, draw, draw_rates(GRID, model, draw, bits), bits, method,
                         solver_seed=derive_seed(MASTER_SEED, RANDOM_STREAM, rep, n),
                         repetition=rep)
         sums[rep] = cell.stats.sum_rate_truth_bps

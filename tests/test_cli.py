@@ -2,14 +2,17 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sidesched import pipeline
 from sidesched.cli import (config_from_dict, config_hash, load_config, main,
                            run_experiment, run_sweep, validate_assignment_file,
                            write_assignment_csv)
-from sidesched.errors import CapacityError, ConfigError, ParseError
+from sidesched.errors import (CapacityError, ConfigError, InfeasibleError,
+                              ParseError)
 from sidesched.grid import ResourceGrid
 from sidesched.solvers import Assignment
 
@@ -62,6 +65,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             config_from_dict(raw)
         assert any("grids" in k for k in exc.value.keys)
+
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "k_subchanels"),
+        ("scenario", "mean"),
+        ("quant", "bit"),
+        ("sweep", "n_vehicle"),
+    ])
+    def test_unknown_nested_key_flagged(self, section, key):
+        raw = tiny_raw()
+        raw.setdefault(section, {})[key] = 3
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == [f"unknown key '{section}.{key}'"]
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(tiny_raw(grid=5))
+        assert exc.value.keys == ["grid"]
+
+    @pytest.mark.parametrize("name", ["smoke.json", "full_scale.json"])
+    def test_shipped_configs_load(self, name):
+        load_config(Path(__file__).resolve().parents[1] / "configs" / name)
 
     def test_bad_method_flagged(self):
         raw = tiny_raw(methods=["proposed", "magic"])
@@ -141,6 +166,38 @@ class TestRunExperiment:
             run_experiment(config_from_dict(raw))
         assert "cluster 0" in str(exc.value)
 
+    def test_error_keeps_type_and_location(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ParseError("x", row=3, col=4)
+
+        monkeypatch.setattr(pipeline, "solve_greedy", failing)
+        raw = tiny_raw(methods=["greedy"], out_dir=str(tmp_path / "out"))
+        with pytest.raises(ParseError) as exc:
+            run_experiment(config_from_dict(raw))
+        assert (exc.value.row, exc.value.col) == (3, 4)
+        assert "cluster 0" in str(exc.value)
+        assert "method greedy" in str(exc.value)
+
+    def test_config_error_keeps_its_keys(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConfigError(["quant.bits"])
+
+        monkeypatch.setattr(pipeline, "solve_random", failing)
+        raw = tiny_raw(methods=["random"], out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(config_from_dict(raw))
+        assert exc.value.keys == ["quant.bits"]
+
+    def test_draw_error_names_cluster(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise InfeasibleError("too many vehicles")
+
+        monkeypatch.setattr(pipeline, "pad_to_square", failing)
+        raw = tiny_raw(out_dir=str(tmp_path / "out"))
+        with pytest.raises(InfeasibleError,
+                           match="^cluster 0, repetition 0: too many"):
+            run_experiment(config_from_dict(raw))
+
     def test_oracle_within_caps_runs(self, tmp_path):
         raw = tiny_raw(methods=["oracle", "proposed"],
                        out_dir=str(tmp_path / "out"))
@@ -167,6 +224,17 @@ class TestRunSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["method", "bits", "n_vehicles", "worst_rate_mbps"]
         assert len(rows) == 1 + 3 * 2 * 2  # methods x bits x sweep points
+
+    def test_error_names_sweep_cell(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ParseError("x", row=3, col=4)
+
+        monkeypatch.setattr(pipeline, "solve_greedy", failing)
+        raw = tiny_raw(out_dir=str(tmp_path / "out"),
+                       sweep={"n_vehicles": [2, 4]})
+        with pytest.raises(ParseError,
+                           match="^N=2, repetition 0, 0 bits, method greedy: x$"):
+            run_sweep(config_from_dict(raw))
 
 
 class TestValidateAssignments:

@@ -1,8 +1,13 @@
-"""Cell path: every method's assignment is checked before it is scored."""
+"""Cell path: every method's assignment is checked before it is scored,
+and each draw and each width's rates are computed once."""
+
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from sidesched import pipeline
+from sidesched.cli import load_config, run_experiment, run_sweep
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel
@@ -21,7 +26,34 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
         return Assignment(0, {0: 0, 1: 1}, method)
 
     monkeypatch.setattr(pipeline, stage, clashing)
+    grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
+    draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
+                                 scenario_seed=1)
     with pytest.raises(ConstraintViolation):
-        pipeline.run_cell(ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform"),
-                          Cluster(id=0, n_vehicles=2), bits=0, method=method,
-                          scenario_seed=1)
+        pipeline.run_cell(grid, draw, pipeline.draw_rates(grid, model, draw, 0),
+                          bits=0, method=method)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("runner", [run_experiment, run_sweep])
+def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
+    smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+    config = replace(load_config(smoke), out_dir=str(tmp_path))
+    draws = _count_calls(monkeypatch, "generate_sinr")
+    rates = _count_calls(monkeypatch, "build_rate_matrices")
+    runner(config)
+    points = (config.cluster_sizes if runner is run_experiment
+              else config.sweep_n_vehicles)
+    assert len(draws) == config.repetitions * len(points)
+    assert len(rates) == len(draws) * len(config.bits_list)

@@ -3,6 +3,9 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sidesched.scenario import SinrMatrix
 from sidesched.sideinfo import (QuantizerSpec, RateMatrix,
@@ -113,6 +116,28 @@ class TestRateFromSinr:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             rate_from_sinr(0.0, 5.0)
+
+
+# Finite SINR in dB, reaching well outside every quantizer range drawn below.
+SINR_DB = st.floats(-80.0, 130.0, allow_nan=False)
+QUANTIZERS = st.builds(
+    lambda bits, lo, span: QuantizerSpec(bits=bits, lo_db=lo, hi_db=lo + span),
+    st.integers(1, 8), st.floats(-30.0, 10.0), st.floats(1.0, 60.0))
+
+
+class TestQuantizeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(q=QUANTIZERS, x=arrays(float, (4, 9), elements=SINR_DB))
+    def test_idempotent_on_reconstruction(self, q, x):
+        idx, recon = quantize(q, x)
+        assert np.array_equal(quantize(q, recon)[0], idx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=QUANTIZERS, x=arrays(float, (4, 9), elements=SINR_DB))
+    def test_level_table_matches_rate_of_reconstruction(self, q, x):
+        dec, _ = build_rate_matrices(SinrMatrix(0, x), q, 1.26e6)
+        assert np.array_equal(dec.values,
+                              rate_from_sinr(1.26e6, quantize(q, x)[1]))
 
 
 class TestBuildRateMatrices:
