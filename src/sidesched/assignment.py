@@ -96,7 +96,8 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     c = _check_cost(cost_vector, k, l)
     blocks = c.reshape(l, l, k)  # (vehicle, subframe, slot)
     argmax_slot = blocks.argmax(axis=2).astype(np.int64)
-    exact = blocks.max(axis=2)
+    # the entry at the argmax is the maximum itself, since c is finite
+    exact = np.take_along_axis(blocks, argmax_slot[..., None], axis=2)[..., 0]
     if beta is None:
         d = exact
     else:

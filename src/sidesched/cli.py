@@ -27,7 +27,7 @@ from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, TIMER_STREAM,
                        add_context, derive_seed, draw_cluster, draw_rates,
                        run_cell)
 from .scenario import SCENARIO_KINDS, make_clusters, ScenarioModel
-from .solvers import METHODS
+from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L
 
 log = logging.getLogger("sidesched")
 
@@ -133,6 +133,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         for i, m in enumerate(methods):
             if m not in METHODS:
                 bad.append(f"methods[{i}]")
+            elif m == "oracle" and (l > ORACLE_MAX_L or k > ORACLE_MAX_K):
+                # brute force is capped; name the method and the grid sizes
+                bad.append(f"methods[{i}]")
+                if l > ORACLE_MAX_L:
+                    bad.append("grid.l_subframes")
+                if k > ORACLE_MAX_K:
+                    bad.append("grid.k_subchannels")
 
     repetitions = check("repetitions", 100, lambda x: is_int(x) and x >= 1)
     master_seed = get("master_seed")
@@ -320,6 +327,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                             "runtime_s": cell.stats.runtime_s,
                         })
                     del rates  # free this width's pair before the next is built
+                del draw  # and this draw before the next is made
             except ValueError as exc:
                 add_context(exc, where)
                 raise

@@ -99,6 +99,7 @@ def sweep_density(config: ExperimentConfig, n_vehicles_list, bits_list,
                                         solver_seed, repetition=rep)
                         worst[method, bits, n].append(cell.vehicle_rates_bps.min())
                     del rates  # free this width's pair before the next is built
+                del draw  # and this draw before the next is made
             except ValueError as exc:
                 add_context(exc, where)
                 raise

@@ -5,19 +5,30 @@ every weight from the matrix maximum; the per-matrix constant offset never
 changes which matching is optimal, so adding any constant to all weights
 leaves the argmax intact.
 
-The kernel exploits ties, which quantized weights have in abundance:
+The kernel exploits ties, which quantized weights have in abundance, and
+falls back on Jonker-Volgenant initialisation (Computing 38, 1987; Crouse,
+IEEE TAES 2016) where they run out, as with ideal feedback:
 
 1. Duals start at u_i = min_j cost[i, j] and v = 0. Every reduced cost
    cost[i, j] - u_i - v_j is then non-negative, and the tight (zero)
    edges are exactly the row-maximum entries of the weights.
-2. Hopcroft-Karp (SIAM J. Comput. 1973) finds a maximum-cardinality
+   Hopcroft-Karp (SIAM J. Comput. 1973) finds a maximum-cardinality
    matching on the tight edges. When it is perfect it is optimal outright,
-   because the sum of row maxima bounds every matching from above.
-3. Each row it leaves free is inserted by a shortest augmenting path:
+   because the sum of row maxima bounds every matching from above, and
+   the steps below never run.
+2. Column reduction: v_j = min_i (cost[i, j] - u_i). This is 0 for every
+   column with a tight edge already, and every other column gains one.
+   Hopcroft-Karp continues from the step-1 matching on the larger tight
+   set.
+3. Augmenting row reduction: each free row takes the column of its lowest
+   cost[i, j] - v_j and lowers that column's v_j by the gap to its
+   second-lowest, displacing the column's row. At most n rows are
+   visited. Then u_i = min_j (cost[i, j] - v_j), so every matched row
+   sits on a minimum of its row and every reduced cost is non-negative.
+4. Each row still free is inserted by a shortest augmenting path:
    Dijkstra on reduced costs, warm-started from that matching and those
-   duals (Jonker and Volgenant, Computing 38, 1987). Matched edges stay
-   tight and reduced costs non-negative, so the final perfect matching is
-   optimal by complementary slackness.
+   duals. Matched edges stay tight and reduced costs non-negative, so the
+   final perfect matching is optimal by complementary slackness.
 
 Tie rule. Among optimal matchings the kernel returns the one these steps
 reach with every scan in ascending index order:
@@ -25,6 +36,12 @@ reach with every scan in ascending index order:
 - each Hopcroft-Karp phase grows its search from the free rows in
   ascending index; a row tries its tight columns in ascending index and
   follows the first one that continues a shortest augmenting path;
+- row reduction starts from the free rows in ascending index. A row's
+  lowest and second-lowest columns are each the lowest index among
+  equals. When the two values are equal and the lowest column is
+  matched, the row takes the second column instead. A row displaced
+  across a positive gap is visited next; one displaced across a zero gap
+  goes to the back of the queue;
 - the rows left free are then inserted in ascending index; among equally
   tight columns the lowest index wins, and an earlier predecessor is kept
   over a later equal one.
@@ -36,6 +53,8 @@ receives one of its row-maximum columns.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -59,8 +78,17 @@ def max_weight_assignment(weights):
 
     u = cost.min(axis=1)  # row potentials
     v = np.zeros(n + 1)   # column potentials
-    tight = cost == u[:, None]
-    row_col, col_row = _tight_matching([np.flatnonzero(r).tolist() for r in tight])
+    reduced = cost - u[:, None]
+    row_col, col_row = [-1] * n, [-1] * n
+    _tight_matching(_adjacency(reduced == 0), row_col, col_row)
+    if -1 in row_col:
+        # column reduction: 0 where a column has a tight edge already,
+        # and every other column gains one
+        v[:n] = reduced.min(axis=0)
+        _tight_matching(_adjacency(reduced == v[:n]), row_col, col_row)
+    if -1 in row_col:
+        _reduce_rows(cost, v, row_col, col_row)
+        u = (cost - v[:n]).min(axis=1)
     # col_row[j]: row matched to column j, -1 while free; column n is the
     # virtual root holding the row currently being inserted.
     col_row = np.array(col_row + [-1], dtype=np.int64)
@@ -74,20 +102,27 @@ def max_weight_assignment(weights):
     return col_of_row, total
 
 
-def _tight_matching(adj):
-    """Maximum-cardinality matching on the tight edges (Hopcroft-Karp).
+def _adjacency(tight):
+    """Per-row lists of the True columns of ``tight``, in ascending order."""
+    rows, cols = np.nonzero(tight)
+    bounds = np.searchsorted(rows, np.arange(tight.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _tight_matching(adj, row_col, col_row):
+    """Grow a matching to maximum cardinality on the tight edges (Hopcroft-Karp).
 
     ``adj[i]`` lists the tight columns of row ``i`` in ascending order.
-    Returns ``(row_col, col_row)`` as lists with -1 for free entries.
+    ``row_col`` and ``col_row`` hold the matching to start from, with -1
+    for free entries, and are updated in place.
     """
     n = len(adj)
-    row_col = [-1] * n
-    col_row = [-1] * n
     while True:
         dist = [n] * n  # n marks a row not reached in this phase
         shortest = _layer_rows(adj, row_col, col_row, dist)
         if shortest is None:
-            return row_col, col_row
+            return
         nxt = [0] * n  # next position in adj[i] to try during this phase
         for root in range(n):
             if row_col[root] < 0:
@@ -145,6 +180,41 @@ def _augment_from(root, adj, dist, shortest, nxt, row_col, col_row):
             rows.pop()
             if cols:
                 cols.pop()
+
+
+def _reduce_rows(cost, v, row_col, col_row):
+    """Augmenting row reduction (Jonker and Volgenant) on the free rows.
+
+    Step 3 of the module docstring, capped at n row visits. Lowering
+    ``v[j1]`` by the gap keeps the row on a minimum of ``cost[i] - v``
+    once it holds ``j1``. Updates ``row_col``, ``col_row`` and ``v`` in
+    place.
+    """
+    n = cost.shape[0]
+    free = deque(i for i in range(n) if row_col[i] < 0)
+    for _ in range(n):
+        if not free:
+            return
+        i = free.popleft()
+        row = cost[i] - v[:n]
+        j1 = int(np.argmin(row))
+        u1 = row[j1]
+        row[j1] = np.inf
+        j2 = int(np.argmin(row))
+        u2 = row[j2]
+        i0 = col_row[j1]
+        if u1 < u2:
+            v[j1] -= u2 - u1
+        elif i0 >= 0:
+            # equal minima: prefer the second column, which may be free
+            j1, i0 = j2, col_row[j2]
+        row_col[i], col_row[j1] = j1, i
+        if i0 >= 0:
+            row_col[i0] = -1
+            if u1 < u2:
+                free.appendleft(i0)
+            else:
+                free.append(i0)
 
 
 def _insert_row(i, cost, u, v, col_row):

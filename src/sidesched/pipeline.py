@@ -1,14 +1,16 @@
 """The three stages of a cell: draw, rates, and the cell itself.
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster,
-padded with dummy vehicles to a square. Its *rates* at one feedback width
+padded with dummy vehicles to a square, with its fine-grained (truth)
+rates, which are the same at every width. Its *rates* at one feedback width
 (``draw_rates``) are the (decision, truth) pair a scheduler decides on
 and is scored on. A *cell* (``run_cell``) runs one method on those
 rates: it solves, checks the assignment for subframe conflicts and
 scores it. The cell loops in ``cli.run_experiment`` and
 ``metrics.sweep_density`` nest repetition x cluster, then width, then
 method, so each draw is computed once and each width's rates once per
-draw, shared by every method.
+draw, shared by every method; each draw is released before the next one
+is made.
 
 Seeds are derived hierarchically from the master seed through
 SeedSequence spawn keys, making every stage a pure function of its
@@ -27,7 +29,8 @@ from .assignment import compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
                        pad_to_square)
-from .sideinfo import QuantizerSpec, RateMatrix, build_rate_matrices
+from .sideinfo import (QuantizerSpec, RateMatrix, build_rate_matrices,
+                       rate_from_sinr)
 from .solvers import (SolveStats, evaluate, solve_greedy, solve_oracle,
                       solve_proposed, solve_random, verify_assignment)
 
@@ -61,6 +64,7 @@ class Draw:
     cluster: Cluster
     sinr: SinrMatrix
     dummy_mask: np.ndarray  # True where a row is a padding dummy
+    truth: RateMatrix       # fine-grained rates of ``sinr``
 
 
 @dataclass
@@ -78,7 +82,8 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     """The cluster's channel draw; depends only on the seed and the cluster."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
     padded, dummy_mask = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    return Draw(cluster, padded, dummy_mask)
+    truth = RateMatrix(padded.cluster_id, rate_from_sinr(grid.b_hz, padded.values))
+    return Draw(cluster, padded, dummy_mask, truth)
 
 
 def draw_rates(grid: ResourceGrid, model: ScenarioModel, draw: Draw, bits: int,
@@ -95,7 +100,7 @@ def draw_rates(grid: ResourceGrid, model: ScenarioModel, draw: Draw, bits: int,
             bits=bits,
             lo_db=model.sinr_floor_db if quant_lo_db is None else quant_lo_db,
             hi_db=model.sinr_ceil_db if quant_hi_db is None else quant_hi_db)
-    return build_rate_matrices(draw.sinr, q, grid.b_hz)
+    return build_rate_matrices(draw.sinr, q, grid.b_hz, truth=draw.truth)
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,

@@ -86,25 +86,28 @@ class RateMatrix:
             raise ValueError("rates must be finite and non-negative")
 
 
-def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float):
+def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
+                        truth: RateMatrix | None = None):
     """(decision, truth) rate pair for one cluster.
 
     The decision matrix is what the scheduler sees: rates of the
     quantized reconstructions, or the fine-grained rates themselves when
     ``q`` is None (ideal feedback). The truth matrix always holds the
-    fine-grained rates.
+    fine-grained rates. They are the same at every width, so a caller
+    that builds several widths of one draw passes them in as ``truth``,
+    which is returned as it is; otherwise they are computed here.
 
     A quantized decision matrix is looked up, by bin index, in the rates
     of the 2**bits reconstruction levels. Each level comes from the same
     float expression ``quantize`` applies per entry, so the lookup equals
-    the rate of the reconstruction bit for bit, and the matrix takes one
-    transcendental pass instead of two.
+    the rate of the reconstruction bit for bit, and the decision matrix
+    takes no transcendental pass of its own.
     """
-    truth_vals = rate_from_sinr(b_hz, sinr.values)
+    if truth is None:
+        truth = RateMatrix(sinr.cluster_id, rate_from_sinr(b_hz, sinr.values))
     if q is None:
-        decision_vals = truth_vals.copy()
+        decision_vals = truth.values.copy()
     else:
         level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
         decision_vals = level_rates[_bin_index(q, sinr.values)]
-    return (RateMatrix(sinr.cluster_id, decision_vals),
-            RateMatrix(sinr.cluster_id, truth_vals))
+    return RateMatrix(sinr.cluster_id, decision_vals), truth

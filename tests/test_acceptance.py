@@ -41,19 +41,27 @@ def _verdict(num, ok, detail):
     assert ok, line
 
 
-def _mc_block(model, method, bits, n):
-    """(sum rates, worst rates) over the seed bank, truth values in bps."""
-    sums = np.empty(SEEDS)
-    worsts = np.empty(SEEDS)
+def _mc_block(model, n, series):
+    """{(method, bits): (sum rates, worst rates)} over the seed bank.
+
+    Truth values in bps. Each (repetition) draw is made once and each
+    width's rates once per draw, shared by every series at that width.
+    """
+    out = {s: (np.empty(SEEDS), np.empty(SEEDS)) for s in series}
+    widths = list(dict.fromkeys(bits for _, bits in series))
     for rep in range(SEEDS):
         draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
                             scenario_seed=derive_seed(MASTER_SEED, SCENARIO_STREAM, rep, n))
-        cell = run_cell(GRID, draw, draw_rates(GRID, model, draw, bits), bits, method,
-                        solver_seed=derive_seed(MASTER_SEED, RANDOM_STREAM, rep, n),
-                        repetition=rep)
-        sums[rep] = cell.stats.sum_rate_truth_bps
-        worsts[rep] = cell.vehicle_rates_bps.min()
-    return sums, worsts
+        solver_seed = derive_seed(MASTER_SEED, RANDOM_STREAM, rep, n)
+        for bits in widths:
+            rates = draw_rates(GRID, model, draw, bits)
+            for method, b in series:
+                if b == bits:
+                    cell = run_cell(GRID, draw, rates, bits, method,
+                                    solver_seed=solver_seed, repetition=rep)
+                    out[method, bits][0][rep] = cell.stats.sum_rate_truth_bps
+                    out[method, bits][1][rep] = cell.vehicle_rates_bps.min()
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -61,18 +69,18 @@ def bank():
     """Monte-Carlo result bank shared by the trend checks (5, 6, 7)."""
     out = {}
     t0 = time.perf_counter()
-    for method, bits in [("proposed", 0), ("proposed", 2), ("proposed", 3),
-                         ("proposed", 4), ("greedy", 0), ("greedy", 2),
-                         ("greedy", 3), ("greedy", 4), ("random", 0)]:
-        out[("uniform", method, bits, 100)] = _mc_block(UNIFORM, method, bits, 100)
+    full_load = _mc_block(UNIFORM, 100, [
+        ("proposed", 0), ("proposed", 2), ("proposed", 3), ("proposed", 4),
+        ("greedy", 0), ("greedy", 2), ("greedy", 3), ("greedy", 4),
+        ("random", 0)])
     out["uniform_full_load_seconds"] = time.perf_counter() - t0
-    for method in ("proposed", "greedy"):
-        for bits in (2, 3, 4):
-            out[("uniform", method, bits, 10)] = _mc_block(UNIFORM, method, bits, 10)
-    for bits in (0, 1, 2, 3, 4, 8):
-        out[("mixed", "proposed", bits, 100)] = _mc_block(MIXED, "proposed", bits, 100)
-    for bits in (0, 2):
-        out[("mixed", "greedy", bits, 100)] = _mc_block(MIXED, "greedy", bits, 100)
+    out.update({("uniform", m, b, 100): r for (m, b), r in full_load.items()})
+    sparse = _mc_block(UNIFORM, 10, [(m, b) for m in ("proposed", "greedy")
+                                     for b in (2, 3, 4)])
+    out.update({("uniform", m, b, 10): r for (m, b), r in sparse.items()})
+    mixed = _mc_block(MIXED, 100, [("proposed", b) for b in (0, 1, 2, 3, 4, 8)]
+                      + [("greedy", 0), ("greedy", 2)])
+    out.update({("mixed", m, b, 100): r for (m, b), r in mixed.items()})
     return out
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidesched.assignment import (build_constraint_matrix, build_full_problem,
                                   compress, expand_solution)
@@ -182,3 +184,24 @@ class TestCompressionLossless:
             assert np.all(build_constraint_matrix(k, l) @ x == 1)
             value = sum(vals[i, sc] for i, sc in a.pairs.items())
             assert np.isclose(value, red_best, rtol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 8), l=st.integers(1, 12), levels=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_compress_is_lossless(self, k, l, levels, seed):
+        # few distinct values, so blocks are full of ties
+        rng = np.random.default_rng(seed)
+        vals = rng.integers(0, levels, (l, k * l)) * 1.26e6 + 0.5
+        r = compress(vals.ravel(), k, l)
+        blocks = vals.reshape(l, l, k)
+        np.testing.assert_array_equal(r.d, blocks.max(axis=2))
+        # the stored slot attains the maximum, and no lower slot does
+        picked = np.take_along_axis(blocks, r.argmax_slot[..., None], 2)[..., 0]
+        np.testing.assert_array_equal(picked, r.d)
+        for i, f in np.ndindex(l, l):
+            assert np.all(blocks[i, f, :r.argmax_slot[i, f]] < r.d[i, f])
+        # any bijection keeps its sum through expansion
+        perm = rng.permutation(l)
+        a = expand_solution({i: int(perm[i]) for i in range(l)}, r)
+        assert sum(vals[i, sc] for i, sc in a.pairs.items()) == \
+            sum(r.d[i, perm[i]] for i in range(l))

@@ -11,8 +11,7 @@ from sidesched import pipeline
 from sidesched.cli import (config_from_dict, config_hash, load_config, main,
                            run_experiment, run_sweep, validate_assignment_file,
                            write_assignment_csv)
-from sidesched.errors import (CapacityError, ConfigError, InfeasibleError,
-                              ParseError)
+from sidesched.errors import ConfigError, InfeasibleError, ParseError
 from sidesched.grid import ResourceGrid
 from sidesched.solvers import Assignment
 
@@ -112,6 +111,20 @@ class TestConfigParsing:
         assert config_hash(a) != config_hash(c)
         assert config_hash(a) == config_hash(config_from_dict(tiny_raw()))
 
+    def test_oracle_over_caps_rejected_at_load(self):
+        # brute force caps l <= 8 and k <= 4: fail before any cell runs
+        raw = tiny_raw(methods=["proposed", "oracle"])
+        raw["grid"] = {"k_subchannels": 2, "l_subframes": 20}
+        raw["clusters"] = [10]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == ["grid.l_subframes", "methods[1]"]
+        raw["grid"] = {"k_subchannels": 5, "l_subframes": 8}
+        raw["clusters"] = [8]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == ["grid.k_subchannels", "methods[1]"]
+
 
 class TestRunExperiment:
     def test_artifacts_written(self, tmp_path):
@@ -157,14 +170,6 @@ class TestRunExperiment:
         p2 = run_experiment(cfg2)
         for name in ("cdf", "criteria", "summary"):
             assert p1[name].read_bytes() == p2[name].read_bytes()
-
-    def test_oracle_over_caps_names_cluster(self, tmp_path):
-        raw = tiny_raw(methods=["oracle"], out_dir=str(tmp_path / "out"))
-        raw["grid"] = {"k_subchannels": 2, "l_subframes": 20}
-        raw["clusters"] = [10]
-        with pytest.raises(CapacityError) as exc:
-            run_experiment(config_from_dict(raw))
-        assert "cluster 0" in str(exc.value)
 
     def test_error_keeps_type_and_location(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from sidesched import munkres
 from sidesched.assignment import compress
 from sidesched.grid import ResourceGrid
 from sidesched.munkres import max_weight_assignment
@@ -187,3 +188,94 @@ class TestKernelPaths:
                                          [2.0, 2.0, 2.0],
                                          [2.0, 0.0, 0.0]])
         assert list(cols) == [1, 2, 0]
+
+
+class TestContinuousAgainstScipy:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_total_matches_scipy(self, n, seed):
+        w = np.random.default_rng(seed).uniform(0.0, 1.5e7, (n, n))
+        cols, total = max_weight_assignment(w)
+        assert sorted(cols) == list(range(n))
+        ref = scipy_optimum(w)
+        assert abs(total - ref) <= 1e-9 * ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 120), real=st.integers(1, 120),
+           seed=st.integers(0, 2**32 - 1))
+    def test_constant_padding_rows_match_scipy(self, n, real, seed):
+        # dummy vehicles: every row past the real ones is one constant,
+        # tight on every column
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 1.5e7, (n, n))
+        w[min(real, n):] = rng.uniform(0.0, 1.5e7)
+        cols, total = max_weight_assignment(w)
+        assert sorted(cols) == list(range(n))
+        ref = scipy_optimum(w)
+        assert abs(total - ref) <= 1e-9 * ref
+
+    def test_untied_columns_equal_scipy(self):
+        # a unique optimum leaves no room for a tie rule
+        for seed in range(5):
+            w = np.random.default_rng(seed).normal(0.0, 1.0, (150, 150))
+            cols, _ = max_weight_assignment(w)
+            rows, ref_cols = linear_sum_assignment(w, maximize=True)
+            np.testing.assert_array_equal(rows, np.arange(150))
+            np.testing.assert_array_equal(cols, ref_cols)
+
+
+@pytest.fixture
+def phases(monkeypatch):
+    """Names of the kernel phases a call runs, in order."""
+    seen = []
+    for name in ("_tight_matching", "_reduce_rows", "_insert_row"):
+        def recorded(*args, _name=name, _real=getattr(munkres, name)):
+            seen.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(munkres, name, recorded)
+    return seen
+
+
+class TestInitialisationPhases:
+    def test_column_reduction_completes_the_matching(self, phases):
+        # both row maxima sit in column 0; reducing column 1 by 1 makes
+        # (1, 1) tight, and the second Hopcroft-Karp pass matches row 1
+        w = [[3.0, 1.0], [3.0, 2.0]]
+        cols, total = max_weight_assignment(w)
+        assert phases == ["_tight_matching", "_tight_matching"]
+        assert list(cols) == [0, 1]
+        assert total == 5.0
+
+    def test_row_reduction_completes_the_matching(self, phases):
+        w = np.array([[3.0, 5.0, 0.0], [2.0, 5.0, 4.0], [2.0, 2.0, 2.0]])
+        cols, total = max_weight_assignment(w)
+        assert phases == ["_tight_matching", "_tight_matching", "_reduce_rows"]
+        assert total == brute_max_matching(w)[1] == 11.0
+        assert list(cols) == [1, 2, 0]
+
+    def test_visit_cap_runs_out_then_insertion_finishes(self, phases):
+        w = np.array([[2.0, 1.0, 2.0], [4.0, 0.0, 1.0], [4.0, 1.0, 3.0]])
+        cols, total = max_weight_assignment(w)
+        assert phases[:3] == ["_tight_matching", "_tight_matching",
+                              "_reduce_rows"]
+        assert phases[3:] and set(phases[3:]) == {"_insert_row"}
+        assert total == brute_max_matching(w)[1]
+        assert sorted(cols) == [0, 1, 2]
+
+    def test_row_reduction_leaves_rows_on_minima(self):
+        # every matched row sits on a minimum of cost[i] - v, which is what
+        # the insertion phase starts from
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            cost = rng.uniform(0.0, 10.0, (n, n))
+            v = np.zeros(n + 1)
+            row_col, col_row = [-1] * n, [-1] * n
+            munkres._reduce_rows(cost, v, row_col, col_row)
+            assert all(row_col[col_row[j]] == j for j in range(n)
+                       if col_row[j] >= 0)
+            slack = cost - v[:n]
+            u = slack.min(axis=1)
+            for i, j in enumerate(row_col):
+                if j >= 0:
+                    assert slack[i, j] <= u[i] + 1e-9

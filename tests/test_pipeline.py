@@ -34,26 +34,33 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
                           bits=0, method=method)
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
+def _record_calls(monkeypatch, name):
+    results = []
     real = getattr(pipeline, name)
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
 
-    monkeypatch.setattr(pipeline, name, counted)
-    return calls
+    monkeypatch.setattr(pipeline, name, recorded)
+    return results
 
 
 @pytest.mark.parametrize("runner", [run_experiment, run_sweep])
 def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
     config = replace(load_config(smoke), out_dir=str(tmp_path))
-    draws = _count_calls(monkeypatch, "generate_sinr")
-    rates = _count_calls(monkeypatch, "build_rate_matrices")
+    draws = _record_calls(monkeypatch, "generate_sinr")
+    rates = _record_calls(monkeypatch, "build_rate_matrices")
     runner(config)
     points = (config.cluster_sizes if runner is run_experiment
               else config.sweep_n_vehicles)
+    widths = len(config.bits_list)
     assert len(draws) == config.repetitions * len(points)
-    assert len(rates) == len(draws) * len(config.bits_list)
+    assert len(rates) == len(draws) * widths
+    # every width of a draw is scored on one truth matrix, computed once
+    truths = [truth for _, truth in rates]
+    for d in range(len(draws)):
+        per_draw = truths[d * widths:(d + 1) * widths]
+        assert all(t is per_draw[0] for t in per_draw)
+    assert len({id(t) for t in truths}) == len(draws)
