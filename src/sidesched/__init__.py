@@ -2,16 +2,13 @@
 feedback: square-reduced optimal matching, baselines, and a deterministic
 Monte-Carlo evaluation harness."""
 
-from .assignment import (DEFAULT_L_CAP, FullProblem, ReducedProblem,
-                         build_constraint_matrix, build_full_problem,
-                         compress, expand_solution)
+from .assignment import ReducedProblem, compress, expand_solution
 from .cli import (ExperimentConfig, ValidationReport, config_from_dict,
                   load_config, run_experiment, run_sweep,
                   validate_assignment_file, write_assignment_csv)
 from .errors import (CapacityError, ConfigError, ConstraintViolation,
                      InfeasibleError, ParseError, ShapeError)
-from .grid import (DEFAULT_T_SPS_POOL_S, ResourceGrid, SpsTimer, draw_t_sps,
-                   subframe_of, tick_window)
+from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps, subframe_of
 from .metrics import EvalReport, SweepRow, build_report, sweep_density
 from .munkres import max_weight_assignment
 from .pipeline import (CellResult, Draw, derive_seed, draw_cluster, draw_rates,

@@ -19,22 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConstraintViolation, ShapeError
+from .errors import ConstraintViolation, ShapeError
 from .solvers import Assignment
-
-#: Largest L for which the full constraint matrix may be materialized.
-#: Reduced-form solves carry no such cap.
-DEFAULT_L_CAP = 64
-
-
-@dataclass(frozen=True)
-class FullProblem:
-    """Explicit form: weights plus the binary constraint rows."""
-
-    cost: np.ndarray         # (K*L*L,) vehicle-major weights
-    constraints: np.ndarray  # (2L, K*L*L); A @ x == 1 for feasible x
-    k: int
-    l: int
 
 
 @dataclass(frozen=True)
@@ -59,32 +45,6 @@ def _check_cost(cost_vector, k: int, l: int) -> np.ndarray:
     return c
 
 
-def build_constraint_matrix(k: int, l: int, l_cap: int = DEFAULT_L_CAP) -> np.ndarray:
-    """Tensor expansion of the one-per-vehicle / one-per-subframe rows.
-
-    Rows 0..L-1 tie each vehicle to exactly one of its K*L entries; rows
-    L..2L-1 tie each subframe to exactly one vehicle. Every column holds
-    exactly two ones, one from each family.
-    """
-    if k < 1 or l < 1:
-        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={l}")
-    if l > l_cap:
-        raise CapacityError(
-            f"full constraint matrix for l={l} exceeds the cap of {l_cap}; "
-            "use the reduced form instead")
-    eye = np.eye(l, dtype=np.int8)
-    per_vehicle = np.kron(eye, np.ones((1, k * l), dtype=np.int8))
-    per_subframe = np.kron(np.ones((1, l), dtype=np.int8),
-                           np.kron(eye, np.ones((1, k), dtype=np.int8)))
-    return np.vstack([per_vehicle, per_subframe])
-
-
-def build_full_problem(cost_vector, k: int, l: int,
-                       l_cap: int = DEFAULT_L_CAP) -> FullProblem:
-    c = _check_cost(cost_vector, k, l)
-    return FullProblem(c, build_constraint_matrix(k, l, l_cap), k, l)
-
-
 def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedProblem:
     """Per-(vehicle, subframe) block maxima over the K in-subframe slots.
 
@@ -107,16 +67,14 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     return ReducedProblem(d, argmax_slot, k, l)
 
 
-def expand_solution(reduced_assignment: dict, reduced: ReducedProblem,
-                    k: int | None = None, *, cluster_id: int = 0,
-                    method: str = "proposed") -> Assignment:
+def expand_solution(reduced_assignment: dict, reduced: ReducedProblem, *,
+                    cluster_id: int = 0) -> Assignment:
     """Vehicle-to-subframe bijection back to global subchannel indices.
 
     Each vehicle lands on the stored best slot of its subframe, i.e.
     subchannel l*K + argmax_slot[vehicle, l].
     """
-    k = reduced.k if k is None else k
-    l = reduced.l
+    k, l = reduced.k, reduced.l
     items = sorted(reduced_assignment.items())
     if [i for i, _ in items] != list(range(l)) or \
             sorted(f for _, f in items) != list(range(l)):
@@ -124,4 +82,4 @@ def expand_solution(reduced_assignment: dict, reduced: ReducedProblem,
             "reduced assignment must map vehicles 0..L-1 onto subframes 0..L-1 "
             "one-to-one")
     pairs = {i: f * k + int(reduced.argmax_slot[i, f]) for i, f in items}
-    return Assignment(cluster_id=cluster_id, pairs=pairs, method=method)
+    return Assignment(cluster_id=cluster_id, pairs=pairs, method="proposed")

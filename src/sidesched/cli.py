@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -21,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, ParseError
-from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, SpsTimer, draw_t_sps
+from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps
 from .metrics import build_report, sweep_density
 from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, TIMER_STREAM,
                        add_context, derive_seed, draw_cluster, draw_rates,
                        run_cell)
 from .scenario import SCENARIO_KINDS, make_clusters, ScenarioModel
-from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L
+from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L, shared_subframes
 
 log = logging.getLogger("sidesched")
 
@@ -202,7 +203,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_config(path) -> dict:
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -210,11 +211,15 @@ def load_config(path) -> ExperimentConfig:
             raise ParseError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(["<top level must be an object>"])
-    return config_from_dict(raw)
+    return raw
 
 
-def _resolve_seed(config: ExperimentConfig, override: int | None) -> ExperimentConfig:
-    seed = override if override is not None else config.master_seed
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_config(path))
+
+
+def _resolve_seed(config: ExperimentConfig) -> ExperimentConfig:
+    seed = config.master_seed
     if seed is None:
         # fresh entropy; the manifest records it so the run stays replayable
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
@@ -287,16 +292,15 @@ def _reservations(config: ExperimentConfig, clusters) -> list[dict]:
         rng = np.random.default_rng(
             derive_seed(config.master_seed, TIMER_STREAM, ci))
         t_sps = draw_t_sps(rng, config.t_sps_pool_s)
-        timer = SpsTimer(t_sps, config.grid.window_ms)
         out.append({"cluster": cluster.id, "t_sps_s": t_sps,
-                    "windows": timer.remaining_windows})
+                    "windows": math.ceil(t_sps * 1000 / config.grid.window_ms)})
     return out
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Full Monte-Carlo pass; writes cdf.csv, criteria.csv, summary.json,
     manifest.json into the configured output directory."""
-    config = _resolve_seed(config, None)
+    config = _resolve_seed(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clusters = make_clusters(config.cluster_sizes)
@@ -316,8 +320,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                                        config.quant_lo_db, config.quant_hi_db)
                     for method in config.methods:
                         where[3:] = [f"method {method}"]
-                        cell = run_cell(grid, draw, rates, bits, method,
-                                        solver_seed, repetition=rep)
+                        cell = run_cell(grid, draw, rates, bits, method, solver_seed)
                         samples[method, bits].append(cell.vehicle_rates_bps)
                         run_records.append({
                             "method": method, "bits": bits,
@@ -353,11 +356,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
 def run_sweep(config: ExperimentConfig) -> dict[str, Path]:
     """Vehicle-density sweep; writes sweep.csv and manifest.json."""
-    config = _resolve_seed(config, None)
+    config = _resolve_seed(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_density(config, config.sweep_n_vehicles,
-                         config.bits_list, config.repetitions)
+    rows = sweep_density(config)
     paths = {"sweep": out / "sweep.csv", "manifest": out / "manifest.json"}
     with open(paths["sweep"], "w", newline="") as fh:
         w = csv.writer(fh)
@@ -395,10 +397,14 @@ def validate_assignment_file(path, k: int | None = None) -> ValidationReport:
 
     With ``k`` given, subframes are recomputed as subchannel // k and any
     disagreeing subframe column is flagged; otherwise the file's subframe
-    column is trusted.
+    column is trusted. Row by row violations come first, then every
+    shared subframe, cluster by cluster.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k (--k) must be at least 1, got {k}")
     violations = []
-    rows = []
+    seen = set()
+    by_cluster = {}  # cluster -> (vehicles, subchannels, subframes) in row order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -408,6 +414,7 @@ def validate_assignment_file(path, k: int | None = None) -> ValidationReport:
         if [h.strip() for h in header] != ASSIGNMENT_HEADER:
             raise ParseError(
                 f"{path}: header must be {','.join(ASSIGNMENT_HEADER)}")
+        r = 0  # data rows read
         for r, record in enumerate(reader, start=1):
             if len(record) != 4:
                 raise ParseError(f"{path}: row {r} has {len(record)} cells, "
@@ -420,30 +427,24 @@ def validate_assignment_file(path, k: int | None = None) -> ValidationReport:
                                  "must be integers", row=r) from None
             if sc < 0 or sf < 0:
                 raise ParseError(f"{path}: row {r}: negative index", row=r)
-            rows.append((cl.strip(), vehicle.strip(), sc, sf))
-
-    seen_vehicle = {}
-    owner = {}
-    for cl, vehicle, sc, sf in rows:
-        if (cl, vehicle) in seen_vehicle:
-            violations.append(
-                f"cluster {cl}: vehicle {vehicle} assigned more than once")
-        seen_vehicle[(cl, vehicle)] = sc
-        eff = sf
-        if k is not None:
-            eff = sc // k
+            cl, vehicle = cl.strip(), vehicle.strip()
+            if (cl, vehicle) in seen:
+                violations.append(
+                    f"cluster {cl}: vehicle {vehicle} assigned more than once")
+            seen.add((cl, vehicle))
+            eff = sf if k is None else sc // k
             if eff != sf:
                 violations.append(
                     f"cluster {cl}: vehicle {vehicle} lists subframe {sf} "
                     f"but subchannel {sc} lies in subframe {eff}")
-        if (cl, eff) in owner:
-            prev_vehicle, prev_sc = owner[(cl, eff)]
-            violations.append(
-                f"cluster {cl}: vehicles {prev_vehicle} and {vehicle} share "
-                f"subframe {eff} (subchannels {prev_sc} and {sc})")
-        else:
-            owner[(cl, eff)] = (vehicle, sc)
-    return ValidationReport(not violations, len(rows), violations)
+            vehicles, subchannels, subframes = by_cluster.setdefault(cl, ([], [], []))
+            vehicles.append(vehicle)
+            subchannels.append(sc)
+            subframes.append(eff)
+    for cl, columns in by_cluster.items():
+        violations.extend(f"cluster {cl}: {clash}"
+                          for clash in shared_subframes(*columns))
+    return ValidationReport(not violations, r, violations)
 
 
 def main(argv=None) -> int:
@@ -478,13 +479,14 @@ def main(argv=None) -> int:
 
     try:
         if args.command in ("run", "sweep"):
-            config = load_config(args.config)
+            # overrides go through the same checks as the config's own keys
+            raw = _read_config(args.config)
             if args.seed is not None:
-                config = replace(config, master_seed=args.seed)
+                raw["master_seed"] = args.seed
             if args.out is not None:
-                config = replace(config, out_dir=args.out)
+                raw["out_dir"] = args.out
             runner = run_experiment if args.command == "run" else run_sweep
-            paths = runner(config)
+            paths = runner(config_from_dict(raw))
             for name, p in sorted(paths.items()):
                 print(f"{name}: {p}")
             return 0

@@ -9,8 +9,7 @@ source uses them, are converted at I/O boundaries only.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Reservation durations (seconds) a scheduler may grant, per Release 14.
 DEFAULT_T_SPS_POOL_S = (1.0, 4.0, 8.0)
@@ -51,38 +50,6 @@ def subframe_of(grid: ResourceGrid, k: int) -> int:
         raise IndexError(
             f"subchannel index {k} outside [0, {grid.n_subchannels})")
     return k // grid.k
-
-
-@dataclass(frozen=True)
-class SpsTimer:
-    """Countdown, in whole windows, of one semi-persistent reservation.
-
-    A fresh timer covers ceil(t_sps / window) windows; at zero the
-    reservation has lapsed and the vehicle needs reselection.
-    """
-
-    t_sps_s: float
-    window_ms: float
-    remaining_windows: int = -1  # derived from the durations when negative
-
-    def __post_init__(self):
-        if self.t_sps_s <= 0 or self.window_ms <= 0:
-            raise ValueError("t_sps_s and window_ms must be positive")
-        if self.remaining_windows < 0:
-            object.__setattr__(
-                self, "remaining_windows",
-                math.ceil(self.t_sps_s * 1000.0 / self.window_ms))
-
-    @property
-    def needs_reselection(self) -> bool:
-        return self.remaining_windows == 0
-
-
-def tick_window(timer: SpsTimer) -> SpsTimer:
-    """One elapsed window: decrement, saturating at zero."""
-    if timer.remaining_windows <= 0:
-        return timer
-    return replace(timer, remaining_windows=timer.remaining_windows - 1)
 
 
 def draw_t_sps(rng, pool=DEFAULT_T_SPS_POOL_S) -> float:

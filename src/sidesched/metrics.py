@@ -66,22 +66,22 @@ class SweepRow:
     worst_rate_mean_bps: float
 
 
-def sweep_density(config: ExperimentConfig, n_vehicles_list, bits_list,
-                  repetitions: int) -> list[SweepRow]:
-    """Mean-over-repetitions worst vehicle rate per (method, bits, N).
+def sweep_density(config: ExperimentConfig) -> list[SweepRow]:
+    """Mean-over-repetitions worst vehicle rate per (method, bits, N), over
+    the config's ``sweep_n_vehicles``, ``bits_list`` and ``repetitions``.
 
     Each (repetition, N) draw is computed once and each width's rates
     once per draw; every method at that width runs on them, so series
     differ only by algorithm and side information granularity.
     """
-    grid = config.grid
+    grid, n_vehicles_list = config.grid, config.sweep_n_vehicles
     for n in n_vehicles_list:
         if n > grid.l:
             raise InfeasibleError(
                 f"sweep point N={n} exceeds {grid.l} subframes")
-    worst = {(m, b, n): [] for m in config.methods for b in bits_list
+    worst = {(m, b, n): [] for m in config.methods for b in config.bits_list
              for n in n_vehicles_list}
-    for rep in range(repetitions):
+    for rep in range(config.repetitions):
         for n in n_vehicles_list:
             where = [f"N={n}", f"repetition {rep}"]
             try:
@@ -89,14 +89,13 @@ def sweep_density(config: ExperimentConfig, n_vehicles_list, bits_list,
                 draw = draw_cluster(grid, config.scenario,
                                     Cluster(id=n, n_vehicles=n), seed)
                 solver_seed = derive_seed(config.master_seed, RANDOM_STREAM, rep, n)
-                for bits in bits_list:
+                for bits in config.bits_list:
                     where[2:] = [f"{bits} bits"]
                     rates = draw_rates(grid, config.scenario, draw, bits,
                                        config.quant_lo_db, config.quant_hi_db)
                     for method in config.methods:
                         where[3:] = [f"method {method}"]
-                        cell = run_cell(grid, draw, rates, bits, method,
-                                        solver_seed, repetition=rep)
+                        cell = run_cell(grid, draw, rates, bits, method, solver_seed)
                         worst[method, bits, n].append(cell.vehicle_rates_bps.min())
                     del rates  # free this width's pair before the next is built
                 del draw  # and this draw before the next is made

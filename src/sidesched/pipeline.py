@@ -71,8 +71,6 @@ class Draw:
 class CellResult:
     method: str
     bits: int  # 0 = ideal fine-grained feedback
-    cluster_id: int
-    repetition: int
     vehicle_rates_bps: np.ndarray  # truth rates of real vehicles, ascending index
     stats: SolveStats
 
@@ -105,7 +103,7 @@ def draw_rates(grid: ResourceGrid, model: ScenarioModel, draw: Draw, bits: int,
 
 def run_cell(grid: ResourceGrid, draw: Draw,
              rates: tuple[RateMatrix, RateMatrix], bits: int, method: str,
-             solver_seed: int = 0, repetition: int = 0) -> CellResult:
+             solver_seed: int = 0) -> CellResult:
     """Solve, check and score one method on a draw's rates at ``bits``.
 
     Every assignment is checked for subframe conflicts before it is
@@ -134,4 +132,4 @@ def run_cell(grid: ResourceGrid, draw: Draw,
 
     stats, vehicle_rates = evaluate(assn, decision, truth, draw.dummy_mask,
                                     runtime)
-    return CellResult(method, bits, cluster.id, repetition, vehicle_rates, stats)
+    return CellResult(method, bits, vehicle_rates, stats)

@@ -30,26 +30,15 @@ class Cluster:
 
     id: int
     n_vehicles: int
-    vehicle_ids: tuple[str, ...] = ()  # optional opaque labels, row order
 
     def __post_init__(self):
         if self.n_vehicles < 1:
             raise ValueError(f"cluster {self.id} needs at least one vehicle")
-        if self.vehicle_ids:
-            if len(self.vehicle_ids) != self.n_vehicles:
-                raise ValueError(
-                    f"cluster {self.id}: {len(self.vehicle_ids)} ids for "
-                    f"{self.n_vehicles} vehicles")
-            if len(set(self.vehicle_ids)) != len(self.vehicle_ids):
-                raise ValueError(f"cluster {self.id}: duplicate vehicle ids")
 
 
 def make_clusters(sizes) -> list[Cluster]:
-    """Clusters with globally unique vehicle labels, one per size entry."""
-    return [
-        Cluster(j, n, tuple(f"c{j}-v{i}" for i in range(n)))
-        for j, n in enumerate(sizes)
-    ]
+    """One cluster per size entry, numbered from 0 in order."""
+    return [Cluster(j, n) for j, n in enumerate(sizes)]
 
 
 @dataclass

@@ -48,18 +48,31 @@ class SolveStats:
     runtime_s: float = 0.0
 
 
+def shared_subframes(vehicles, subchannels, subframes) -> list[str]:
+    """One message per vehicle placed in a subframe that an earlier one holds.
+
+    The three sequences run in parallel, in the order to check; each
+    message names the subframe's first holder.
+    """
+    owner = {}  # subframe -> index of its first holder
+    clashes = []
+    for j, sf in enumerate(subframes):
+        first = owner.setdefault(sf, j)
+        if first != j:
+            clashes.append(
+                f"vehicles {vehicles[first]} and {vehicles[j]} share subframe {sf} "
+                f"(subchannels {subchannels[first]} and {subchannels[j]})")
+    return clashes
+
+
 def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
     """Raise ConstraintViolation when two vehicles share a subframe."""
-    owner = {}
-    for i in sorted(assignment.pairs):
-        sc = assignment.pairs[i]
-        sf = subframe_of(grid, sc)
-        if sf in owner:
-            j = owner[sf]
-            raise ConstraintViolation(
-                f"vehicles {j} and {i} share subframe {sf} "
-                f"(subchannels {assignment.pairs[j]} and {sc})")
-        owner[sf] = i
+    vehicles = sorted(assignment.pairs)
+    subchannels = [assignment.pairs[i] for i in vehicles]
+    clashes = shared_subframes(vehicles, subchannels,
+                               [subframe_of(grid, sc) for sc in subchannels])
+    if clashes:
+        raise ConstraintViolation(clashes[0])
 
 
 def solve_proposed(reduced: ReducedProblem) -> dict[int, int]:
@@ -106,17 +119,17 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
     return Assignment(cluster_id, pairs, "random")
 
 
-def solve_oracle(decision: RateMatrix, grid: ResourceGrid,
-                 max_l: int = ORACLE_MAX_L, max_k: int = ORACLE_MAX_K) -> Assignment:
+def solve_oracle(decision: RateMatrix, grid: ResourceGrid) -> Assignment:
     """Exhaustive optimum over every subframe injection and slot choice.
 
     Slot choices factor per vehicle (one vehicle per subframe), so each
-    injection is scored from a per-vehicle scan of its K slots. Ties keep
-    the lexicographically first injection and the lowest slot.
+    injection is scored from the block maxima over each subframe's K
+    slots. Ties keep the lexicographically first injection and the lowest
+    slot.
     """
-    if grid.l > max_l or grid.k > max_k:
+    if grid.l > ORACLE_MAX_L or grid.k > ORACLE_MAX_K:
         raise CapacityError(
-            f"oracle capped at l <= {max_l} and k <= {max_k}, "
+            f"oracle capped at l <= {ORACLE_MAX_L} and k <= {ORACLE_MAX_K}, "
             f"got l={grid.l}, k={grid.k}")
     vals = decision.values
     n = vals.shape[0]
@@ -125,23 +138,10 @@ def solve_oracle(decision: RateMatrix, grid: ResourceGrid,
             f"rate matrix has {vals.shape[1]} columns, grid has {grid.n_subchannels}")
     if n > grid.l:
         raise InfeasibleError(f"{n} vehicles exceed {grid.l} subframes")
-    rows = vals.tolist()
-    best_rate = []
-    best_slot = []
-    for i in range(n):
-        rates_i = []
-        slots_i = []
-        for f in range(grid.l):
-            base = f * grid.k
-            r_best, s_best = rows[i][base], 0
-            for s in range(1, grid.k):
-                r = rows[i][base + s]
-                if r > r_best:
-                    r_best, s_best = r, s
-            rates_i.append(r_best)
-            slots_i.append(s_best)
-        best_rate.append(rates_i)
-        best_slot.append(slots_i)
+    blocks = vals.reshape(n, grid.l, grid.k)  # (vehicle, subframe, slot)
+    slots = blocks.argmax(axis=2)
+    best_rate = np.take_along_axis(blocks, slots[..., None], axis=2)[..., 0].tolist()
+    best_slot = slots.tolist()
     best_total = -np.inf
     best_inj = None
     for inj in itertools.permutations(range(grid.l), n):

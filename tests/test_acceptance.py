@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sidesched.assignment import build_constraint_matrix, compress, expand_solution
+from sidesched.assignment import compress, expand_solution
 from sidesched.cli import ExperimentConfig, run_experiment
 from sidesched.grid import ResourceGrid
 from sidesched.pipeline import (RANDOM_STREAM, SCENARIO_STREAM, derive_seed,
@@ -21,7 +21,7 @@ from sidesched.scenario import Cluster, ScenarioModel, SinrMatrix, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, build_rate_matrices, quantize
 from sidesched.solvers import (evaluate, solve_greedy, solve_oracle,
                                solve_proposed, solve_random)
-from util import assignment_to_x
+from util import assignment_to_x, build_constraint_matrix
 
 MASTER_SEED = 20260822
 SEEDS = 100
@@ -58,7 +58,7 @@ def _mc_block(model, n, series):
             for method, b in series:
                 if b == bits:
                     cell = run_cell(GRID, draw, rates, bits, method,
-                                    solver_seed=solver_seed, repetition=rep)
+                                    solver_seed=solver_seed)
                     out[method, bits][0][rep] = cell.stats.sum_rate_truth_bps
                     out[method, bits][1][rep] = cell.vehicle_rates_bps.min()
     return out
@@ -106,7 +106,7 @@ class TestAcceptanceGate:
             padded, mask = pad_to_square(matrix, grid)
             decision, _ = build_rate_matrices(padded, q, grid.b_hz)
             reduced = compress(decision.values.ravel(), grid.k, grid.l)
-            asg = expand_solution(solve_proposed(reduced), reduced, grid.k)
+            asg = expand_solution(solve_proposed(reduced), reduced)
             got, _ = evaluate(asg, decision, decision, dummy_mask=mask)
 
             dec_real, _ = build_rate_matrices(matrix, q, grid.b_hz)
@@ -134,7 +134,7 @@ class TestAcceptanceGate:
                 reduced = compress(decision.values.ravel(), grid.k, grid.l)
                 pairs_by_solver = {
                     "proposed": expand_solution(solve_proposed(reduced),
-                                                reduced, grid.k).pairs,
+                                                reduced).pairs,
                     "greedy": solve_greedy(decision, grid).pairs,
                     "oracle": solve_oracle(decision, grid).pairs,
                     "random": solve_random(grid, l, np.random.default_rng(7)).pairs,

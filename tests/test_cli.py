@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,10 @@ class TestRunExperiment:
                                                       "random"}
         assert all(r["runtime_s"] >= 0 for r in doc["runs"])
         assert doc["reservations"][0]["t_sps_s"] in (1.0, 4.0, 8.0)
+        # a reservation lasts whole windows, rounded up
+        for res in doc["reservations"]:
+            assert res["windows"] == math.ceil(
+                res["t_sps_s"] * 1000 / cfg.grid.window_ms)
 
     def test_seed_drawn_when_missing(self, tmp_path):
         raw = tiny_raw(out_dir=str(tmp_path / "out"))
@@ -282,6 +287,16 @@ class TestValidateAssignments:
                      "0,a,3,0\n1,b,5,0\n")
         assert validate_assignment_file(p, k=7).ok
 
+    def test_row_violations_come_before_shared_subframes(self, tmp_path):
+        p = tmp_path / "assn.csv"
+        p.write_text("cluster,vehicle,subchannel,subframe\n"
+                     "0,a,3,0\n0,b,5,0\n1,c,0,0\n0,c,6,0\n0,a,9,1\n")
+        assert validate_assignment_file(p, k=7).violations == [
+            "cluster 0: vehicle a assigned more than once",
+            "cluster 0: vehicles a and b share subframe 0 (subchannels 3 and 5)",
+            "cluster 0: vehicles a and c share subframe 0 (subchannels 3 and 6)",
+        ]
+
     def test_without_k_trusts_subframe_column(self, tmp_path):
         p = tmp_path / "assn.csv"
         p.write_text("cluster,vehicle,subchannel,subframe\n"
@@ -329,6 +344,34 @@ class TestMainEntry:
         main(["run", "--config", str(cfg_path), "--out", str(c), "--seed", "6"])
         assert (a / "cdf.csv").read_bytes() == (b / "cdf.csv").read_bytes()
         assert (a / "cdf.csv").read_bytes() != (c / "cdf.csv").read_bytes()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_validate_rejects_k_below_one(self, tmp_path, capsys, k):
+        p = tmp_path / "assn.csv"
+        p.write_text("cluster,vehicle,subchannel,subframe\n0,a,3,0\n")
+        assert main(["validate", str(p), "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert "--k" in captured.err
+        assert "violation" not in captured.out
+        with pytest.raises(ValueError):
+            validate_assignment_file(p, k=int(k))
+
+    def test_bad_seed_override_fails_before_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_out_override_rejected(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw()))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--out", ""]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

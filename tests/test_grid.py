@@ -1,12 +1,10 @@
 """Grid geometry and reservation timing."""
 
-import math
-
 import numpy as np
 import pytest
 
-from sidesched.grid import (DEFAULT_T_SPS_POOL_S, ResourceGrid, SpsTimer,
-                            draw_t_sps, subframe_of, tick_window)
+from sidesched.grid import (DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps,
+                            subframe_of)
 
 
 class TestResourceGrid:
@@ -58,44 +56,6 @@ class TestSubframeOf:
             counts = np.bincount(frames, minlength=l)
             assert np.all(counts == k)
             assert np.all(np.diff(frames) >= 0)
-
-
-class TestSpsTimer:
-    def test_window_count_from_durations(self):
-        t = SpsTimer(t_sps_s=1.0, window_ms=100.0)
-        assert t.remaining_windows == 10
-        assert not t.needs_reselection
-
-    def test_tick_decrements(self):
-        t = SpsTimer(t_sps_s=1.0, window_ms=100.0)
-        t2 = tick_window(t)
-        assert t2.remaining_windows == 9
-        assert t.remaining_windows == 10  # value semantics
-
-    def test_zero_saturates_and_flags(self):
-        t = SpsTimer(t_sps_s=1.0, window_ms=100.0, remaining_windows=0)
-        assert t.needs_reselection
-        assert tick_window(t).remaining_windows == 0
-
-    def test_ticks_to_zero_matches_ceil(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            t_sps = float(rng.uniform(0.05, 9.0))
-            window = float(rng.uniform(10.0, 400.0))
-            t = SpsTimer(t_sps_s=t_sps, window_ms=window)
-            n = 0
-            while not t.needs_reselection:
-                t = tick_window(t)
-                n += 1
-            assert n == math.ceil(t_sps * 1000.0 / window)
-
-    def test_eight_second_horizon(self):
-        t = SpsTimer(t_sps_s=8.0, window_ms=100.0)
-        assert t.remaining_windows == 80
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SpsTimer(t_sps_s=0.0, window_ms=100.0)
 
 
 class TestTsPsPool:

@@ -88,25 +88,26 @@ class TestBuildReport:
 
 class TestSweepDensity:
     def test_deterministic(self):
-        cfg = tiny_config()
-        a = sweep_density(cfg, [2, 6], [0], 2)
-        b = sweep_density(cfg, [2, 6], [0], 2)
+        cfg = tiny_config(sweep_n_vehicles=(2, 6), repetitions=2)
+        a = sweep_density(cfg)
+        b = sweep_density(cfg)
         assert a == b
 
     def test_row_grid(self):
-        cfg = tiny_config(methods=("proposed", "greedy"))
-        rows = sweep_density(cfg, [2, 4], [0, 2], 1)
+        cfg = tiny_config(methods=("proposed", "greedy"), sweep_n_vehicles=(2, 4),
+                          bits_list=(0, 2), repetitions=1)
+        rows = sweep_density(cfg)
         keys = {(r.method, r.bits, r.n_vehicles) for r in rows}
         assert len(rows) == 8
         assert ("greedy", 2, 4) in keys
 
     def test_congestion_lowers_worst_rate(self):
         # lightly loaded beats fully loaded for the optimal method
-        cfg = tiny_config(repetitions=100)
-        rows = sweep_density(cfg, [2, 8], [0], 100)
+        cfg = tiny_config(sweep_n_vehicles=(2, 8), repetitions=100)
+        rows = sweep_density(cfg)
         by_n = {r.n_vehicles: r.worst_rate_mean_bps for r in rows}
         assert by_n[2] >= by_n[8]
 
     def test_rejects_overload(self):
         with pytest.raises(InfeasibleError):
-            sweep_density(tiny_config(), [9], [0], 1)
+            sweep_density(tiny_config(sweep_n_vehicles=(9,), repetitions=1))

@@ -16,19 +16,9 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(0, 0)
 
-    def test_id_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Cluster(0, 2, ("a",))
-
-    def test_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            Cluster(0, 2, ("a", "a"))
-
-    def test_make_clusters_unique_labels(self):
+    def test_make_clusters_numbers_in_order(self):
         cs = make_clusters([3, 2])
-        labels = [v for c in cs for v in c.vehicle_ids]
-        assert len(set(labels)) == 5
-        assert [c.id for c in cs] == [0, 1]
+        assert [(c.id, c.n_vehicles) for c in cs] == [(0, 3), (1, 2)]
 
 
 class TestGenerateSinr:

@@ -124,6 +124,18 @@ class TestOracle:
             _, ref = brute_full_optimum(vals, k, l)
             assert np.isclose(got, ref, rtol=1e-12)
 
+    def test_tie_rule_matches_enumeration(self):
+        # integer rates keep every sum exact, so the first optimum in
+        # (injection, slot tuple) order is the one the oracle must pick
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            k = int(rng.integers(1, 4))
+            l = int(rng.integers(1, 5))
+            n = int(rng.integers(1, l + 1))
+            vals = rng.integers(0, 3, (n, k * l)).astype(float)
+            a = solve_oracle(rates(vals), ResourceGrid(k=k, l=l))
+            assert a.pairs == brute_full_optimum(vals, k, l)[0]
+
     def test_caps(self):
         with pytest.raises(CapacityError):
             solve_oracle(rates(np.ones((2, 18))), ResourceGrid(k=2, l=9))

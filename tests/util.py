@@ -45,6 +45,21 @@ def brute_full_optimum(values, k, l):
     return best_pairs, best_val
 
 
+def build_constraint_matrix(k, l):
+    """Tensor expansion of the one-per-vehicle / one-per-subframe rows.
+
+    Rows 0..L-1 tie each vehicle to exactly one of its K*L entries; rows
+    L..2L-1 tie each subframe to exactly one vehicle. Every column holds
+    exactly two ones, one from each family. Columns are vehicle-major,
+    as in ``assignment_to_x``.
+    """
+    eye = np.eye(l, dtype=np.int8)
+    per_vehicle = np.kron(eye, np.ones((1, k * l), dtype=np.int8))
+    per_subframe = np.kron(np.ones((1, l), dtype=np.int8),
+                           np.kron(eye, np.ones((1, k), dtype=np.int8)))
+    return np.vstack([per_vehicle, per_subframe])
+
+
 def assignment_to_x(pairs, k, l):
     """Vehicle-major indicator vector of an assignment."""
     x = np.zeros(k * l * l, dtype=np.int64)
