@@ -48,8 +48,25 @@ class ExperimentConfig:
     cdf_grid_points: int = 30
     quant_lo_db: float = -15.0
     quant_hi_db: float = 35.0
-    sweep_n_vehicles: tuple[int, ...] = tuple(range(10, 101, 10))
+    sweep_n_vehicles: tuple[int, ...] | None = None  # None: _default_sweep
     t_sps_pool_s: tuple[float, ...] = DEFAULT_T_SPS_POOL_S
+
+    def __post_init__(self):
+        l = self.grid.l
+        if self.sweep_n_vehicles is None:
+            self.sweep_n_vehicles = _default_sweep(l)
+        for n in self.cluster_sizes:
+            if n > l:
+                raise InfeasibleError(
+                    f"cluster of {n} vehicles exceeds {l} subframes")
+        for n in self.sweep_n_vehicles:
+            if n > l:
+                raise InfeasibleError(f"sweep point N={n} exceeds {l} subframes")
+
+
+def _default_sweep(l: int) -> tuple[int, ...]:
+    """Every tenth density up to the subframe count, or just that count."""
+    return tuple(n for n in range(10, 101, 10) if n <= l) or (l,)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -98,7 +115,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         bad.append("scenario.ceil_db")
         floor_db, ceil_db = -15.0, 35.0
     p_t_dbm = check("scenario.p_t_dbm", 23.0, is_num)
-    scen_seed = check("scenario.seed", 0, lambda x: is_int(x) and x >= 0)
 
     clusters = get("clusters", [100])
     if not isinstance(clusters, list) or not clusters:
@@ -150,8 +166,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     out_dir = check("out_dir", "results", lambda x: isinstance(x, str) and x)
     grid_points = check("cdf_grid_points", 30, lambda x: is_int(x) and x >= 2)
 
-    # default sweep: every tenth density up to the subframe count
-    default_sweep = [n for n in range(10, 101, 10) if n <= l] or [l]
+    default_sweep = list(_default_sweep(l))
     sweep_n = get("sweep.n_vehicles", default_sweep)
     if not isinstance(sweep_n, list) or not sweep_n:
         bad.append("sweep.n_vehicles")
@@ -188,7 +203,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kind=kind, mean_db=float(mean_db), std_db=float(std_db),
             bad_mean_db=float(bad_mean_db), p_bad=float(p_bad),
             sinr_floor_db=float(floor_db), sinr_ceil_db=float(ceil_db),
-            p_t_dbm=float(p_t_dbm), seed=scen_seed),
+            p_t_dbm=float(p_t_dbm)),
         cluster_sizes=tuple(clusters),
         bits_list=tuple(bits),
         methods=tuple(methods),

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InfeasibleError
 from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, add_context, derive_seed,
                        draw_cluster, draw_rates, run_cell)
 from .scenario import Cluster
@@ -75,10 +74,6 @@ def sweep_density(config: ExperimentConfig) -> list[SweepRow]:
     differ only by algorithm and side information granularity.
     """
     grid, n_vehicles_list = config.grid, config.sweep_n_vehicles
-    for n in n_vehicles_list:
-        if n > grid.l:
-            raise InfeasibleError(
-                f"sweep point N={n} exceeds {grid.l} subframes")
     worst = {(m, b, n): [] for m in config.methods for b in config.bits_list
              for n in n_vehicles_list}
     for rep in range(config.repetitions):

@@ -9,26 +9,37 @@ The kernel exploits ties, which quantized weights have in abundance, and
 falls back on Jonker-Volgenant initialisation (Computing 38, 1987; Crouse,
 IEEE TAES 2016) where they run out, as with ideal feedback:
 
+0. Every row that is constant across all columns is set aside: it adds
+   the same weight to every perfect matching, so it cannot change which
+   one is optimal. The padding rows of a cluster with fewer vehicles
+   than subframes are such rows, and so is a real vehicle whose row is
+   constant. The m <= n rows left are solved as a rectangular problem
+   (Crouse, §IV) by the steps below. Its duals must keep v_j <= 0 on
+   every column and v_j = 0 on every column left unmatched; v starts at
+   0, and steps 3 and 4 only lower v_j, and only on a column they match.
 1. Duals start at u_i = min_j cost[i, j] and v = 0. Every reduced cost
    cost[i, j] - u_i - v_j is then non-negative, and the tight (zero)
    edges are exactly the row-maximum entries of the weights.
    Hopcroft-Karp (SIAM J. Comput. 1973) finds a maximum-cardinality
-   matching on the tight edges. When it is perfect it is optimal outright,
-   because the sum of row maxima bounds every matching from above, and
-   the steps below never run.
-2. Column reduction: v_j = min_i (cost[i, j] - u_i). This is 0 for every
+   matching on the tight edges. When it covers every row it is optimal
+   outright, because the sum of row maxima bounds every matching from
+   above, and steps 2-4 never run.
+2. Column reduction, only when no row was set aside (m = n), because
+   it raises v: v_j = min_i (cost[i, j] - u_i). This is 0 for every
    column with a tight edge already, and every other column gains one.
    Hopcroft-Karp continues from the step-1 matching on the larger tight
    set.
 3. Augmenting row reduction: each free row takes the column of its lowest
    cost[i, j] - v_j and lowers that column's v_j by the gap to its
    second-lowest, displacing the column's row. At most n rows are
-   visited. Then u_i = min_j (cost[i, j] - v_j), so every matched row
-   sits on a minimum of its row and every reduced cost is non-negative.
+   visited, n being the column count. Then u_i = min_j (cost[i, j] - v_j),
+   so every matched row sits on a minimum of its row and every reduced
+   cost is non-negative.
 4. Each row still free is inserted by a shortest augmenting path:
    Dijkstra on reduced costs, warm-started from that matching and those
    duals. Matched edges stay tight and reduced costs non-negative, so the
-   final perfect matching is optimal by complementary slackness.
+   final matching of the m rows is optimal by complementary slackness.
+5. The set-aside rows take the columns left unmatched.
 
 Tie rule. Among optimal matchings the kernel returns the one these steps
 reach with every scan in ascending index order:
@@ -44,7 +55,9 @@ reach with every scan in ascending index order:
   goes to the back of the queue;
 - the rows left free are then inserted in ascending index; among equally
   tight columns the lowest index wins, and an earlier predecessor is kept
-  over a later equal one.
+  over a later equal one;
+- the set-aside rows, in ascending index, take the unmatched columns in
+  ascending index.
 
 The result depends on the cost matrix alone (no randomness, hashing or
 clock), so equal input gives an equal matching. When the row maxima admit
@@ -74,14 +87,32 @@ def max_weight_assignment(weights):
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     n = w.shape[0]
-    cost = w.max() - w
 
+    # step 0: a constant row weighs the same on every column
+    constant = w.min(axis=1) == w.max(axis=1)
+    varied = np.flatnonzero(~constant)
+    col_of_row = np.empty(n, dtype=np.int64)
+    col_of_row[varied] = _solve(w.max() - w[varied])
+    left = np.ones(n, dtype=bool)
+    left[col_of_row[varied]] = False
+    col_of_row[constant] = np.flatnonzero(left)  # step 5
+    total = float(w[np.arange(n), col_of_row].sum())
+    return col_of_row, total
+
+
+def _solve(cost):
+    """Minimum-cost column per row of an m x n ``cost``, m <= n (steps 1-4).
+
+    Returns ``col_of_row``, an int64 array of length m. Column reduction
+    raises v, so it runs only when m == n.
+    """
+    m, n = cost.shape
     u = cost.min(axis=1)  # row potentials
     v = np.zeros(n + 1)   # column potentials
     reduced = cost - u[:, None]
-    row_col, col_row = [-1] * n, [-1] * n
+    row_col, col_row = [-1] * m, [-1] * n
     _tight_matching(_adjacency(reduced == 0), row_col, col_row)
-    if -1 in row_col:
+    if m == n and -1 in row_col:
         # column reduction: 0 where a column has a tight edge already,
         # and every other column gains one
         v[:n] = reduced.min(axis=0)
@@ -92,14 +123,14 @@ def max_weight_assignment(weights):
     # col_row[j]: row matched to column j, -1 while free; column n is the
     # virtual root holding the row currently being inserted.
     col_row = np.array(col_row + [-1], dtype=np.int64)
-    for i in range(n):
+    for i in range(m):
         if row_col[i] < 0:
             _insert_row(i, cost, u, v, col_row)
 
-    col_of_row = np.empty(n, dtype=np.int64)
-    col_of_row[col_row[:n]] = np.arange(n)
-    total = float(w[np.arange(n), col_of_row].sum())
-    return col_of_row, total
+    matched = np.flatnonzero(col_row[:n] >= 0)
+    col_of_row = np.empty(m, dtype=np.int64)
+    col_of_row[col_row[matched]] = matched
+    return col_of_row
 
 
 def _adjacency(tight):
@@ -117,14 +148,14 @@ def _tight_matching(adj, row_col, col_row):
     ``row_col`` and ``col_row`` hold the matching to start from, with -1
     for free entries, and are updated in place.
     """
-    n = len(adj)
+    m = len(adj)
     while True:
-        dist = [n] * n  # n marks a row not reached in this phase
+        dist = [m] * m  # m marks a row not reached in this phase
         shortest = _layer_rows(adj, row_col, col_row, dist)
         if shortest is None:
             return
-        nxt = [0] * n  # next position in adj[i] to try during this phase
-        for root in range(n):
+        nxt = [0] * m  # next position in adj[i] to try during this phase
+        for root in range(m):
             if row_col[root] < 0:
                 _augment_from(root, adj, dist, shortest, nxt, row_col, col_row)
 
@@ -136,8 +167,8 @@ def _layer_rows(adj, row_col, col_row, dist):
     the first row with an edge to a free column, or None when no
     augmenting path exists. Every row up to that layer is labelled by then.
     """
-    n = len(adj)
-    queue = [i for i in range(n) if row_col[i] < 0]
+    m = len(adj)
+    queue = [i for i in range(m) if row_col[i] < 0]
     for i in queue:
         dist[i] = 0
     for i in queue:
@@ -145,7 +176,7 @@ def _layer_rows(adj, row_col, col_row, dist):
             r = col_row[j]
             if r < 0:
                 return dist[i]
-            if dist[r] == n:
+            if dist[r] == m:
                 dist[r] = dist[i] + 1
                 queue.append(r)
     return None
@@ -190,8 +221,8 @@ def _reduce_rows(cost, v, row_col, col_row):
     once it holds ``j1``. Updates ``row_col``, ``col_row`` and ``v`` in
     place.
     """
-    n = cost.shape[0]
-    free = deque(i for i in range(n) if row_col[i] < 0)
+    m, n = cost.shape
+    free = deque(i for i in range(m) if row_col[i] < 0)
     for _ in range(n):
         if not free:
             return
@@ -223,7 +254,7 @@ def _insert_row(i, cost, u, v, col_row):
     Updates the duals ``u``, ``v`` and the column owners ``col_row`` in
     place; every other row stays matched.
     """
-    n = cost.shape[0]
+    n = cost.shape[1]
     col_row[n] = i
     j0 = n
     minv = np.full(n, np.inf)            # tightest slack seen per column

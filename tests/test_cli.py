@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sidesched
 from sidesched import pipeline
 from sidesched.cli import (config_from_dict, config_hash, load_config, main,
                            run_experiment, run_sweep, validate_assignment_file,
@@ -20,7 +25,7 @@ from sidesched.solvers import Assignment
 def tiny_raw(**over):
     raw = {
         "grid": {"k_subchannels": 2, "l_subframes": 6, "t_ms": 1.0, "b_hz": 1.26e6},
-        "scenario": {"kind": "uniform", "seed": 1},
+        "scenario": {"kind": "uniform"},
         "clusters": [4],
         "quant": {"bits": [0, 1], "lo_db": -15.0, "hi_db": 35.0},
         "methods": ["proposed", "greedy", "random"],
@@ -78,6 +83,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             config_from_dict(raw)
         assert exc.value.keys == [f"unknown key '{section}.{key}'"]
+
+    def test_scenario_seed_is_unknown(self):
+        # the draw seed is derived from master_seed; a scenario seed had
+        # no effect on any artifact
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(tiny_raw(scenario={"kind": "uniform", "seed": 1}))
+        assert exc.value.keys == ["unknown key 'scenario.seed'"]
+
+    @pytest.mark.parametrize("field, sizes", [
+        ("cluster_sizes", (4, 7)),
+        ("sweep_n_vehicles", (2, 7)),
+    ])
+    def test_direct_config_over_l_fails_at_construction(self, field, sizes):
+        cfg = config_from_dict(tiny_raw())  # l_subframes = 6
+        with pytest.raises(InfeasibleError, match="7"):
+            replace(cfg, **{field: sizes})
+
+    def test_default_sweep_fits_the_grid(self):
+        cfg = config_from_dict(tiny_raw())
+        assert cfg.sweep_n_vehicles == (6,)
+        assert replace(cfg, sweep_n_vehicles=None).sweep_n_vehicles == (6,)
+        raw = tiny_raw(grid={"k_subchannels": 2, "l_subframes": 35})
+        assert config_from_dict(raw).sweep_n_vehicles == (10, 20, 30)
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError) as exc:
@@ -372,6 +400,17 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfg_path), "--out", ""]) == 2
         assert "out_dir" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_module_entry_point_runs_without_warning(self):
+        src = str(Path(sidesched.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sidesched",
+             "--help"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: sidesched")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

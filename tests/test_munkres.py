@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -15,6 +15,11 @@ from sidesched.munkres import max_weight_assignment
 from sidesched.scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, build_rate_matrices
 from util import brute_max_matching
+
+
+def scipy_min_cost(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
 
 
 def scipy_optimum(w):
@@ -247,10 +252,11 @@ class TestInitialisationPhases:
         assert total == 5.0
 
     def test_row_reduction_completes_the_matching(self, phases):
-        w = np.array([[3.0, 5.0, 0.0], [2.0, 5.0, 4.0], [2.0, 2.0, 2.0]])
+        # no constant row, so nothing is set aside before step 1
+        w = np.array([[4.0, 3.0, 5.0], [3.0, 3.0, 5.0], [4.0, 3.0, 3.0]])
         cols, total = max_weight_assignment(w)
         assert phases == ["_tight_matching", "_tight_matching", "_reduce_rows"]
-        assert total == brute_max_matching(w)[1] == 11.0
+        assert total == brute_max_matching(w)[1] == 12.0
         assert list(cols) == [1, 2, 0]
 
     def test_visit_cap_runs_out_then_insertion_finishes(self, phases):
@@ -279,3 +285,85 @@ class TestInitialisationPhases:
             for i, j in enumerate(row_col):
                 if j >= 0:
                     assert slack[i, j] <= u[i] + 1e-9
+
+
+def assert_solves_rectangular(cost):
+    m, n = cost.shape
+    cols = munkres._solve(cost)
+    assert cols.shape == (m,)
+    assert len(set(cols.tolist())) == m
+    assert all(0 <= j < n for j in cols)
+    return float(cost[np.arange(m), cols].sum())
+
+
+class TestRectangular:
+    """The m x n routine behind the square entry point, m <= n."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 60), extra=st.integers(0, 60), k=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=1, extra=0, k=3, seed=0)
+    @example(m=1, extra=40, k=3, seed=1)
+    @example(m=30, extra=0, k=2, seed=2)
+    def test_tied_integers_match_scipy(self, m, extra, k, seed):
+        cost = np.random.default_rng(seed).integers(
+            0, k + 1, (m, m + extra)).astype(float)
+        assert assert_solves_rectangular(cost) == scipy_min_cost(cost)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 60), extra=st.integers(0, 60),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=1, extra=0, seed=0)
+    @example(m=1, extra=40, seed=1)
+    @example(m=30, extra=0, seed=2)
+    def test_continuous_matches_scipy(self, m, extra, seed):
+        cost = np.random.default_rng(seed).uniform(0.0, 1.5e7, (m, m + extra))
+        total = assert_solves_rectangular(cost)
+        ref = scipy_min_cost(cost)
+        assert abs(total - ref) <= 1e-9 * max(1.0, ref)
+
+    def test_rectangular_skips_column_reduction(self, phases):
+        # both rows prefer column 0; with a column to spare, row
+        # reduction places row 1 without raising any v_j
+        cost = np.array([[0.0, 1.0, 3.0], [0.0, 2.0, 5.0]])
+        cols = munkres._solve(cost)
+        assert phases == ["_tight_matching", "_reduce_rows"]
+        assert list(cols) == [1, 0]
+
+
+class TestConstantRows:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 80), share=st.floats(0.0, 1.0), k=st.integers(0, 6),
+           tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_interleaved_constant_rows_match_scipy(self, n, share, k, tied, seed):
+        rng = np.random.default_rng(seed)
+        if tied:
+            w = rng.integers(0, k + 1, (n, n)).astype(float)
+        else:
+            w = rng.uniform(0.0, 1.5e7, (n, n))
+        # constant rows at random positions, each with its own value
+        rows = np.flatnonzero(rng.random(n) < share)
+        w[rows] = w[rows, :1]
+        cols, total = max_weight_assignment(w)
+        assert sorted(cols) == list(range(n))
+        assert total == float(w[np.arange(n), cols].sum())
+        ref = scipy_optimum(w)
+        assert abs(total - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_set_aside_rows_take_leftover_columns_in_order(self):
+        # rows 1 and 3 are constant; rows 0 and 2 take columns 3 and 1,
+        # so rows 1 and 3 take what is left, 0 and 2, in that order
+        w = [[0.0, 0.0, 0.0, 9.0],
+             [5.0, 5.0, 5.0, 5.0],
+             [0.0, 7.0, 0.0, 0.0],
+             [2.0, 2.0, 2.0, 2.0]]
+        cols, total = max_weight_assignment(w)
+        assert list(cols) == [3, 0, 1, 2]
+        assert total == 23.0
+        # row 0 waits until rows 1 and 2 hold columns 0 and 1; solved as a
+        # square problem, it would take column 0 first
+        cols, total = max_weight_assignment([[0.0, 0.0, 0.0],
+                                             [3.0, 2.0, 3.0],
+                                             [0.0, 3.0, 3.0]])
+        assert list(cols) == [2, 0, 1]
+        assert total == 6.0
