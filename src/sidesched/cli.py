@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, ParseError
 from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps
-from .metrics import build_report, sweep_density
-from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, TIMER_STREAM,
-                       add_context, derive_seed, draw_cluster, draw_rates,
-                       run_cell)
+from .metrics import build_report, iter_cells, sweep_density
+from .pipeline import TIMER_STREAM, derive_seed
+# Not called here: perfbench/tracer.py WRAPS needs the name bound in this module.
+from .pipeline import run_cell  # noqa: F401
 from .scenario import SCENARIO_KINDS, make_clusters, ScenarioModel
 from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L, shared_subframes
 
@@ -83,20 +83,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             cur = cur[part]
         return cur
 
-    def check(key, default, pred, cast=None):
+    def check(key, default, pred):
         val = get(key, default)
-        try:
-            if cast is not None and val is not None:
-                val = cast(val)
-            if not pred(val):
-                raise ValueError
-        except (TypeError, ValueError):
+        if not pred(val):
             bad.append(key)
             return default
         return val
 
     is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
-    is_num = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def is_num(x):
+        # finite, so a JSON NaN or Infinity fails here and not in a cell
+        try:
+            return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x))
+        except OverflowError:  # an integer too large for a float
+            return False
 
     k = check("grid.k_subchannels", 7, lambda x: is_int(x) and x >= 1)
     l = check("grid.l_subframes", 100, lambda x: is_int(x) and x >= 1)
@@ -319,36 +321,18 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clusters = make_clusters(config.cluster_sizes)
-    grid = config.grid
     samples = {(m, b): [] for m in config.methods for b in config.bits_list}
     run_records = []
-    for rep in range(config.repetitions):
-        for ci, cluster in enumerate(clusters):
-            where = [f"cluster {cluster.id}", f"repetition {rep}"]
-            try:
-                seed = derive_seed(config.master_seed, SCENARIO_STREAM, rep, ci)
-                draw = draw_cluster(grid, config.scenario, cluster, seed)
-                solver_seed = derive_seed(config.master_seed, RANDOM_STREAM, rep, ci)
-                for bits in config.bits_list:
-                    where[2:] = [f"{bits} bits"]
-                    rates = draw_rates(grid, config.scenario, draw, bits,
-                                       config.quant_lo_db, config.quant_hi_db)
-                    for method in config.methods:
-                        where[3:] = [f"method {method}"]
-                        cell = run_cell(grid, draw, rates, bits, method, solver_seed)
-                        samples[method, bits].append(cell.vehicle_rates_bps)
-                        run_records.append({
-                            "method": method, "bits": bits,
-                            "cluster": cluster.id, "repetition": rep,
-                            "sum_rate_decision_bps": cell.stats.sum_rate_decision_bps,
-                            "sum_rate_truth_bps": cell.stats.sum_rate_truth_bps,
-                            "runtime_s": cell.stats.runtime_s,
-                        })
-                    del rates  # free this width's pair before the next is built
-                del draw  # and this draw before the next is made
-            except ValueError as exc:
-                add_context(exc, where)
-                raise
+    points = [(f"cluster {c.id}", c) for c in clusters]
+    for rep, cluster, cell in iter_cells(config, points):
+        samples[cell.method, cell.bits].append(cell.vehicle_rates_bps)
+        run_records.append({
+            "method": cell.method, "bits": cell.bits,
+            "cluster": cluster.id, "repetition": rep,
+            "sum_rate_decision_bps": cell.stats.sum_rate_decision_bps,
+            "sum_rate_truth_bps": cell.stats.sum_rate_truth_bps,
+            "runtime_s": cell.stats.runtime_s,
+        })
     reports = []
     for (method, bits), series in samples.items():
         reports.append(build_report(np.concatenate(series),
@@ -513,7 +497,7 @@ def main(argv=None) -> int:
         for v in report.violations:
             print(f"violation: {v}")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

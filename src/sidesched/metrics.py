@@ -1,18 +1,58 @@
-"""Rate statistics over Monte-Carlo runs: CDFs, summary criteria, sweeps."""
+"""The Monte-Carlo cell loop and the statistics reduced over it: CDFs,
+summary criteria, sweeps."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, add_context, derive_seed,
+from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, CellResult, derive_seed,
                        draw_cluster, draw_rates, run_cell)
 from .scenario import Cluster
 
 if TYPE_CHECKING:
     from .cli import ExperimentConfig
+
+
+def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
+               ) -> Iterator[tuple[int, Cluster, CellResult]]:
+    """Every (repetition, cluster, cell) of ``points`` at the config's
+    widths and methods, for ``repetitions`` repetitions.
+
+    ``points`` are (label, cluster) pairs. The loop nests repetition x
+    point, then width, then method: each draw is computed once and each
+    width's rates once per draw, shared by every method, and each is
+    released before the next is made. Seeds are keyed by (repetition,
+    ``cluster.id``). A ``ValueError`` is prefixed with the label,
+    repetition, width and method of its cell and re-raised bare, so it
+    keeps its type and attributes (``ConfigError.keys``, ``ParseError.row``
+    and ``col``).
+    """
+    grid, master = config.grid, config.master_seed
+    where = []
+    try:
+        for rep in range(config.repetitions):
+            for label, cluster in points:
+                where[:] = [label, f"repetition {rep}"]
+                seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
+                draw = draw_cluster(grid, config.scenario, cluster, seed)
+                solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
+                for bits in config.bits_list:
+                    where[2:] = [f"{bits} bits"]
+                    rates = draw_rates(grid, draw, bits, config.quant_lo_db,
+                                       config.quant_hi_db)
+                    for method in config.methods:
+                        where[3:] = [f"method {method}"]
+                        yield rep, cluster, run_cell(grid, draw, rates, bits,
+                                                     method, solver_seed)
+                    del rates  # free this width's pair before the next is built
+                del draw  # and this draw before the next is made
+    except ValueError as exc:
+        exc.args = (f"{', '.join(where)}: {exc}",)
+        raise
 
 
 @dataclass
@@ -69,32 +109,15 @@ def sweep_density(config: ExperimentConfig) -> list[SweepRow]:
     """Mean-over-repetitions worst vehicle rate per (method, bits, N), over
     the config's ``sweep_n_vehicles``, ``bits_list`` and ``repetitions``.
 
-    Each (repetition, N) draw is computed once and each width's rates
-    once per draw; every method at that width runs on them, so series
-    differ only by algorithm and side information granularity.
+    Every method at a width runs on the same draw and rates
+    (``iter_cells``), so series differ only by algorithm and side
+    information granularity.
     """
-    grid, n_vehicles_list = config.grid, config.sweep_n_vehicles
+    n_vehicles_list = config.sweep_n_vehicles
     worst = {(m, b, n): [] for m in config.methods for b in config.bits_list
              for n in n_vehicles_list}
-    for rep in range(config.repetitions):
-        for n in n_vehicles_list:
-            where = [f"N={n}", f"repetition {rep}"]
-            try:
-                seed = derive_seed(config.master_seed, SCENARIO_STREAM, rep, n)
-                draw = draw_cluster(grid, config.scenario,
-                                    Cluster(id=n, n_vehicles=n), seed)
-                solver_seed = derive_seed(config.master_seed, RANDOM_STREAM, rep, n)
-                for bits in config.bits_list:
-                    where[2:] = [f"{bits} bits"]
-                    rates = draw_rates(grid, config.scenario, draw, bits,
-                                       config.quant_lo_db, config.quant_hi_db)
-                    for method in config.methods:
-                        where[3:] = [f"method {method}"]
-                        cell = run_cell(grid, draw, rates, bits, method, solver_seed)
-                        worst[method, bits, n].append(cell.vehicle_rates_bps.min())
-                    del rates  # free this width's pair before the next is built
-                del draw  # and this draw before the next is made
-            except ValueError as exc:
-                add_context(exc, where)
-                raise
+    points = [(f"N={n}", Cluster(id=n, n_vehicles=n)) for n in n_vehicles_list]
+    for _, cluster, cell in iter_cells(config, points):
+        worst[cell.method, cell.bits, cluster.n_vehicles].append(
+            cell.vehicle_rates_bps.min())
     return [SweepRow(m, b, n, float(np.mean(w))) for (m, b, n), w in worst.items()]

@@ -6,11 +6,10 @@ rates, which are the same at every width. Its *rates* at one feedback width
 (``draw_rates``) are the (decision, truth) pair a scheduler decides on
 and is scored on. A *cell* (``run_cell``) runs one method on those
 rates: it solves, checks the assignment for subframe conflicts and
-scores it. The cell loops in ``cli.run_experiment`` and
-``metrics.sweep_density`` nest repetition x cluster, then width, then
-method, so each draw is computed once and each width's rates once per
-draw, shared by every method; each draw is released before the next one
-is made.
+scores it. The one cell loop, ``metrics.iter_cells``, nests
+repetition x cluster, then width, then method, so each draw is computed
+once and each width's rates once per draw, shared by every method; each
+draw is released before the next one is made.
 
 Seeds are derived hierarchically from the master seed through
 SeedSequence spawn keys, making every stage a pure function of its
@@ -47,16 +46,6 @@ def derive_seed(master_seed: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def add_context(exc: ValueError, where: list[str]) -> None:
-    """Prefix the message of ``exc`` with the cell it came from.
-
-    The exception is changed in place and re-raised bare by the caller,
-    so it keeps its type and attributes (``ConfigError.keys``,
-    ``ParseError.row`` and ``col``).
-    """
-    exc.args = (f"{', '.join(where)}: {exc}",)
-
-
 @dataclass(frozen=True)
 class Draw:
     """One channel realisation of a cluster, padded to one row per subframe."""
@@ -84,20 +73,13 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     return Draw(cluster, padded, dummy_mask, truth)
 
 
-def draw_rates(grid: ResourceGrid, model: ScenarioModel, draw: Draw, bits: int,
-               quant_lo_db: float | None = None,
-               quant_hi_db: float | None = None) -> tuple[RateMatrix, RateMatrix]:
+def draw_rates(grid: ResourceGrid, draw: Draw, bits: int, quant_lo_db: float,
+               quant_hi_db: float) -> tuple[RateMatrix, RateMatrix]:
     """(decision, truth) rates of a draw at ``bits`` of feedback.
 
-    ``bits=0`` is ideal feedback. The quantizer range defaults to the
-    model's SINR clamp range.
+    ``bits=0`` is ideal feedback, and the quantizer range is then unused.
     """
-    q = None
-    if bits:
-        q = QuantizerSpec(
-            bits=bits,
-            lo_db=model.sinr_floor_db if quant_lo_db is None else quant_lo_db,
-            hi_db=model.sinr_ceil_db if quant_hi_db is None else quant_hi_db)
+    q = QuantizerSpec(bits, quant_lo_db, quant_hi_db) if bits else None
     return build_rate_matrices(draw.sinr, q, grid.b_hz, truth=draw.truth)
 
 

@@ -15,8 +15,7 @@ import pytest
 from sidesched.assignment import compress, expand_solution
 from sidesched.cli import ExperimentConfig, run_experiment
 from sidesched.grid import ResourceGrid
-from sidesched.pipeline import (RANDOM_STREAM, SCENARIO_STREAM, derive_seed,
-                                draw_cluster, draw_rates, run_cell)
+from sidesched.metrics import iter_cells
 from sidesched.scenario import Cluster, ScenarioModel, SinrMatrix, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, build_rate_matrices, quantize
 from sidesched.solvers import (evaluate, solve_greedy, solve_oracle,
@@ -44,23 +43,22 @@ def _verdict(num, ok, detail):
 def _mc_block(model, n, series):
     """{(method, bits): (sum rates, worst rates)} over the seed bank.
 
-    Truth values in bps. Each (repetition) draw is made once and each
-    width's rates once per draw, shared by every series at that width.
+    Truth values in bps. The cells come from ``iter_cells`` over every
+    method and width the series name; cells of no series are dropped.
     """
     out = {s: (np.empty(SEEDS), np.empty(SEEDS)) for s in series}
-    widths = list(dict.fromkeys(bits for _, bits in series))
-    for rep in range(SEEDS):
-        draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
-                            scenario_seed=derive_seed(MASTER_SEED, SCENARIO_STREAM, rep, n))
-        solver_seed = derive_seed(MASTER_SEED, RANDOM_STREAM, rep, n)
-        for bits in widths:
-            rates = draw_rates(GRID, model, draw, bits)
-            for method, b in series:
-                if b == bits:
-                    cell = run_cell(GRID, draw, rates, bits, method,
-                                    solver_seed=solver_seed)
-                    out[method, bits][0][rep] = cell.stats.sum_rate_truth_bps
-                    out[method, bits][1][rep] = cell.vehicle_rates_bps.min()
+    config = ExperimentConfig(
+        grid=GRID, scenario=model, cluster_sizes=(n,),
+        bits_list=tuple(dict.fromkeys(b for _, b in series)),
+        methods=tuple(dict.fromkeys(m for m, _ in series)),
+        repetitions=SEEDS, master_seed=MASTER_SEED,
+        quant_lo_db=model.sinr_floor_db, quant_hi_db=model.sinr_ceil_db)
+    points = [(f"N={n}", Cluster(id=n, n_vehicles=n))]
+    for rep, _, cell in iter_cells(config, points):
+        if (cell.method, cell.bits) in out:
+            sums, worst = out[cell.method, cell.bits]
+            sums[rep] = cell.stats.sum_rate_truth_bps
+            worst[rep] = cell.vehicle_rates_bps.min()
     return out
 
 

@@ -107,6 +107,28 @@ class TestConfigParsing:
         raw = tiny_raw(grid={"k_subchannels": 2, "l_subframes": 35})
         assert config_from_dict(raw).sweep_n_vehicles == (10, 20, 30)
 
+    @pytest.mark.parametrize("key, value", [
+        ("scenario.p_t_dbm", math.inf),
+        ("scenario.mean_db", math.nan),
+        ("quant.hi_db", math.inf),
+        ("grid.b_hz", math.inf),
+        ("t_sps_pool_s", [math.inf]),
+        ("scenario.p_t_dbm", 10 ** 400),
+    ], ids=["p_t_dbm-Infinity", "mean_db-NaN", "hi_db-Infinity",
+            "b_hz-Infinity", "t_sps_pool_s-Infinity", "p_t_dbm-huge-int"])
+    def test_non_finite_number_named_at_load(self, tmp_path, key, value):
+        raw = tiny_raw()
+        *sections, leaf = key.split(".")
+        node = raw
+        for part in sections:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))  # NaN and Infinity as JSON spells them
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert exc.value.keys == [key]
+
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(tiny_raw(grid=5))
@@ -411,6 +433,20 @@ class TestMainEntry:
             text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: sidesched")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "missing.json"],
+        ["sweep", "--config", "missing.json"],
+        ["validate", "missing.csv"],
+    ], ids=["run", "sweep", "validate"])
+    def test_missing_input_file_exit_code(self, tmp_path, capsys, monkeypatch,
+                                          argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[-1] in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

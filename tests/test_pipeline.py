@@ -1,12 +1,13 @@
 """Cell path: every method's assignment is checked before it is scored,
-and each draw and each width's rates are computed once."""
+every cell runs through the one loop, and each draw and each width's
+rates are computed once."""
 
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from sidesched import pipeline
+from sidesched import metrics, pipeline
 from sidesched.cli import load_config, run_experiment, run_sweep
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
@@ -30,26 +31,38 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
                                  scenario_seed=1)
     with pytest.raises(ConstraintViolation):
-        pipeline.run_cell(grid, draw, pipeline.draw_rates(grid, model, draw, 0),
-                          bits=0, method=method)
+        rates = pipeline.draw_rates(grid, draw, 0, -15.0, 35.0)
+        pipeline.run_cell(grid, draw, rates, bits=0, method=method)
 
 
-def _record_calls(monkeypatch, name):
+def _record_calls(monkeypatch, name, module=pipeline):
     results = []
-    real = getattr(pipeline, name)
+    real = getattr(module, name)
 
     def recorded(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(pipeline, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return results
+
+
+SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+
+
+@pytest.mark.parametrize("runner, n_cells", [(run_experiment, 48),
+                                             (run_sweep, 96)])
+def test_every_cell_runs_through_the_one_loop(monkeypatch, tmp_path, runner,
+                                              n_cells):
+    # smoke: 3 repetitions x (2 clusters | 4 densities) x 2 widths x 4 methods
+    cells = _record_calls(monkeypatch, "run_cell", module=metrics)
+    runner(replace(load_config(SMOKE), out_dir=str(tmp_path)))
+    assert len(cells) == n_cells
 
 
 @pytest.mark.parametrize("runner", [run_experiment, run_sweep])
 def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
-    smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
-    config = replace(load_config(smoke), out_dir=str(tmp_path))
+    config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
     rates = _record_calls(monkeypatch, "build_rate_matrices")
     runner(config)
