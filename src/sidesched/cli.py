@@ -55,6 +55,15 @@ class ExperimentConfig:
         l = self.grid.l
         if self.sweep_n_vehicles is None:
             self.sweep_n_vehicles = _default_sweep(l)
+        # an empty axis leaves no cell; named by its config-file key
+        empty = [key for key, axis in (("clusters", self.cluster_sizes),
+                                       ("methods", self.methods),
+                                       ("quant.bits", self.bits_list))
+                 if not axis]
+        if self.repetitions < 1:
+            empty.append("repetitions")
+        if empty:
+            raise ConfigError(empty)
         for n in self.cluster_sizes:
             if n > l:
                 raise InfeasibleError(

@@ -35,10 +35,18 @@ IEEE TAES 2016) where they run out, as with ideal feedback:
    visited, n being the column count. Then u_i = min_j (cost[i, j] - v_j),
    so every matched row sits on a minimum of its row and every reduced
    cost is non-negative.
-4. Each row still free is inserted by a shortest augmenting path:
-   Dijkstra on reduced costs, warm-started from that matching and those
-   duals. Matched edges stay tight and reduced costs non-negative, so the
-   final matching of the m rows is optimal by complementary slackness.
+4. Each row still free is inserted by a shortest augmenting path, in
+   the augmenting-path form of Jonker and Volgenant: Dijkstra on the
+   reduced costs of the duals as they stand, warm-started from that
+   matching. Distances are measured from the inserted row, and each
+   column is scanned at most once; a scanned column is excluded from
+   later relaxation by an exact mask, not by comparing distances. The
+   duals are settled once per insertion, when a free column is reached
+   at distance mu: the inserted row's u gains mu, and each scanned
+   column j, reached at distance d_j, moves mu - d_j from v_j to the u
+   of its row. Matched edges stay tight and reduced costs non-negative,
+   so the final matching of the m rows is optimal by complementary
+   slackness.
 5. The set-aside rows take the columns left unmatched.
 
 Tie rule. Among optimal matchings the kernel returns the one these steps
@@ -54,10 +62,13 @@ reach with every scan in ascending index order:
   across a positive gap is visited next; one displaced across a zero gap
   goes to the back of the queue;
 - the rows left free are then inserted in ascending index; among equally
-  tight columns the lowest index wins, and an earlier predecessor is kept
-  over a later equal one;
+  near columns the lowest index is scanned first, and a column reached
+  at equal distance from two scanned rows keeps the earlier predecessor;
 - the set-aside rows, in ascending index, take the unmatched columns in
   ascending index.
+
+Ties are those of the floating-point values: where rounding splits two
+values that are equal in exact arithmetic, the smaller one wins.
 
 The result depends on the cost matrix alone (no randomness, hashing or
 clock), so equal input gives an equal matching. When the row maxima admit
@@ -251,34 +262,46 @@ def _reduce_rows(cost, v, row_col, col_row):
 def _insert_row(i, cost, u, v, col_row):
     """Match free row ``i`` along a shortest augmenting path on reduced costs.
 
-    Updates the duals ``u``, ``v`` and the column owners ``col_row`` in
+    Distances are measured from row ``i`` on the reduced costs of the
+    duals as they stand; the duals are settled once, when a free column
+    is reached. Updates ``u``, ``v`` and the column owners ``col_row`` in
     place; every other row stays matched.
     """
     n = cost.shape[1]
     col_row[n] = i
-    j0 = n
-    minv = np.full(n, np.inf)            # tightest slack seen per column
+    vn = v[:n]
+    open_d = np.full(n, np.inf)          # tentative distance; inf once scanned
+    dist = np.empty(n)                   # distance at which a column was scanned
     way = np.full(n, n, dtype=np.int64)  # predecessor column in the tree
-    used = np.zeros(n + 1, dtype=bool)
+    unscanned = np.ones(n, dtype=bool)
+    j0, i0, mu = n, i, 0.0
     while True:
-        used[j0] = True
+        # the reduced cost first, then the distance: edges that tie in
+        # exact arithmetic then tie more often after rounding too
+        r = cost[i0] - vn
+        r -= u[i0]
+        r += mu
+        # a scanned column holds inf, so only the mask keeps its
+        # predecessor; no tolerance against its distance would, because
+        # rounding can put a tight edge to it below that distance
+        better = r < open_d
+        better &= unscanned
+        way[better] = j0
+        np.copyto(open_d, r, where=better)
+        j0 = int(open_d.argmin())  # lowest index among equals
+        mu = open_d[j0]
         i0 = col_row[j0]
-        fidx = np.flatnonzero(~used[:n])
-        slack = cost[i0, fidx] - u[i0] - v[fidx]
-        improved = slack < minv[fidx]
-        upd = fidx[improved]
-        minv[upd] = slack[improved]
-        way[upd] = j0
-        j1 = fidx[np.argmin(minv[fidx])]
-        delta = minv[j1]
-        # grow potentials so tree edges stay tight
-        usedj = np.flatnonzero(used)
-        u[col_row[usedj]] += delta
-        v[usedj] -= delta
-        minv[fidx] -= delta
-        j0 = j1
-        if col_row[j0] < 0:
+        if i0 < 0:
             break
+        dist[j0] = mu
+        open_d[j0] = np.inf
+        unscanned[j0] = False
+    # settle the duals: every tree edge tight, every reduced cost >= 0
+    u[i] += mu
+    scanned = np.flatnonzero(~unscanned)
+    gain = mu - dist[scanned]
+    u[col_row[scanned]] += gain
+    v[scanned] -= gain
     # augment: pull matches back along the alternating path
     while j0 != n:
         j1 = way[j0]

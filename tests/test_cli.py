@@ -100,6 +100,19 @@ class TestConfigParsing:
         with pytest.raises(InfeasibleError, match="7"):
             replace(cfg, **{field: sizes})
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("repetitions", 0, "repetitions"),
+        ("cluster_sizes", (), "clusters"),
+        ("methods", (), "methods"),
+        ("bits_list", (), "quant.bits"),
+    ])
+    def test_direct_config_empty_axis_fails_at_construction(self, field,
+                                                            value, key):
+        cfg = config_from_dict(tiny_raw())
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, **{field: value})
+        assert exc.value.keys == [key]
+
     def test_default_sweep_fits_the_grid(self):
         cfg = config_from_dict(tiny_raw())
         assert cfg.sweep_n_vehicles == (6,)

@@ -1,6 +1,8 @@
 """Matching kernel against enumeration, scipy, and its own invariants."""
 
+import signal
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -193,6 +195,15 @@ class TestKernelPaths:
                                          [2.0, 2.0, 2.0],
                                          [2.0, 0.0, 0.0]])
         assert list(cols) == [1, 2, 0]
+        # row 0 is inserted: columns 0 and 1 are equally near (distance
+        # 0), and column 0, the lower, is scanned first. Free column 2 is
+        # then reached at distance 0 from row 2 (via column 0) and again
+        # from row 1 (via column 1); it keeps the earlier predecessor, so
+        # row 2 moves to column 2 and row 0 takes column 0
+        cols, _ = max_weight_assignment([[1.0, 3.0, 0.0],
+                                         [1.0, 3.0, 1.0],
+                                         [3.0, 0.0, 3.0]])
+        assert list(cols) == [0, 1, 2]
 
 
 class TestContinuousAgainstScipy:
@@ -285,6 +296,65 @@ class TestInitialisationPhases:
             for i, j in enumerate(row_col):
                 if j >= 0:
                     assert slack[i, j] <= u[i] + 1e-9
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, instead of spinning, when the block runs past ``seconds``."""
+    def expire(*_):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestInsertion:
+    """Dual invariants of ``_insert_row`` after every insertion, m <= n."""
+
+    @staticmethod
+    def check_insertions(cost):
+        m, n = cost.shape
+        # the step-1 state: row minima, v = 0, the tight-edge matching
+        u = cost.min(axis=1)
+        v = np.zeros(n + 1)
+        row_col, col_row = [-1] * m, [-1] * n
+        munkres._tight_matching(munkres._adjacency(cost - u[:, None] == 0),
+                                row_col, col_row)
+        col_row = np.array(col_row + [-1], dtype=np.int64)
+        for i in [i for i in range(m) if row_col[i] < 0]:
+            before = set(col_row[:n][col_row[:n] >= 0].tolist())
+            with time_limit(5.0):  # an insertion takes milliseconds
+                munkres._insert_row(i, cost, u, v, col_row)
+            owners = col_row[:n]
+            matched = np.flatnonzero(owners >= 0)
+            assert set(owners[matched].tolist()) == before | {i}
+            assert len(matched) == len(before) + 1
+            reduced = cost - u[:, None] - v[:n]
+            assert reduced.min() >= -1e-9
+            assert np.abs(reduced[owners[matched], matched]).max() <= 1e-9
+            assert v.max() <= 0.0
+            assert not np.any(v[:n][owners < 0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 40), extra=st.integers(0, 40), k=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=2, extra=0, k=3, seed=0)
+    def test_tied_integers(self, m, extra, k, seed):
+        self.check_insertions(np.random.default_rng(seed).integers(
+            0, k + 1, (m, m + extra)).astype(float))
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 40), extra=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=2, extra=0, seed=0)
+    @example(m=30, extra=0, seed=0)
+    def test_continuous(self, m, extra, seed):
+        self.check_insertions(
+            np.random.default_rng(seed).uniform(0.0, 10.0, (m, m + extra)))
 
 
 def assert_solves_rectangular(cost):
