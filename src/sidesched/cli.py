@@ -55,15 +55,20 @@ class ExperimentConfig:
         l = self.grid.l
         if self.sweep_n_vehicles is None:
             self.sweep_n_vehicles = _default_sweep(l)
-        # an empty axis leaves no cell; named by its config-file key
-        empty = [key for key, axis in (("clusters", self.cluster_sizes),
-                                       ("methods", self.methods),
-                                       ("quant.bits", self.bits_list))
-                 if not axis]
+        # an empty axis leaves no cell and a repeated entry runs cells twice
+        # (cluster sizes may repeat: each gets its own id); by config-file key
+        bad = [key for key, axis in (("clusters", self.cluster_sizes),
+                                     ("methods", self.methods),
+                                     ("quant.bits", self.bits_list))
+               if not axis]
         if self.repetitions < 1:
-            empty.append("repetitions")
-        if empty:
-            raise ConfigError(empty)
+            bad.append("repetitions")
+        bad += [f"{key}[{i}]" for key, axis in (
+                    ("methods", self.methods), ("quant.bits", self.bits_list),
+                    ("sweep.n_vehicles", self.sweep_n_vehicles))
+                for i, x in enumerate(axis) if x in axis[:i]]
+        if bad:
+            raise ConfigError(bad)
         for n in self.cluster_sizes:
             if n > l:
                 raise InfeasibleError(

@@ -24,12 +24,12 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
 
     ``points`` are (label, cluster) pairs. The loop nests repetition x
     point, then width, then method: each draw is computed once and each
-    width's rates once per draw, shared by every method, and each is
-    released before the next is made. Seeds are keyed by (repetition,
-    ``cluster.id``). A ``ValueError`` is prefixed with the label,
-    repetition, width and method of its cell and re-raised bare, so it
-    keeps its type and attributes (``ConfigError.keys``, ``ParseError.row``
-    and ``col``).
+    width's rates and block table once per draw, shared by every method,
+    and each is released before the next is made. Seeds are keyed by
+    (repetition, ``cluster.id``). A ``ValueError`` is prefixed with the
+    label, repetition, width and method of its cell and re-raised bare, so
+    it keeps its type and attributes (``ConfigError.keys``,
+    ``ParseError.row`` and ``col``).
     """
     grid, master = config.grid, config.master_seed
     where = []
@@ -48,7 +48,7 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
                         where[3:] = [f"method {method}"]
                         yield rep, cluster, run_cell(grid, draw, rates, bits,
                                                      method, solver_seed)
-                    del rates  # free this width's pair before the next is built
+                    del rates  # free this width's rates before the next are built
                 del draw  # and this draw before the next is made
     except ValueError as exc:
         exc.args = (f"{', '.join(where)}: {exc}",)

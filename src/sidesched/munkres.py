@@ -119,18 +119,18 @@ def _solve(cost):
     """
     m, n = cost.shape
     u = cost.min(axis=1)  # row potentials
-    v = np.zeros(n + 1)   # column potentials
+    v = np.zeros(n)       # column potentials
     reduced = cost - u[:, None]
     row_col, col_row = [-1] * m, [-1] * n
     _tight_matching(_adjacency(reduced == 0), row_col, col_row)
     if m == n and -1 in row_col:
         # column reduction: 0 where a column has a tight edge already,
         # and every other column gains one
-        v[:n] = reduced.min(axis=0)
-        _tight_matching(_adjacency(reduced == v[:n]), row_col, col_row)
+        v = reduced.min(axis=0)
+        _tight_matching(_adjacency(reduced == v), row_col, col_row)
     if -1 in row_col:
         _reduce_rows(cost, v, row_col, col_row)
-        u = (cost - v[:n]).min(axis=1)
+        u = (cost - v).min(axis=1)
     # col_row[j]: row matched to column j, -1 while free; column n is the
     # virtual root holding the row currently being inserted.
     col_row = np.array(col_row + [-1], dtype=np.int64)
@@ -238,7 +238,7 @@ def _reduce_rows(cost, v, row_col, col_row):
         if not free:
             return
         i = free.popleft()
-        row = cost[i] - v[:n]
+        row = cost[i] - v
         j1 = int(np.argmin(row))
         u1 = row[j1]
         row[j1] = np.inf
@@ -269,7 +269,6 @@ def _insert_row(i, cost, u, v, col_row):
     """
     n = cost.shape[1]
     col_row[n] = i
-    vn = v[:n]
     open_d = np.full(n, np.inf)          # tentative distance; inf once scanned
     dist = np.empty(n)                   # distance at which a column was scanned
     way = np.full(n, n, dtype=np.int64)  # predecessor column in the tree
@@ -278,7 +277,7 @@ def _insert_row(i, cost, u, v, col_row):
     while True:
         # the reduced cost first, then the distance: edges that tie in
         # exact arithmetic then tie more often after rounding too
-        r = cost[i0] - vn
+        r = cost[i0] - v
         r -= u[i0]
         r += mu
         # a scanned column holds inf, so only the mask keeps its

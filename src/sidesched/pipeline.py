@@ -4,8 +4,9 @@ A *draw* (``draw_cluster``) is one channel realisation of a cluster,
 padded with dummy vehicles to a square, with its fine-grained (truth)
 rates, which are the same at every width. Its *rates* at one feedback width
 (``draw_rates``) are the (decision, truth) pair a scheduler decides on
-and is scored on. A *cell* (``run_cell``) runs one method on those
-rates: it solves, checks the assignment for subframe conflicts and
+and is scored on, with the decision's block table (``compress``) that
+proposed and greedy read. A *cell* (``run_cell``) runs one method on
+those rates: it solves, checks the assignment for subframe conflicts and
 scores it. The one cell loop, ``metrics.iter_cells``, nests
 repetition x cluster, then width, then method, so each draw is computed
 once and each width's rates once per draw, shared by every method; each
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import compress, expand_solution
+from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
                        pad_to_square)
@@ -74,34 +75,35 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
 
 
 def draw_rates(grid: ResourceGrid, draw: Draw, bits: int, quant_lo_db: float,
-               quant_hi_db: float) -> tuple[RateMatrix, RateMatrix]:
-    """(decision, truth) rates of a draw at ``bits`` of feedback.
+               quant_hi_db: float
+               ) -> tuple[RateMatrix, RateMatrix, ReducedProblem]:
+    """(decision, truth, block table of decision) of a draw at ``bits``.
 
     ``bits=0`` is ideal feedback, and the quantizer range is then unused.
     """
     q = QuantizerSpec(bits, quant_lo_db, quant_hi_db) if bits else None
-    return build_rate_matrices(draw.sinr, q, grid.b_hz, truth=draw.truth)
+    decision, truth = build_rate_matrices(draw.sinr, q, grid.b_hz, truth=draw.truth)
+    return decision, truth, compress(decision.values.ravel(), grid.k, grid.l)
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,
-             rates: tuple[RateMatrix, RateMatrix], bits: int, method: str,
-             solver_seed: int = 0) -> CellResult:
+             rates: tuple[RateMatrix, RateMatrix, ReducedProblem], bits: int,
+             method: str, solver_seed: int = 0) -> CellResult:
     """Solve, check and score one method on a draw's rates at ``bits``.
 
     Every assignment is checked for subframe conflicts before it is
     scored, whatever the method.
     """
-    decision, truth = rates
+    decision, truth, reduced = rates
     cluster = draw.cluster
     n_real = cluster.n_vehicles
 
     t0 = time.perf_counter()
     if method == "proposed":
-        reduced = compress(decision.values.ravel(), grid.k, grid.l)
         mapping = solve_proposed(reduced)
         assn = expand_solution(mapping, reduced, cluster_id=cluster.id)
     elif method == "greedy":
-        assn = solve_greedy(RateMatrix(cluster.id, decision.values[:n_real]), grid)
+        assn = solve_greedy(reduced, n_real, cluster_id=cluster.id)
     elif method == "random":
         rng = np.random.default_rng(solver_seed)
         assn = solve_random(grid, n_real, rng, cluster_id=cluster.id)

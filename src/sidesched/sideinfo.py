@@ -39,9 +39,14 @@ class QuantizerSpec:
 
 
 def _bin_index(q: QuantizerSpec, sinr_db) -> np.ndarray:
-    x = np.clip(np.asarray(sinr_db, dtype=float), q.lo_db, q.hi_db)
-    return np.minimum(np.floor((x - q.lo_db) / q.bin_width_db),
-                      q.levels - 1).astype(np.int64)
+    # floor((clip(x) - lo) / width), op for op, in place on a private copy
+    x = np.array(sinr_db, dtype=float)
+    np.clip(x, q.lo_db, q.hi_db, out=x)
+    x -= q.lo_db
+    x /= q.bin_width_db
+    np.floor(x, out=x)
+    np.minimum(x, q.levels - 1, out=x)
+    return x.astype(np.int64)
 
 
 def _reconstruct(q: QuantizerSpec, idx) -> np.ndarray:

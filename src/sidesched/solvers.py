@@ -2,9 +2,9 @@
 
 Every method returns an ``Assignment`` mapping vehicle indices to global
 subchannel indices with at most one vehicle per subframe. The optimal
-route (``solve_proposed``) works on the compressed square problem; the
-baselines work directly on a rate matrix. ``solve_oracle`` enumerates
-the whole feasible set and is capped to small instances.
+route (``solve_proposed``) and greedy work on the compressed block
+table; the oracle works directly on a rate matrix, enumerates the whole
+feasible set and is capped to small instances.
 """
 
 from __future__ import annotations
@@ -82,28 +82,27 @@ def solve_proposed(reduced: ReducedProblem) -> dict[int, int]:
     return {i: int(cols[i]) for i in range(d.shape[0])}
 
 
-def solve_greedy(decision: RateMatrix, grid: ResourceGrid) -> Assignment:
-    """First-come first-served baseline.
+def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
+                 cluster_id: int = 0) -> Assignment:
+    """First-come first-served baseline on the first ``n_vehicles`` rows.
 
     Vehicles in ascending index order take the best decision-rate
     subchannel among subframes nobody claimed yet; ties go to the lowest
-    subchannel index.
+    subchannel index. That subchannel lies in the lowest subframe of
+    highest block maximum, at its stored slot, so only the block table
+    is scanned.
     """
-    vals = decision.values
-    n = vals.shape[0]
-    if vals.shape[1] != grid.n_subchannels:
-        raise ShapeError(
-            f"rate matrix has {vals.shape[1]} columns, grid has {grid.n_subchannels}")
-    if n > grid.l:
-        raise InfeasibleError(f"{n} vehicles exceed {grid.l} subframes")
-    free = np.ones(grid.l, dtype=bool)
+    k, l = reduced.k, reduced.l
+    if n_vehicles > l:
+        raise InfeasibleError(f"{n_vehicles} vehicles exceed {l} subframes")
+    free = np.ones(l, dtype=bool)
     pairs = {}
-    for i in range(n):
-        masked = np.where(np.repeat(free, grid.k), vals[i], -np.inf)
-        sc = int(np.argmax(masked))  # first hit = lowest index on ties
-        pairs[i] = sc
-        free[sc // grid.k] = False
-    return Assignment(decision.cluster_id, pairs, "greedy")
+    for i in range(n_vehicles):
+        masked = np.where(free, reduced.d[i], -np.inf)
+        f = int(masked.argmax())  # first hit = lowest subframe on ties
+        pairs[i] = f * k + int(reduced.argmax_slot[i, f])
+        free[f] = False
+    return Assignment(cluster_id, pairs, "greedy")
 
 
 def solve_random(grid: ResourceGrid, n_vehicles: int, rng,

@@ -133,7 +133,7 @@ class TestAcceptanceGate:
                 pairs_by_solver = {
                     "proposed": expand_solution(solve_proposed(reduced),
                                                 reduced).pairs,
-                    "greedy": solve_greedy(decision, grid).pairs,
+                    "greedy": solve_greedy(reduced, l).pairs,
                     "oracle": solve_oracle(decision, grid).pairs,
                     "random": solve_random(grid, l, np.random.default_rng(7)).pairs,
                 }

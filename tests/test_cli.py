@@ -113,6 +113,34 @@ class TestConfigParsing:
             replace(cfg, **{field: value})
         assert exc.value.keys == [key]
 
+    @pytest.mark.parametrize("section, entries, key", [
+        ("methods", ["greedy", "random", "greedy"], "methods[2]"),
+        ("quant", {"bits": [2, 2]}, "quant.bits[1]"),
+        ("sweep", {"n_vehicles": [2, 4, 2]}, "sweep.n_vehicles[2]"),
+    ])
+    def test_loaded_config_rejects_duplicate_entries(self, tmp_path, section,
+                                                     entries, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_raw(**{section: entries})))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.keys == [key]
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("methods", ("greedy", "greedy"), "methods[1]"),
+        ("bits_list", (0, 2, 0), "quant.bits[2]"),
+        ("sweep_n_vehicles", (4, 4), "sweep.n_vehicles[1]"),
+    ])
+    def test_direct_config_rejects_duplicate_entries(self, field, value, key):
+        cfg = config_from_dict(tiny_raw())
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, **{field: value})
+        assert exc.value.keys == [key]
+
+    def test_repeated_cluster_sizes_stay_legal(self):
+        cfg = config_from_dict(tiny_raw(clusters=[4, 4]))
+        assert cfg.cluster_sizes == (4, 4)
+
     def test_default_sweep_fits_the_grid(self):
         cfg = config_from_dict(tiny_raw())
         assert cfg.sweep_n_vehicles == (6,)

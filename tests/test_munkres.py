@@ -286,7 +286,7 @@ class TestInitialisationPhases:
         for _ in range(50):
             n = int(rng.integers(2, 40))
             cost = rng.uniform(0.0, 10.0, (n, n))
-            v = np.zeros(n + 1)
+            v = np.zeros(n)
             row_col, col_row = [-1] * n, [-1] * n
             munkres._reduce_rows(cost, v, row_col, col_row)
             assert all(row_col[col_row[j]] == j for j in range(n)
@@ -320,7 +320,7 @@ class TestInsertion:
         m, n = cost.shape
         # the step-1 state: row minima, v = 0, the tight-edge matching
         u = cost.min(axis=1)
-        v = np.zeros(n + 1)
+        v = np.zeros(n)
         row_col, col_row = [-1] * m, [-1] * n
         munkres._tight_matching(munkres._adjacency(cost - u[:, None] == 0),
                                 row_col, col_row)

@@ -1,6 +1,6 @@
 """Cell path: every method's assignment is checked before it is scored,
 every cell runs through the one loop, and each draw and each width's
-rates are computed once."""
+rates and block table are computed once."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -35,11 +35,15 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
 
 
-def _record_calls(monkeypatch, name, module=pipeline):
+def _record_calls(monkeypatch, name, module=pipeline, first_args=None):
+    """Results of every call to ``module.name``; the first positional
+    argument of each call goes to ``first_args`` when it is given."""
     results = []
     real = getattr(module, name)
 
     def recorded(*args, **kwargs):
+        if first_args is not None:
+            first_args.append(args[0])
         results.append(real(*args, **kwargs))
         return results[-1]
 
@@ -65,6 +69,10 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
     rates = _record_calls(monkeypatch, "build_rate_matrices")
+    tables = _record_calls(monkeypatch, "compress")
+    proposed_in, greedy_in = [], []
+    _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
+    _record_calls(monkeypatch, "solve_greedy", first_args=greedy_in)
     runner(config)
     points = (config.cluster_sizes if runner is run_experiment
               else config.sweep_n_vehicles)
@@ -77,3 +85,8 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
         per_draw = truths[d * widths:(d + 1) * widths]
         assert all(t is per_draw[0] for t in per_draw)
     assert len({id(t) for t in truths}) == len(draws)
+    # and every width's block table once, read by proposed and greedy alike
+    assert len(tables) == len(rates)
+    assert len({id(t) for t in tables}) == len(tables)
+    assert [id(t) for t in proposed_in] == [id(t) for t in tables]
+    assert [id(t) for t in greedy_in] == [id(t) for t in tables]

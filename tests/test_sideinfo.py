@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sidesched.scenario import SinrMatrix
-from sidesched.sideinfo import (QuantizerSpec, RateMatrix,
+from sidesched.sideinfo import (QuantizerSpec, RateMatrix, _bin_index,
                                 build_rate_matrices, quantize, rate_from_sinr)
 
 
@@ -81,6 +81,27 @@ class TestQuantize:
         idx, recon = quantize(q, 0.0)
         assert isinstance(idx, int)
         assert isinstance(recon, float)
+
+    def test_bin_index_in_place_matches_formula(self):
+        # the in-place index against the out-of-place formula, on values
+        # inside, outside and exactly at the range edges and bin edges
+        rng = np.random.default_rng(11)
+        for bits in range(1, 9):
+            q = QuantizerSpec(bits=bits, lo_db=-15.0, hi_db=35.0)
+            edges = q.lo_db + np.arange(q.levels + 1) * q.bin_width_db
+            x = np.concatenate([rng.uniform(-40.0, 60.0, 20_000), edges,
+                                np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf), [-1e9, 1e9]])
+            before = x.copy()
+            ref = np.minimum(np.floor((np.clip(x, q.lo_db, q.hi_db) - q.lo_db)
+                                      / q.bin_width_db),
+                             q.levels - 1).astype(np.int64)
+            idx = _bin_index(q, x)
+            np.testing.assert_array_equal(x, before)  # input left unchanged
+            assert idx.dtype == np.int64
+            np.testing.assert_array_equal(idx, ref)
+            assert int(_bin_index(q, 35.0)) == q.levels - 1
+            assert int(_bin_index(q, -15.0)) == 0
 
     def test_bits_bounds(self):
         with pytest.raises(ValueError):

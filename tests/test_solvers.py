@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import CapacityError, ConstraintViolation, InfeasibleError
@@ -11,28 +14,36 @@ from sidesched.grid import ResourceGrid
 from sidesched.sideinfo import RateMatrix
 from sidesched.solvers import (evaluate, solve_greedy, solve_oracle,
                                solve_proposed, solve_random, verify_assignment)
-from util import brute_full_optimum
+from util import brute_full_optimum, greedy_full_matrix
 
 
 def rates(vals):
     return RateMatrix(0, np.asarray(vals, dtype=float))
 
 
+def greedy(vals, g):
+    """Greedy on the block table of ``vals``, padded to L rows with zeros."""
+    vals = np.asarray(vals, dtype=float)
+    padded = np.zeros((g.l, g.n_subchannels))
+    padded[:len(vals)] = vals
+    return solve_greedy(compress(padded.ravel(), g.k, g.l), len(vals))
+
+
 class TestGreedy:
     def test_reference_case(self):
         g = ResourceGrid(k=2, l=2)
-        a = solve_greedy(rates([[1, 3, 2, 5], [4, 1, 2, 2]]), g)
+        a = greedy([[1, 3, 2, 5], [4, 1, 2, 2]], g)
         assert a.pairs == {0: 3, 1: 0}
 
     def test_fills_in_index_order(self):
         g = ResourceGrid(k=1, l=2)
-        a = solve_greedy(rates([[5, 1], [4, 1]]), g)
+        a = greedy([[5, 1], [4, 1]], g)
         assert a.pairs == {0: 0, 1: 1}
 
     def test_first_come_first_served_can_be_suboptimal(self):
         g = ResourceGrid(k=1, l=2)
         vals = [[5.0, 4.0], [5.0, 1.0]]
-        a = solve_greedy(rates(vals), g)
+        a = greedy(vals, g)
         total = sum(vals[i][sc] for i, sc in a.pairs.items())
         assert total == 6.0
         _, best = brute_full_optimum(np.asarray(vals), 1, 2)
@@ -40,13 +51,26 @@ class TestGreedy:
 
     def test_tie_takes_lowest_index(self):
         g = ResourceGrid(k=2, l=2)
-        a = solve_greedy(rates([[3, 3, 3, 3]]), g)
+        a = greedy([[3, 3, 3, 3]], g)
         assert a.pairs == {0: 0}
 
     def test_too_many_vehicles(self):
         g = ResourceGrid(k=2, l=2)
         with pytest.raises(InfeasibleError):
-            solve_greedy(rates(np.ones((3, 4))), g)
+            solve_greedy(compress(np.ones(8), g.k, g.l), 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 4), l=st.integers(1, 8), data=st.data())
+    def test_block_table_matches_full_matrix_scan(self, k, l, data):
+        # tie-heavy small integers, some rows constant, N <= L
+        n = data.draw(st.integers(1, l))
+        vals = data.draw(arrays(np.int64, (n, k * l),
+                                elements=st.integers(0, 3))).astype(float)
+        constant = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)))
+        vals[constant] = vals[constant][:, :1]
+        g = ResourceGrid(k=k, l=l)
+        assert greedy(vals, g).pairs == greedy_full_matrix(vals, k, l)
 
 
 class TestRandom:
@@ -169,7 +193,7 @@ class TestProposed:
             r = compress(vals.ravel(), k, l)
             a = expand_solution(solve_proposed(r), r)
             opt = sum(vals[i, sc] for i, sc in a.pairs.items())
-            gr = solve_greedy(rates(vals), g)
+            gr = solve_greedy(r, l)
             grd = sum(vals[i, sc] for i, sc in gr.pairs.items())
             assert opt >= grd - 1e-9
 
@@ -179,7 +203,7 @@ class TestProposed:
         margins = []
         for _ in range(200):
             vals = rng.uniform(0, 9, (6, 12))
-            gr = solve_greedy(rates(vals), g)
+            gr = greedy(vals, g)
             ra = solve_random(g, 6, rng)
             margins.append(sum(vals[i, sc] for i, sc in gr.pairs.items()) -
                            sum(vals[i, sc] for i, sc in ra.pairs.items()))

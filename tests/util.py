@@ -45,6 +45,23 @@ def brute_full_optimum(values, k, l):
     return best_pairs, best_val
 
 
+def greedy_full_matrix(values, k, l):
+    """First-come first-served greedy scanning the full N x K*L rate matrix.
+
+    Vehicles in ascending index take the best subchannel among subframes
+    nobody claimed yet; ties go to the lowest subchannel index.
+    """
+    vals = np.asarray(values, dtype=float)
+    free = np.ones(l, dtype=bool)
+    pairs = {}
+    for i in range(vals.shape[0]):
+        masked = np.where(np.repeat(free, k), vals[i], -np.inf)
+        sc = int(np.argmax(masked))  # first hit = lowest index on ties
+        pairs[i] = sc
+        free[sc // k] = False
+    return pairs
+
+
 def build_constraint_matrix(k, l):
     """Tensor expansion of the one-per-vehicle / one-per-subframe rows.
 
