@@ -36,6 +36,50 @@ def tiny_raw(**over):
     return raw
 
 
+# Every rule the loader applies, each with the exact keys it names;
+# dotted keys are set on tiny_raw(), whose l_subframes is 6.
+LOADER_CASES = [
+    ({"grid.k_subchannels": 0}, ["grid.k_subchannels"]),
+    ({"grid.l_subframes": 0}, ["grid.l_subframes"]),
+    ({"grid.t_ms": 0}, ["grid.t_ms"]),
+    ({"grid.b_hz": -1.0}, ["grid.b_hz"]),
+    ({"scenario.kind": "rayleigh"}, ["scenario.kind"]),
+    ({"scenario.std_db": -0.5}, ["scenario.std_db"]),
+    ({"scenario.p_bad": 1.5}, ["scenario.p_bad"]),
+    ({"scenario.p_bad": -0.1}, ["scenario.p_bad"]),
+    ({"scenario.floor_db": 35.0}, ["scenario.ceil_db", "scenario.floor_db"]),
+    ({"scenario.floor_db": 0.0, "scenario.ceil_db": -1.0},
+     ["scenario.ceil_db", "scenario.floor_db"]),
+    ({"quant.lo_db": 35.0}, ["quant.hi_db", "quant.lo_db"]),
+    ({"quant.bits": [0], "quant.lo_db": 5.0, "quant.hi_db": 1.0},
+     ["quant.hi_db", "quant.lo_db"]),
+    ({"quant.bits": 9}, ["quant.bits[0]"]),
+    ({"quant.bits": [0, -1, 8, 9]}, ["quant.bits[1]", "quant.bits[3]"]),
+    ({"quant.bits": "3"}, ["quant.bits"]),
+    ({"clusters": 4}, ["clusters"]),
+    ({"clusters": [4, "5"]}, ["clusters[1]"]),
+    ({"clusters": [4, 2.0, True]}, ["clusters[1]", "clusters[2]"]),
+    ({"clusters": [0, 6, 7]}, ["clusters[0]", "clusters[2]"]),
+    ({"methods": ["proposed", 3]}, ["methods[1]"]),
+    ({"sweep.n_vehicles": [0, 7]},
+     ["sweep.n_vehicles[0]", "sweep.n_vehicles[1]"]),
+    ({"t_sps_pool_s": [math.inf]}, ["t_sps_pool_s"]),
+    ({"t_sps_pool_s": [0.0]}, ["t_sps_pool_s"]),
+    ({"t_sps_pool_s": []}, ["t_sps_pool_s"]),
+    ({"t_sps_pool_s": 4.0}, ["t_sps_pool_s"]),
+    ({"out_dir": ""}, ["out_dir"]),
+    ({"out_dir": 5}, ["out_dir"]),
+    ({"cdf_grid_points": 1}, ["cdf_grid_points"]),
+    ({"master_seed": -1}, ["master_seed"]),
+    ({"master_seed": 1.5}, ["master_seed"]),
+    ({"repetitions": True}, ["repetitions"]),
+    ({"quant": [0, 2]}, ["quant"]),
+    ({"scenario": "uniform"}, ["scenario"]),
+    ({"grid.k_subchannels": 0, "repetitions": 0, "scenario.p_bad": 2},
+     ["grid.k_subchannels", "repetitions", "scenario.p_bad"]),
+]
+
+
 class TestConfigParsing:
     def test_defaults_fill_in(self):
         cfg = config_from_dict({})
@@ -169,6 +213,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             load_config(p)
         assert exc.value.keys == [key]
+
+    @pytest.mark.parametrize("over, keys", LOADER_CASES,
+                             ids=[json.dumps(over) for over, _ in LOADER_CASES])
+    def test_loader_names_exact_keys(self, over, keys):
+        raw = tiny_raw()
+        for key, value in over.items():
+            *sections, leaf = key.split(".")
+            node = raw
+            for part in sections:
+                node = node.setdefault(part, {})
+            node[leaf] = value
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == keys
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError) as exc:
