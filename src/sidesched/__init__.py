@@ -3,9 +3,9 @@ feedback: square-reduced optimal matching, baselines, and a deterministic
 Monte-Carlo evaluation harness."""
 
 from .assignment import ReducedProblem, compress, expand_solution
-from .cli import (ExperimentConfig, ValidationReport, config_from_dict,
-                  load_config, run_experiment, run_sweep,
+from .cli import (ValidationReport, run_experiment, run_sweep,
                   validate_assignment_file, write_assignment_csv)
+from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import (CapacityError, ConfigError, ConstraintViolation,
                      InfeasibleError, ParseError, ShapeError)
 from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps, subframe_of

@@ -1,4 +1,4 @@
-"""Experiment runner: config parsing, orchestration, CSV/JSON artifacts.
+"""Experiment runner: orchestration, CSV/JSON artifacts and the command line.
 
 Configs are JSON. Rates cross the I/O boundary in Mbit/s; everything
 internal stays in bits/s. Artifacts (cdf.csv, criteria.csv, sweep.csv,
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
 import math
@@ -21,232 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, ParseError
-from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps
+from .config import ExperimentConfig, config_hash, load_config
+from .errors import ParseError
+from .grid import ResourceGrid, draw_t_sps
 from .metrics import build_report, iter_cells, sweep_density
 from .pipeline import TIMER_STREAM, derive_seed
+from .scenario import make_clusters
+from .solvers import shared_subframes
 # Not called here: perfbench/tracer.py WRAPS needs the name bound in this module.
 from .pipeline import run_cell  # noqa: F401
-from .scenario import SCENARIO_KINDS, make_clusters, ScenarioModel
-from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L, shared_subframes
 
 log = logging.getLogger("sidesched")
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything one run or sweep needs, already validated."""
-
-    grid: ResourceGrid
-    scenario: ScenarioModel
-    cluster_sizes: tuple[int, ...]
-    bits_list: tuple[int, ...]          # 0 = ideal fine-grained feedback
-    methods: tuple[str, ...]
-    repetitions: int
-    master_seed: int | None             # None: drawn at run time, recorded
-    out_dir: str = "results"
-    cdf_grid_points: int = 30
-    quant_lo_db: float = -15.0
-    quant_hi_db: float = 35.0
-    sweep_n_vehicles: tuple[int, ...] | None = None  # None: _default_sweep
-    t_sps_pool_s: tuple[float, ...] = DEFAULT_T_SPS_POOL_S
-
-    def __post_init__(self):
-        l = self.grid.l
-        if self.sweep_n_vehicles is None:
-            self.sweep_n_vehicles = _default_sweep(l)
-        # an empty axis leaves no cell and a repeated entry runs cells twice
-        # (cluster sizes may repeat: each gets its own id); by config-file key
-        bad = [key for key, axis in (("clusters", self.cluster_sizes),
-                                     ("methods", self.methods),
-                                     ("quant.bits", self.bits_list))
-               if not axis]
-        if self.repetitions < 1:
-            bad.append("repetitions")
-        bad += [f"{key}[{i}]" for key, axis in (
-                    ("methods", self.methods), ("quant.bits", self.bits_list),
-                    ("sweep.n_vehicles", self.sweep_n_vehicles))
-                for i, x in enumerate(axis) if x in axis[:i]]
-        if bad:
-            raise ConfigError(bad)
-        for n in self.cluster_sizes:
-            if n > l:
-                raise InfeasibleError(
-                    f"cluster of {n} vehicles exceeds {l} subframes")
-        for n in self.sweep_n_vehicles:
-            if n > l:
-                raise InfeasibleError(f"sweep point N={n} exceeds {l} subframes")
-
-
-def _default_sweep(l: int) -> tuple[int, ...]:
-    """Every tenth density up to the subframe count, or just that count."""
-    return tuple(n for n in range(10, 101, 10) if n <= l) or (l,)
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated config; raises ConfigError naming offending keys."""
-    bad = []
-    read = set()  # dotted keys looked up below; every lookup is unconditional
-
-    def get(key, default=None):
-        read.add(key)
-        cur = raw
-        for part in key.split("."):
-            if not isinstance(cur, dict) or part not in cur:
-                return default
-            cur = cur[part]
-        return cur
-
-    def check(key, default, pred):
-        val = get(key, default)
-        if not pred(val):
-            bad.append(key)
-            return default
-        return val
-
-    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
-
-    def is_num(x):
-        # finite, so a JSON NaN or Infinity fails here and not in a cell
-        try:
-            return (isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x))
-        except OverflowError:  # an integer too large for a float
-            return False
-
-    k = check("grid.k_subchannels", 7, lambda x: is_int(x) and x >= 1)
-    l = check("grid.l_subframes", 100, lambda x: is_int(x) and x >= 1)
-    t_ms = check("grid.t_ms", 1.0, lambda x: is_num(x) and x > 0)
-    b_hz = check("grid.b_hz", 1.26e6, lambda x: is_num(x) and x > 0)
-
-    kind = check("scenario.kind", "uniform", lambda x: x in SCENARIO_KINDS)
-    mean_db = check("scenario.mean_db", 10.0, is_num)
-    std_db = check("scenario.std_db", 8.0, lambda x: is_num(x) and x >= 0)
-    bad_mean_db = check("scenario.bad_mean_db", -5.0, is_num)
-    p_bad = check("scenario.p_bad", 0.2, lambda x: is_num(x) and 0 <= x <= 1)
-    floor_db = check("scenario.floor_db", -15.0, is_num)
-    ceil_db = check("scenario.ceil_db", 35.0, is_num)
-    if is_num(floor_db) and is_num(ceil_db) and not floor_db < ceil_db:
-        bad.append("scenario.floor_db")
-        bad.append("scenario.ceil_db")
-        floor_db, ceil_db = -15.0, 35.0
-    p_t_dbm = check("scenario.p_t_dbm", 23.0, is_num)
-
-    clusters = get("clusters", [100])
-    if not isinstance(clusters, list) or not clusters:
-        bad.append("clusters")
-        clusters = [100]
-    else:
-        for i, n in enumerate(clusters):
-            if not (is_int(n) and 1 <= n <= l):
-                bad.append(f"clusters[{i}]")
-
-    bits = get("quant.bits", [0])
-    if is_int(bits):
-        bits = [bits]
-    if not isinstance(bits, list) or not bits:
-        bad.append("quant.bits")
-        bits = [0]
-    else:
-        for i, b in enumerate(bits):
-            if not (is_int(b) and 0 <= b <= 8):
-                bad.append(f"quant.bits[{i}]")
-    lo_db = check("quant.lo_db", -15.0, is_num)
-    hi_db = check("quant.hi_db", 35.0, is_num)
-    if is_num(lo_db) and is_num(hi_db) and not lo_db < hi_db:
-        bad.append("quant.lo_db")
-        bad.append("quant.hi_db")
-        lo_db, hi_db = -15.0, 35.0
-
-    methods = get("methods", ["proposed", "greedy", "random"])
-    if not isinstance(methods, list) or not methods:
-        bad.append("methods")
-        methods = ["proposed"]
-    else:
-        for i, m in enumerate(methods):
-            if m not in METHODS:
-                bad.append(f"methods[{i}]")
-            elif m == "oracle" and (l > ORACLE_MAX_L or k > ORACLE_MAX_K):
-                # brute force is capped; name the method and the grid sizes
-                bad.append(f"methods[{i}]")
-                if l > ORACLE_MAX_L:
-                    bad.append("grid.l_subframes")
-                if k > ORACLE_MAX_K:
-                    bad.append("grid.k_subchannels")
-
-    repetitions = check("repetitions", 100, lambda x: is_int(x) and x >= 1)
-    master_seed = get("master_seed")
-    if master_seed is not None and not (is_int(master_seed) and master_seed >= 0):
-        bad.append("master_seed")
-        master_seed = None
-    out_dir = check("out_dir", "results", lambda x: isinstance(x, str) and x)
-    grid_points = check("cdf_grid_points", 30, lambda x: is_int(x) and x >= 2)
-
-    default_sweep = list(_default_sweep(l))
-    sweep_n = get("sweep.n_vehicles", default_sweep)
-    if not isinstance(sweep_n, list) or not sweep_n:
-        bad.append("sweep.n_vehicles")
-        sweep_n = default_sweep
-    else:
-        for i, n in enumerate(sweep_n):
-            if not (is_int(n) and 1 <= n <= l):
-                bad.append(f"sweep.n_vehicles[{i}]")
-
-    pool = get("t_sps_pool_s", list(DEFAULT_T_SPS_POOL_S))
-    if not isinstance(pool, list) or not pool or \
-            not all(is_num(x) and x > 0 for x in pool):
-        bad.append("t_sps_pool_s")
-        pool = list(DEFAULT_T_SPS_POOL_S)
-
-    # The keys read above are the schema: a dotted key's prefix is a
-    # section, and anything else in the config is unknown.
-    sections = {key.split(".")[0] for key in read if "." in key}
-    for key, val in raw.items():
-        if key in sections and isinstance(val, dict):
-            bad.extend(f"unknown key '{key}.{sub}'" for sub in val
-                       if f"{key}.{sub}" not in read)
-        elif key in sections:
-            bad.append(key)
-        elif key not in read:
-            bad.append(f"unknown key {key!r}")
-
-    if bad:
-        raise ConfigError(sorted(set(bad)))
-
-    return ExperimentConfig(
-        grid=ResourceGrid(k=k, l=l, t_ms=float(t_ms), b_hz=float(b_hz)),
-        scenario=ScenarioModel(
-            kind=kind, mean_db=float(mean_db), std_db=float(std_db),
-            bad_mean_db=float(bad_mean_db), p_bad=float(p_bad),
-            sinr_floor_db=float(floor_db), sinr_ceil_db=float(ceil_db),
-            p_t_dbm=float(p_t_dbm)),
-        cluster_sizes=tuple(clusters),
-        bits_list=tuple(bits),
-        methods=tuple(methods),
-        repetitions=repetitions,
-        master_seed=master_seed,
-        out_dir=out_dir,
-        cdf_grid_points=grid_points,
-        quant_lo_db=float(lo_db),
-        quant_hi_db=float(hi_db),
-        sweep_n_vehicles=tuple(sweep_n),
-        t_sps_pool_s=tuple(float(x) for x in pool),
-    )
-
-
-def _read_config(path) -> dict:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(["<top level must be an object>"])
-    return raw
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(_read_config(path))
 
 
 def _resolve_seed(config: ExperimentConfig) -> ExperimentConfig:
@@ -256,12 +40,6 @@ def _resolve_seed(config: ExperimentConfig) -> ExperimentConfig:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
         log.info("no master seed configured, drew %d", seed)
     return replace(config, master_seed=int(seed))
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    """sha256 over the canonical JSON form; changes with any field."""
-    blob = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _mbps(x: float) -> float:
@@ -467,17 +245,13 @@ def main(argv=None) -> int:
                     "SINR feedback")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the configured experiment")
-    p_run.add_argument("--config", required=True, help="JSON config file")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
-    p_run.add_argument("--out", default=None, help="override the output dir")
-
-    p_sweep = sub.add_parser("sweep", help="vehicle-density sweep")
-    p_sweep.add_argument("--config", required=True, help="JSON config file")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="override the master seed")
-    p_sweep.add_argument("--out", default=None, help="override the output dir")
+    for name, help_text in (("run", "run the configured experiment"),
+                            ("sweep", "vehicle-density sweep")):
+        p_exp = sub.add_parser(name, help=help_text)
+        p_exp.add_argument("--config", required=True, help="JSON config file")
+        p_exp.add_argument("--seed", type=int, default=None,
+                           help="override the master seed")
+        p_exp.add_argument("--out", default=None, help="override the output dir")
 
     p_val = sub.add_parser("validate", help="check an assignment CSV")
     p_val.add_argument("path", help="assignment CSV file")
@@ -493,13 +267,11 @@ def main(argv=None) -> int:
     try:
         if args.command in ("run", "sweep"):
             # overrides go through the same checks as the config's own keys
-            raw = _read_config(args.config)
-            if args.seed is not None:
-                raw["master_seed"] = args.seed
-            if args.out is not None:
-                raw["out_dir"] = args.out
+            overrides = {"master_seed": args.seed, "out_dir": args.out}
+            config = replace(load_config(args.config), **{
+                key: value for key, value in overrides.items() if value is not None})
             runner = run_experiment if args.command == "run" else run_sweep
-            paths = runner(config_from_dict(raw))
+            paths = runner(config)
             for name, p in sorted(paths.items()):
                 print(f"{name}: {p}")
             return 0

@@ -27,8 +27,19 @@ class ConstraintViolation(ValueError):
 
 
 class ConfigError(ValueError):
-    """Experiment config failed validation; lists the offending keys."""
+    """A value failed a config rule; lists the offending keys.
+
+    A dataclass names its own fields; ``ExperimentConfig`` and the config
+    reader name dotted config-file keys, with ``[i]`` for a list entry.
+    """
 
     def __init__(self, keys):
         self.keys = list(keys)
         super().__init__("invalid config: " + "; ".join(self.keys))
+
+
+def require(**conditions):
+    """Raise ConfigError naming, in order, every field whose condition is false."""
+    bad = [name for name, ok in conditions.items() if not ok]
+    if bad:
+        raise ConfigError(bad)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require
+
 #: Reservation durations (seconds) a scheduler may grant, per Release 14.
 DEFAULT_T_SPS_POOL_S = (1.0, 4.0, 8.0)
 
@@ -25,10 +27,8 @@ class ResourceGrid:
     b_hz: float = 1.26e6  # bandwidth of one subchannel
 
     def __post_init__(self):
-        if self.k < 1 or self.l < 1:
-            raise ValueError(f"grid needs k >= 1 and l >= 1, got k={self.k}, l={self.l}")
-        if self.t_ms <= 0 or self.b_hz <= 0:
-            raise ValueError("t_ms and b_hz must be positive")
+        require(k=self.k >= 1, l=self.l >= 1, t_ms=self.t_ms > 0,
+                b_hz=self.b_hz > 0)
 
     @property
     def n_subchannels(self) -> int:

@@ -5,16 +5,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, CellResult, derive_seed,
                        draw_cluster, draw_rates, run_cell)
 from .scenario import Cluster
-
-if TYPE_CHECKING:
-    from .cli import ExperimentConfig
 
 
 def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]

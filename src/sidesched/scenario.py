@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ParseError, ShapeError
+from .errors import InfeasibleError, ParseError, ShapeError, require
 from .grid import ResourceGrid
 
 SCENARIO_KINDS = ("uniform", "gaussian", "two-state")
@@ -80,17 +80,10 @@ class ScenarioModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(
-                f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
-        if not self.sinr_floor_db < self.sinr_ceil_db:
-            raise ValueError("sinr_floor_db must be below sinr_ceil_db")
-        if self.std_db < 0:
-            raise ValueError("std_db must be non-negative")
-        if not 0.0 <= self.p_bad <= 1.0:
-            raise ValueError("p_bad must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        ordered = self.sinr_floor_db < self.sinr_ceil_db
+        require(kind=self.kind in SCENARIO_KINDS, std_db=self.std_db >= 0,
+                p_bad=0.0 <= self.p_bad <= 1.0, sinr_floor_db=ordered,
+                sinr_ceil_db=ordered, seed=self.seed >= 0)
 
 
 def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) -> SinrMatrix:

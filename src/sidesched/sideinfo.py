@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require
 from .scenario import SinrMatrix
 
 
@@ -24,10 +25,8 @@ class QuantizerSpec:
     hi_db: float = 35.0
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 8:
-            raise ValueError(f"bits must lie in [1, 8], got {self.bits}")
-        if not self.lo_db < self.hi_db:
-            raise ValueError("lo_db must be below hi_db")
+        ordered = self.lo_db < self.hi_db
+        require(bits=1 <= self.bits <= 8, lo_db=ordered, hi_db=ordered)
 
     @property
     def levels(self) -> int:

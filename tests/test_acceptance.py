@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from sidesched.assignment import compress, expand_solution
-from sidesched.cli import ExperimentConfig, run_experiment
+from sidesched.cli import run_experiment
+from sidesched.config import ExperimentConfig
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import iter_cells
 from sidesched.scenario import Cluster, ScenarioModel, SinrMatrix, pad_to_square

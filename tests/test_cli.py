@@ -14,9 +14,9 @@ import pytest
 
 import sidesched
 from sidesched import pipeline
-from sidesched.cli import (config_from_dict, config_hash, load_config, main,
-                           run_experiment, run_sweep, validate_assignment_file,
-                           write_assignment_csv)
+from sidesched.cli import (main, run_experiment, run_sweep,
+                           validate_assignment_file, write_assignment_csv)
+from sidesched.config import config_from_dict, config_hash, load_config
 from sidesched.errors import ConfigError, InfeasibleError, ParseError
 from sidesched.grid import ResourceGrid
 from sidesched.solvers import Assignment
@@ -135,14 +135,16 @@ class TestConfigParsing:
             config_from_dict(tiny_raw(scenario={"kind": "uniform", "seed": 1}))
         assert exc.value.keys == ["unknown key 'scenario.seed'"]
 
-    @pytest.mark.parametrize("field, sizes", [
-        ("cluster_sizes", (4, 7)),
-        ("sweep_n_vehicles", (2, 7)),
+    @pytest.mark.parametrize("field, sizes, key", [
+        ("cluster_sizes", (4, 7), "clusters[1]"),
+        ("sweep_n_vehicles", (2, 7), "sweep.n_vehicles[1]"),
     ])
-    def test_direct_config_over_l_fails_at_construction(self, field, sizes):
+    def test_direct_config_over_l_fails_at_construction(self, field, sizes,
+                                                        key):
         cfg = config_from_dict(tiny_raw())  # l_subframes = 6
-        with pytest.raises(InfeasibleError, match="7"):
+        with pytest.raises(ConfigError) as exc:
             replace(cfg, **{field: sizes})
+        assert exc.value.keys == [key]
 
     @pytest.mark.parametrize("field, value, key", [
         ("repetitions", 0, "repetitions"),
@@ -156,6 +158,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             replace(cfg, **{field: value})
         assert exc.value.keys == [key]
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("t_sps_pool_s", (), "t_sps_pool_s"),
+        ("t_sps_pool_s", (4.0, math.inf), "t_sps_pool_s"),
+        ("cdf_grid_points", 1, "cdf_grid_points"),
+        ("master_seed", -3, "master_seed"),
+        ("sweep_n_vehicles", (), "sweep.n_vehicles"),
+    ])
+    def test_direct_config_fails_before_any_output(self, tmp_path, field,
+                                                   value, key):
+        out = tmp_path / "out"
+        cfg = config_from_dict(tiny_raw(out_dir=str(out)))
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(replace(cfg, **{field: value}))
+        assert exc.value.keys == [key]
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, entries, key", [
         ("methods", ["greedy", "random", "greedy"], "methods[2]"),

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sidesched.cli import ExperimentConfig
-from sidesched.errors import InfeasibleError
+from sidesched.config import ExperimentConfig
+from sidesched.errors import ConfigError
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import build_report, sweep_density
 from sidesched.scenario import ScenarioModel
@@ -109,5 +109,6 @@ class TestSweepDensity:
         assert by_n[2] >= by_n[8]
 
     def test_rejects_overload(self):
-        with pytest.raises(InfeasibleError):
-            sweep_density(tiny_config(sweep_n_vehicles=(9,), repetitions=1))
+        with pytest.raises(ConfigError) as exc:
+            sweep_density(tiny_config(sweep_n_vehicles=(2, 9), repetitions=1))
+        assert exc.value.keys == ["sweep.n_vehicles[1]"]
