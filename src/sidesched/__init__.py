@@ -14,9 +14,9 @@ from .munkres import max_weight_assignment
 from .pipeline import (CellResult, Draw, derive_seed, draw_cluster, draw_rates,
                        run_cell)
 from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
-                       ingest_sinr, make_clusters, pad_to_square)
-from .sideinfo import (QuantizerSpec, RateMatrix, build_rate_matrices,
-                       quantize, rate_from_sinr)
+                       make_clusters, pad_to_square)
+from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix,
+                       build_rate_matrices, quantize, rate_from_sinr)
 from .solvers import (Assignment, METHODS, SolveStats, evaluate, solve_greedy,
                       solve_oracle, solve_proposed, solve_random,
                       verify_assignment)

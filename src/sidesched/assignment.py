@@ -33,36 +33,66 @@ class ReducedProblem:
     l: int
 
 
-def _check_cost(cost_vector, k: int, l: int) -> np.ndarray:
-    c = np.asarray(cost_vector, dtype=float).ravel()
+def _check_cost(cost_vector, k: int, l: int, level_rates=None) -> np.ndarray:
+    indexed = level_rates is not None
+    c = np.asarray(cost_vector, dtype=None if indexed else float).ravel()
     if k < 1 or l < 1:
         raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={l}")
     if c.size != k * l * l:
         raise ShapeError(
             f"cost vector has {c.size} entries, expected k*l*l = {k * l * l}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost entries must be finite")
+    if not indexed:
+        if not np.all(np.isfinite(c)):
+            raise ValueError("cost entries must be finite")
+        return c
+    if c.dtype.kind not in "iu":
+        raise ValueError(f"level indices must be integers, got {c.dtype}")
+    # the maximal level maps to the maximal rate only while the level-to-
+    # rate map is strictly increasing
+    if not np.all(np.diff(level_rates) > 0):
+        raise ValueError("level rates must be strictly increasing")
     return c
 
 
-def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedProblem:
+def compress(cost_vector, k: int, l: int, beta: float | None = None,
+             level_rates=None) -> ReducedProblem:
     """Per-(vehicle, subframe) block maxima over the K in-subframe slots.
 
     ``beta`` switches the values to the log-sum-exp softening
     (1/beta) * log(sum(exp(beta * c))) per block, which approaches the
     exact maximum from above within (ln K) / beta. The stored argmax is
     the exact one either way, ties resolved to the lowest slot.
+
+    With ``level_rates`` the cost vector holds level indices into it, a
+    quantized decision (``sideinfo.QuantizedRates``). The argmax is then
+    taken over the indices and the maximal level mapped to its rate,
+    which gives the table of ``level_rates[cost_vector]`` bit for bit.
     """
-    c = _check_cost(cost_vector, k, l)
+    c = _check_cost(cost_vector, k, l, level_rates)
     blocks = c.reshape(l, l, k)  # (vehicle, subframe, slot)
-    argmax_slot = blocks.argmax(axis=2).astype(np.int64)
-    # the entry at the argmax is the maximum itself, since c is finite
-    exact = np.take_along_axis(blocks, argmax_slot[..., None], axis=2)[..., 0]
+    if level_rates is None:
+        argmax_slot = blocks.argmax(axis=2).astype(np.int64)
+        # the entry at the argmax is the maximum itself, since c is finite
+        exact = np.take_along_axis(blocks, argmax_slot[..., None], axis=2)[..., 0]
+    else:
+        # level * k + (k - 1 - slot), one slot per row: its maximum over a
+        # block is the maximal level at its lowest slot, and a reduction
+        # across k contiguous rows is faster than an argmax along the
+        # short slot axis
+        key = c.reshape(l * l, k).T.astype(np.int64, order="C")
+        key *= k
+        key += np.arange(k - 1, -1, -1)[:, None]
+        top = np.maximum.reduce(key).reshape(l, l)
+        argmax_slot = k - 1 - top % k
+        level_rates = np.asarray(level_rates, dtype=float)
+        exact = level_rates[top // k]
     if beta is None:
         d = exact
     else:
         if beta <= 0:
             raise ValueError("beta must be positive")
+        if level_rates is not None:
+            blocks = level_rates[blocks]
         d = exact + np.log(np.exp(beta * (blocks - exact[:, :, None])).sum(axis=2)) / beta
     return ReducedProblem(d, argmax_slot, k, l)
 

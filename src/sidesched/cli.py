@@ -65,6 +65,12 @@ def _write_criteria_csv(path, reports):
                         _mbps(rep.std_dev_bps)])
 
 
+def _write_json(path, doc):
+    # one encode and one write; json.dump with indent writes per token
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_summary_json(path, reports):
     series = [{
         "method": rep.method,
@@ -75,9 +81,7 @@ def _write_summary_json(path, reports):
         "std_dev_mbps": _mbps(rep.std_dev_bps),
         "cdf": [[_mbps(x), p] for x, p in rep.cdf],
     } for rep in reports]
-    with open(path, "w") as fh:
-        json.dump({"series": series}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"series": series})
 
 
 def _write_manifest(path, config, runs, extra=None):
@@ -89,9 +93,7 @@ def _write_manifest(path, config, runs, extra=None):
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def _reservations(config: ExperimentConfig, clusters) -> list[dict]:

@@ -35,16 +35,23 @@ class ExperimentConfig:
     cdf_grid_points: int = 30
     quant_lo_db: float = -15.0
     quant_hi_db: float = 35.0
-    sweep_n_vehicles: tuple[int, ...] | None = None  # None: _default_sweep
+    sweep_n_vehicles: tuple[int, ...] | None = None  # None: sweep_densities
     t_sps_pool_s: tuple[float, ...] = DEFAULT_T_SPS_POOL_S
+
+    @property
+    def sweep_densities(self) -> tuple[int, ...]:
+        """``sweep_n_vehicles``, or when unset every tenth density up to
+        the subframe count, or just that count."""
+        if self.sweep_n_vehicles is not None:
+            return self.sweep_n_vehicles
+        l = self.grid.l
+        return tuple(n for n in range(10, 101, 10) if n <= l) or (l,)
 
     def __post_init__(self):
         k, l = self.grid.k, self.grid.l
-        if self.sweep_n_vehicles is None:
-            self.sweep_n_vehicles = _default_sweep(l)
         axes = {"clusters": self.cluster_sizes, "methods": self.methods,
                 "quant.bits": self.bits_list,
-                "sweep.n_vehicles": self.sweep_n_vehicles}
+                "sweep.n_vehicles": self.sweep_densities}
         # an empty axis leaves no cell and a repeated entry runs cells twice
         # (cluster sizes may repeat: each gets its own id)
         bad = [key for key, axis in axes.items() if not axis]
@@ -79,11 +86,6 @@ class ExperimentConfig:
         ) if not ok]
         if bad:
             raise ConfigError(sorted(set(bad)))
-
-
-def _default_sweep(l: int) -> tuple[int, ...]:
-    """Every tenth density up to the subframe count, or just that count."""
-    return tuple(n for n in range(10, 101, 10) if n <= l) or (l,)
 
 
 #: Config-file key -> (ExperimentConfig field, dotted through ``grid`` and

@@ -104,13 +104,13 @@ class SweepRow:
 
 def sweep_density(config: ExperimentConfig) -> list[SweepRow]:
     """Mean-over-repetitions worst vehicle rate per (method, bits, N), over
-    the config's ``sweep_n_vehicles``, ``bits_list`` and ``repetitions``.
+    the config's ``sweep_densities``, ``bits_list`` and ``repetitions``.
 
     Every method at a width runs on the same draw and rates
     (``iter_cells``), so series differ only by algorithm and side
     information granularity.
     """
-    n_vehicles_list = config.sweep_n_vehicles
+    n_vehicles_list = config.sweep_densities
     worst = {(m, b, n): [] for m in config.methods for b in config.bits_list
              for n in n_vehicles_list}
     points = [(f"N={n}", Cluster(id=n, n_vehicles=n)) for n in n_vehicles_list]

@@ -21,9 +21,13 @@ IEEE TAES 2016) where they run out, as with ideal feedback:
    cost[i, j] - u_i - v_j is then non-negative, and the tight (zero)
    edges are exactly the row-maximum entries of the weights.
    Hopcroft-Karp (SIAM J. Comput. 1973) finds a maximum-cardinality
-   matching on the tight edges. When it covers every row it is optimal
-   outright, because the sum of row maxima bounds every matching from
-   above, and steps 2-4 never run.
+   matching on the tight edges. Its first phase, from the empty
+   matching, finds only paths of one edge, so it runs as a row scan:
+   each row in ascending order takes its lowest-index free tight
+   column. The later phases run only while rows are still free. When
+   the matching covers every row it is optimal outright, because the
+   sum of row maxima bounds every matching from above, and steps 2-4
+   never run.
 2. Column reduction, only when no row was set aside (m = n), because
    it raises v: v_j = min_i (cost[i, j] - u_i). This is 0 for every
    column with a tight edge already, and every other column gains one.
@@ -121,8 +125,10 @@ def _solve(cost):
     u = cost.min(axis=1)  # row potentials
     v = np.zeros(n)       # column potentials
     reduced = cost - u[:, None]
-    row_col, col_row = [-1] * m, [-1] * n
-    _tight_matching(_adjacency(reduced == 0), row_col, col_row)
+    tight = reduced == 0
+    row_col, col_row = _scan_rows(tight)
+    if -1 in row_col:
+        _tight_matching(_adjacency(tight), row_col, col_row)
     if m == n and -1 in row_col:
         # column reduction: 0 where a column has a tight edge already,
         # and every other column gains one
@@ -142,6 +148,26 @@ def _solve(cost):
     col_of_row = np.empty(m, dtype=np.int64)
     col_of_row[col_row[matched]] = matched
     return col_of_row
+
+
+def _scan_rows(tight):
+    """Hopcroft-Karp's first phase from the empty matching, as a row scan.
+
+    Every augmenting path of that phase has one edge, and the phase
+    tries the rows in ascending order, so each row takes its
+    lowest-index free tight column. Returns ``(row_col, col_row)``
+    lists, -1 for free entries.
+    """
+    m, n = tight.shape
+    row_col, col_row = [-1] * m, [-1] * n
+    free = np.ones(n, dtype=bool)
+    for i in range(m):
+        cand = tight[i] & free
+        j = int(cand.argmax())
+        if cand[j]:
+            row_col[i], col_row[j] = j, i
+            free[j] = False
+    return row_col, col_row
 
 
 def _adjacency(tight):

@@ -5,12 +5,15 @@ padded with dummy vehicles to a square, with its fine-grained (truth)
 rates, which are the same at every width. Its *rates* at one feedback width
 (``draw_rates``) are the (decision, truth) pair a scheduler decides on
 and is scored on, with the decision's block table (``compress``) that
-proposed and greedy read. A *cell* (``run_cell``) runs one method on
-those rates: it solves, checks the assignment for subframe conflicts and
-scores it. The one cell loop, ``metrics.iter_cells``, nests
-repetition x cluster, then width, then method, so each draw is computed
-once and each width's rates once per draw, shared by every method; each
-draw is released before the next one is made.
+proposed and greedy read. A quantized decision is the level index of
+every entry plus the 2**bits level rates: its block table is built from
+the indices, and scores read the rates only at the chosen entries. A
+*cell* (``run_cell``) runs one method on those rates: it solves, checks
+the assignment for subframe conflicts and scores it. The one cell loop,
+``metrics.iter_cells``, nests repetition x cluster, then width, then
+method, so each draw is computed once and each width's rates once per
+draw, shared by every method; each draw is released before the next one
+is made.
 
 Seeds are derived hierarchically from the master seed through
 SeedSequence spawn keys, making every stage a pure function of its
@@ -29,8 +32,8 @@ from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
                        pad_to_square)
-from .sideinfo import (QuantizerSpec, RateMatrix, build_rate_matrices,
-                       rate_from_sinr)
+from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix,
+                       build_rate_matrices, rate_from_sinr)
 from .solvers import (SolveStats, evaluate, solve_greedy, solve_oracle,
                       solve_proposed, solve_random, verify_assignment)
 
@@ -76,19 +79,24 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
 
 def draw_rates(grid: ResourceGrid, draw: Draw, bits: int, quant_lo_db: float,
                quant_hi_db: float
-               ) -> tuple[RateMatrix, RateMatrix, ReducedProblem]:
+               ) -> tuple[RateMatrix | QuantizedRates, RateMatrix, ReducedProblem]:
     """(decision, truth, block table of decision) of a draw at ``bits``.
 
     ``bits=0`` is ideal feedback, and the quantizer range is then unused.
     """
     q = QuantizerSpec(bits, quant_lo_db, quant_hi_db) if bits else None
     decision, truth = build_rate_matrices(draw.sinr, q, grid.b_hz, truth=draw.truth)
-    return decision, truth, compress(decision.values.ravel(), grid.k, grid.l)
+    if q is None:
+        reduced = compress(decision.values.ravel(), grid.k, grid.l)
+    else:
+        reduced = compress(decision.idx.ravel(), grid.k, grid.l,
+                           level_rates=decision.level_rates)
+    return decision, truth, reduced
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,
-             rates: tuple[RateMatrix, RateMatrix, ReducedProblem], bits: int,
-             method: str, solver_seed: int = 0) -> CellResult:
+             rates: tuple[RateMatrix | QuantizedRates, RateMatrix, ReducedProblem],
+             bits: int, method: str, solver_seed: int = 0) -> CellResult:
     """Solve, check and score one method on a draw's rates at ``bits``.
 
     Every assignment is checked for subframe conflicts before it is

@@ -1,21 +1,18 @@
-"""Per-cluster SINR side information: synthetic models and CSV ingestion.
+"""Per-cluster SINR side information: synthetic models and dummy padding.
 
 A cluster's side information is an N x (K*L) matrix of fine-grained SINR
 in dB, one row per vehicle and one column per subchannel of the window.
-The scheduling math consumes only this matrix, so where it comes from is
-pluggable: seeded statistical models here, or externally measured values
-via ``ingest_sinr``.
+The scheduling math consumes only this matrix; here it is drawn from
+seeded statistical models.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ParseError, ShapeError, require
+from .errors import InfeasibleError, ShapeError, require
 from .grid import ResourceGrid
 
 SCENARIO_KINDS = ("uniform", "gaussian", "two-state")
@@ -109,52 +106,6 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
         vals = rng.normal(centers, model.std_db, shape)
     vals = np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db)
     return SinrMatrix(cluster.id, vals)
-
-
-def ingest_sinr(path, cluster: Cluster, grid: ResourceGrid) -> SinrMatrix:
-    """Read externally produced SINR values.
-
-    Expected layout: header ``vehicle,<k0>,<k1>,...`` naming one column
-    per subchannel, then one row per vehicle whose first cell is the
-    vehicle label. Errors carry the 1-based data row and column.
-    """
-    expected = grid.n_subchannels
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0].strip().lower() != "vehicle":
-            raise ParseError(f"{path}: header must start with 'vehicle'")
-        if len(header) - 1 != expected:
-            raise ShapeError(
-                f"{path}: header names {len(header) - 1} subchannel columns, "
-                f"grid has {expected}")
-        rows = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) - 1 != expected:
-                raise ShapeError(
-                    f"{path}: row {r} has {len(record) - 1} value columns, "
-                    f"expected {expected}")
-            parsed = []
-            for c, cell in enumerate(record[1:], start=1):
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {r}, column {c}: {cell!r} is not a number",
-                        row=r, col=c) from None
-                if not math.isfinite(x):
-                    raise ParseError(
-                        f"{path}: row {r}, column {c}: non-finite value {cell!r}",
-                        row=r, col=c)
-                parsed.append(x)
-            rows.append(parsed)
-    if len(rows) != cluster.n_vehicles:
-        raise ShapeError(
-            f"{path}: {len(rows)} vehicle rows for a cluster of {cluster.n_vehicles}")
-    return SinrMatrix(cluster.id, np.array(rows, dtype=float))
 
 
 def pad_to_square(matrix: SinrMatrix, grid: ResourceGrid, floor_db: float = -15.0):

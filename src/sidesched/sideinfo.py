@@ -3,7 +3,9 @@
 Assignments are decided on quantized reconstructions but judged on the
 fine-grained values, so rate matrices come as a (decision, truth) pair.
 The quantizer is uniform over a dB range with midpoint reconstruction;
-bin width is (hi - lo) / 2**bits.
+bin width is (hi - lo) / 2**bits. A quantized decision is a bin index per
+entry plus the rates of the 2**bits reconstruction levels
+(``QuantizedRates``); its float matrix is built only on demand.
 """
 
 from __future__ import annotations
@@ -89,6 +91,40 @@ class RateMatrix:
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("rates must be finite and non-negative")
 
+    def at(self, rows, cols) -> np.ndarray:
+        """Rates of the (rows[i], cols[i]) entries."""
+        return self.values[rows, cols]
+
+
+@dataclass
+class QuantizedRates:
+    """Quantized decision rates: a level index per (vehicle, subchannel)
+    and the rate of each level, in bits/s.
+
+    Only the 2**bits level rates are checked; the indices come from
+    ``_bin_index`` and lie in range by construction.
+    """
+
+    cluster_id: int
+    idx: np.ndarray          # (N, K*L) int64 level indices
+    level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
+
+    def __post_init__(self):
+        self.level_rates = np.asarray(self.level_rates, dtype=float)
+        if np.ndim(self.idx) != 2 or self.level_rates.ndim != 1:
+            raise ValueError("need a 2-D index matrix and a 1-D level table")
+        if not np.all(np.isfinite(self.level_rates)) or np.any(self.level_rates < 0):
+            raise ValueError("rates must be finite and non-negative")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The float decision matrix, built on each access."""
+        return self.level_rates[self.idx]
+
+    def at(self, rows, cols) -> np.ndarray:
+        """Rates of the (rows[i], cols[i]) entries."""
+        return self.level_rates[self.idx[rows, cols]]
+
 
 def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
                         truth: RateMatrix | None = None):
@@ -101,17 +137,16 @@ def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
     that builds several widths of one draw passes them in as ``truth``,
     which is returned as it is; otherwise they are computed here.
 
-    A quantized decision matrix is looked up, by bin index, in the rates
-    of the 2**bits reconstruction levels. Each level comes from the same
-    float expression ``quantize`` applies per entry, so the lookup equals
-    the rate of the reconstruction bit for bit, and the decision matrix
-    takes no transcendental pass of its own.
+    A quantized decision is a ``QuantizedRates``: the bin index of every
+    entry and the rates of the 2**bits reconstruction levels. Each level
+    comes from the same float expression ``quantize`` applies per entry,
+    so ``level_rates[idx]`` equals the rate of the reconstruction bit for
+    bit, and no N x KL float matrix is built.
     """
     if truth is None:
         truth = RateMatrix(sinr.cluster_id, rate_from_sinr(b_hz, sinr.values))
     if q is None:
-        decision_vals = truth.values.copy()
-    else:
-        level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
-        decision_vals = level_rates[_bin_index(q, sinr.values)]
-    return RateMatrix(sinr.cluster_id, decision_vals), truth
+        return RateMatrix(sinr.cluster_id, truth.values.copy()), truth
+    level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
+    return QuantizedRates(sinr.cluster_id, _bin_index(q, sinr.values),
+                          level_rates), truth

@@ -21,7 +21,7 @@ from .munkres import max_weight_assignment
 
 if TYPE_CHECKING:
     from .assignment import ReducedProblem
-    from .sideinfo import RateMatrix
+    from .sideinfo import QuantizedRates, RateMatrix
 
 METHODS = ("proposed", "greedy", "random", "oracle")
 
@@ -66,9 +66,20 @@ def shared_subframes(vehicles, subchannels, subframes) -> list[str]:
 
 
 def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
-    """Raise ConstraintViolation when two vehicles share a subframe."""
-    vehicles = sorted(assignment.pairs)
-    subchannels = [assignment.pairs[i] for i in vehicles]
+    """Raise ConstraintViolation when two vehicles share a subframe, and
+    IndexError on a subchannel outside the grid.
+
+    A feasible assignment takes one range check and one count per
+    subframe; the messages are built only when the count finds a clash.
+    """
+    pairs = assignment.pairs
+    subchannels = np.fromiter(pairs.values(), np.int64, len(pairs))
+    if not subchannels.size or (
+            subchannels.min() >= 0 and subchannels.max() < grid.n_subchannels
+            and np.bincount(subchannels // grid.k).max() < 2):
+        return
+    vehicles = sorted(pairs)
+    subchannels = [pairs[i] for i in vehicles]
     clashes = shared_subframes(vehicles, subchannels,
                                [subframe_of(grid, sc) for sc in subchannels])
     if clashes:
@@ -118,7 +129,7 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
     return Assignment(cluster_id, pairs, "random")
 
 
-def solve_oracle(decision: RateMatrix, grid: ResourceGrid) -> Assignment:
+def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> Assignment:
     """Exhaustive optimum over every subframe injection and slot choice.
 
     Slot choices factor per vehicle (one vehicle per subframe), so each
@@ -153,17 +164,21 @@ def solve_oracle(decision: RateMatrix, grid: ResourceGrid) -> Assignment:
     return Assignment(decision.cluster_id, pairs, "oracle")
 
 
-def evaluate(assignment: Assignment, decision: RateMatrix, truth: RateMatrix,
-             dummy_mask=None, runtime_s: float = 0.0):
+def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
+             truth: RateMatrix | QuantizedRates, dummy_mask=None,
+             runtime_s: float = 0.0):
     """Strip dummies; return SolveStats and per-real-vehicle truth rates.
 
     Rates come back in ascending vehicle order. Both sums cover real
-    vehicles only.
+    vehicles only, and each rate matrix is read only at the chosen
+    entries.
     """
-    rows = [i for i in sorted(assignment.pairs)
-            if dummy_mask is None or not dummy_mask[i]]
-    cols = [assignment.pairs[i] for i in rows]
-    truth_rates = truth.values[rows, cols].astype(float)
-    dec_sum = float(decision.values[rows, cols].sum())
+    rows, cols = np.array(sorted(assignment.pairs.items()),
+                          dtype=np.int64).reshape(-1, 2).T
+    if dummy_mask is not None:
+        real = ~np.asarray(dummy_mask)[rows]
+        rows, cols = rows[real], cols[real]
+    truth_rates = truth.at(rows, cols)
+    dec_sum = float(decision.at(rows, cols).sum())
     stats = SolveStats(dec_sum, float(truth_rates.sum()), runtime_s)
     return stats, truth_rates

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import ConstraintViolation, ShapeError
+from sidesched.scenario import SinrMatrix
+from sidesched.sideinfo import QuantizerSpec, build_rate_matrices
 from util import (assignment_to_x, brute_full_optimum, brute_max_matching,
                   build_constraint_matrix)
 
@@ -124,6 +128,52 @@ class TestCompress:
     def test_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
             compress([1.0, 2.0, 3.0], 2, 2)
+
+
+@st.composite
+def quantized_draws(draw):
+    """(quantizer, k, l, SINR) with entries at, and one ulp around, every
+    bin edge, and some rows constant across the window."""
+    q = QuantizerSpec(bits=draw(st.integers(1, 8)))
+    k, l = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    edges = q.lo_db + np.arange(q.levels + 1) * q.bin_width_db
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf)])
+    values = st.one_of(st.sampled_from(near.tolist()), st.floats(-40.0, 60.0))
+    sinr = draw(arrays(float, (l, k * l), elements=values))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=l, max_size=l)))
+    sinr[constant] = sinr[constant, :1]
+    return q, k, l, sinr
+
+
+class TestCompressLevelIndices:
+    """The block table built from level indices, as quantized widths build it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=quantized_draws())
+    def test_equals_table_of_level_rates_bit_for_bit(self, case):
+        q, k, l, sinr = case
+        dec, _ = build_rate_matrices(SinrMatrix(0, sinr), q, 1.26e6)
+        got = compress(dec.idx.ravel(), k, l, level_rates=dec.level_rates)
+        ref = compress(dec.level_rates[dec.idx].ravel(), k, l)
+        assert got.d.dtype == ref.d.dtype == np.float64
+        assert got.d.tobytes() == ref.d.tobytes()
+        assert got.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
+        np.testing.assert_array_equal(got.argmax_slot, ref.argmax_slot)
+        soft = compress(dec.idx.ravel(), k, l, beta=1e-6,
+                        level_rates=dec.level_rates)
+        assert soft.d.tobytes() == compress(dec.values.ravel(), k, l,
+                                            beta=1e-6).d.tobytes()
+
+    def test_rejects_rates_that_do_not_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            compress([0, 1], 2, 1, level_rates=[1.0, 1.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            compress([0, 1], 2, 1, level_rates=[2.0, 1.0])
+
+    def test_rejects_float_indices(self):
+        with pytest.raises(ValueError, match="integers"):
+            compress([0.0, 1.0], 2, 1, level_rates=[1.0, 2.0])
 
 
 class TestExpandSolution:

@@ -204,11 +204,27 @@ class TestConfigParsing:
         assert cfg.cluster_sizes == (4, 4)
 
     def test_default_sweep_fits_the_grid(self):
+        # an unset sweep stays unset and is derived from the grid on read
         cfg = config_from_dict(tiny_raw())
-        assert cfg.sweep_n_vehicles == (6,)
-        assert replace(cfg, sweep_n_vehicles=None).sweep_n_vehicles == (6,)
+        assert cfg.sweep_n_vehicles is None
+        assert cfg.sweep_densities == (6,)
+        assert replace(cfg, sweep_n_vehicles=None).sweep_densities == (6,)
         raw = tiny_raw(grid={"k_subchannels": 2, "l_subframes": 35})
-        assert config_from_dict(raw).sweep_n_vehicles == (10, 20, 30)
+        assert config_from_dict(raw).sweep_densities == (10, 20, 30)
+
+    def test_default_sweep_follows_a_replaced_grid(self):
+        cfg = replace(config_from_dict({}), grid=ResourceGrid(k=7, l=50),
+                      cluster_sizes=(50,))
+        assert cfg.sweep_n_vehicles is None
+        assert cfg.sweep_densities == (10, 20, 30, 40, 50)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("full_scale", "f781d49b9253440d2ce4930bbc42e25253769fdfc717058783136d59bb394945"),
+        ("smoke", "7d50d1117e31afe0e55f5740a833bd0bebdd5bebca350f24c6cf9d8e9b1aaf83"),
+    ])
+    def test_shipped_config_hashes_are_pinned(self, name, digest):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        assert config_hash(load_config(path)) == digest
 
     @pytest.mark.parametrize("key, value", [
         ("scenario.p_t_dbm", math.inf),

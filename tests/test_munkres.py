@@ -16,7 +16,7 @@ from sidesched.grid import ResourceGrid
 from sidesched.munkres import max_weight_assignment
 from sidesched.scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, build_rate_matrices
-from util import brute_max_matching
+from util import brute_max_matching, hopcroft_karp_first_phase
 
 
 def scipy_min_cost(cost):
@@ -296,6 +296,27 @@ class TestInitialisationPhases:
             for i, j in enumerate(row_col):
                 if j >= 0:
                     assert slack[i, j] <= u[i] + 1e-9
+
+
+class TestRowScan:
+    """The row scan that replaced Hopcroft-Karp's first phase."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 60), extra=st.integers(0, 60), k=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=1, extra=0, k=0, seed=0)
+    @example(m=40, extra=0, k=1, seed=3)
+    def test_equals_first_hopcroft_karp_phase(self, m, extra, k, seed):
+        cost = np.random.default_rng(seed).integers(
+            0, k + 1, (m, m + extra)).astype(float)
+        tight = cost - cost.min(axis=1)[:, None] == 0
+        assert munkres._scan_rows(tight) == hopcroft_karp_first_phase(tight)
+
+    def test_rows_without_a_free_tight_column_stay_free(self):
+        tight = np.array([[False, True, True],
+                          [False, True, False],
+                          [True, True, False]])
+        assert munkres._scan_rows(tight) == ([1, -1, 0], [2, 0, -1])
 
 
 @contextmanager

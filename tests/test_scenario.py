@@ -1,13 +1,12 @@
-"""Synthetic SINR models, CSV ingestion, dummy padding."""
+"""Synthetic SINR models and dummy padding."""
 
 import numpy as np
 import pytest
 
-from sidesched.errors import InfeasibleError, ParseError, ShapeError
+from sidesched.errors import InfeasibleError, ShapeError
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import (Cluster, ScenarioModel, SinrMatrix,
-                                generate_sinr, ingest_sinr, make_clusters,
-                                pad_to_square)
+                                generate_sinr, make_clusters, pad_to_square)
 from util import clamped_normal_mean
 
 
@@ -102,57 +101,6 @@ class TestGenerateSinr:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             ScenarioModel(sinr_floor_db=5.0, sinr_ceil_db=5.0)
-
-
-class TestIngestSinr:
-    def _grid(self):
-        return ResourceGrid(k=2, l=2)
-
-    def test_round_trip(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("vehicle,0,1,2,3\nv0,1.5,2.5,3.5,4.5\nv1,-1,0,1,2\n")
-        m = ingest_sinr(p, Cluster(0, 2), self._grid())
-        np.testing.assert_allclose(m.values,
-                                   [[1.5, 2.5, 3.5, 4.5], [-1, 0, 1, 2]])
-
-    def test_column_count_mismatch(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("vehicle,0,1,2\nv0,1,2,3\n")
-        with pytest.raises(ShapeError):
-            ingest_sinr(p, Cluster(0, 1), self._grid())
-
-    def test_row_count_mismatch(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("vehicle,0,1,2,3\nv0,1,2,3,4\n")
-        with pytest.raises(ShapeError):
-            ingest_sinr(p, Cluster(0, 2), self._grid())
-
-    def test_nan_cell_names_location(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("vehicle,0,1,2,3\nv0,1,2,3,4\nv1,1,NaN,3,4\n")
-        with pytest.raises(ParseError) as exc:
-            ingest_sinr(p, Cluster(0, 2), self._grid())
-        assert exc.value.row == 2
-        assert exc.value.col == 2
-
-    def test_non_numeric_cell(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("vehicle,0,1,2,3\nv0,1,2,oops,4\n")
-        with pytest.raises(ParseError) as exc:
-            ingest_sinr(p, Cluster(0, 1), self._grid())
-        assert (exc.value.row, exc.value.col) == (1, 3)
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("")
-        with pytest.raises(ParseError):
-            ingest_sinr(p, Cluster(0, 1), self._grid())
-
-    def test_missing_header_word(self, tmp_path):
-        p = tmp_path / "sinr.csv"
-        p.write_text("car,0,1,2,3\nv0,1,2,3,4\n")
-        with pytest.raises(ParseError):
-            ingest_sinr(p, Cluster(0, 1), self._grid())
 
 
 class TestPadToSquare:

@@ -10,10 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import CapacityError, ConstraintViolation, InfeasibleError
-from sidesched.grid import ResourceGrid
+from sidesched.grid import ResourceGrid, subframe_of
 from sidesched.sideinfo import RateMatrix
-from sidesched.solvers import (evaluate, solve_greedy, solve_oracle,
-                               solve_proposed, solve_random, verify_assignment)
+from sidesched.solvers import (Assignment, evaluate, shared_subframes,
+                               solve_greedy, solve_oracle, solve_proposed,
+                               solve_random, verify_assignment)
 from util import brute_full_optimum, greedy_full_matrix
 
 
@@ -245,3 +246,49 @@ class TestVerifyAndEvaluate:
                             dec, dec, dummy_mask=mask)
         assert stats.sum_rate_truth_bps == 1.0
         assert v.shape == (1,)
+
+
+def verify_by_messages(assignment, grid):
+    """``verify_assignment`` without its counting fast path."""
+    vehicles = sorted(assignment.pairs)
+    subchannels = [assignment.pairs[i] for i in vehicles]
+    clashes = shared_subframes(vehicles, subchannels,
+                               [subframe_of(grid, sc) for sc in subchannels])
+    if clashes:
+        raise ConstraintViolation(clashes[0])
+
+
+def outcome(check, assignment, grid):
+    try:
+        check(assignment, grid)
+    except (ConstraintViolation, IndexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestVerifyFastPath:
+    def test_first_clash_message(self):
+        g = ResourceGrid(k=7, l=100)
+        # subframe 1 clashes first in vehicle order, then subframe 0
+        a = Assignment(0, {4: 3, 0: 9, 1: 5, 2: 12, 3: 699}, "greedy")
+        with pytest.raises(ConstraintViolation) as exc:
+            verify_assignment(a, g)
+        assert str(exc.value) == (
+            "vehicles 0 and 2 share subframe 1 (subchannels 9 and 12)")
+
+    @pytest.mark.parametrize("sc", [700, -1, 10**6])
+    def test_out_of_range_raises_index_error(self, sc):
+        g = ResourceGrid(k=7, l=100)
+        with pytest.raises(IndexError, match=f"subchannel index {sc} outside"):
+            verify_assignment(Assignment(0, {0: 3, 1: sc, 2: 4}, "greedy"), g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 4), l=st.integers(1, 8),
+           subchannels=st.lists(st.integers(-2, 34), max_size=10),
+           order=st.randoms(use_true_random=False))
+    def test_same_outcome_as_the_messages(self, k, l, subchannels, order):
+        vehicles = list(range(len(subchannels)))
+        order.shuffle(vehicles)  # insertion order must not matter
+        g = ResourceGrid(k=k, l=l)
+        a = Assignment(0, dict(zip(vehicles, subchannels)), "greedy")
+        assert outcome(verify_assignment, a, g) == outcome(verify_by_messages, a, g)

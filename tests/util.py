@@ -95,3 +95,66 @@ def clamped_normal_mean(mu, sigma, lo, hi):
             + hi * (1.0 - Phi(b))
             + mu * (Phi(b) - Phi(a))
             - sigma * (phi(b) - phi(a)))
+
+
+
+def hopcroft_karp_first_phase(tight):
+    """One Hopcroft-Karp phase from the empty matching on a boolean m x n
+    ``tight``, as the kernel ran it before its row scan: breadth-first
+    layers from the free rows, then a depth-first search for a shortest
+    augmenting path from each free row in ascending order, each row trying
+    its tight columns in ascending order. Returns ``(row_col, col_row)``
+    lists, -1 for free entries.
+    """
+    tight = np.asarray(tight, dtype=bool)
+    m, n = tight.shape
+    adj = [np.flatnonzero(tight[i]).tolist() for i in range(m)]
+    row_col, col_row = [-1] * m, [-1] * n
+    dist = [m] * m  # m marks a row not reached in this phase
+
+    def layer_rows():
+        queue = [i for i in range(m) if row_col[i] < 0]
+        for i in queue:
+            dist[i] = 0
+        for i in queue:
+            for j in adj[i]:
+                r = col_row[j]
+                if r < 0:
+                    return dist[i]
+                if dist[r] == m:
+                    dist[r] = dist[i] + 1
+                    queue.append(r)
+        return None
+
+    def augment_from(root):
+        rows, cols = [root], []
+        while rows:
+            i = rows[-1]
+            a = adj[i]
+            while nxt[i] < len(a):
+                j = a[nxt[i]]
+                nxt[i] += 1
+                r = col_row[j]
+                if r < 0:
+                    cols.append(j)
+                    for row, col in zip(rows, cols):
+                        row_col[row] = col
+                        col_row[col] = row
+                    return
+                if dist[i] < shortest and dist[r] == dist[i] + 1:
+                    rows.append(r)
+                    cols.append(j)
+                    break
+            else:
+                dist[i] = -1
+                rows.pop()
+                if cols:
+                    cols.pop()
+
+    shortest = layer_rows()
+    if shortest is not None:
+        nxt = [0] * m
+        for root in range(m):
+            if row_col[root] < 0:
+                augment_from(root)
+    return row_col, col_row
