@@ -161,8 +161,9 @@ def _scan_rows(tight):
     m, n = tight.shape
     row_col, col_row = [-1] * m, [-1] * n
     free = np.ones(n, dtype=bool)
+    cand = np.empty(n, dtype=bool)
     for i in range(m):
-        cand = tight[i] & free
+        np.logical_and(tight[i], free, out=cand)
         j = int(cand.argmax())
         if cand[j]:
             row_col[i], col_row[j] = j, i

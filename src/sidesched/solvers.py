@@ -173,8 +173,10 @@ def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
     vehicles only, and each rate matrix is read only at the chosen
     entries.
     """
-    rows, cols = np.array(sorted(assignment.pairs.items()),
-                          dtype=np.int64).reshape(-1, 2).T
+    pairs = assignment.pairs
+    vehicles = sorted(pairs)
+    rows = np.fromiter(vehicles, np.int64, len(vehicles))
+    cols = np.fromiter(map(pairs.__getitem__, vehicles), np.int64, len(vehicles))
     if dummy_mask is not None:
         real = ~np.asarray(dummy_mask)[rows]
         rows, cols = rows[real], cols[real]
