@@ -47,6 +47,11 @@ def _check_cost(cost_vector, k: int, l: int, level_rates=None) -> np.ndarray:
         return c
     if c.dtype.kind not in "iu":
         raise ValueError(f"level indices must be integers, got {c.dtype}")
+    # compress keeps its keys in a type sized by the level count, so an
+    # index out of range would wrap instead of failing
+    n_levels = len(level_rates)
+    if c.max() >= n_levels or (c.dtype.kind == "i" and c.min() < 0):
+        raise ValueError(f"level indices must lie in 0..{n_levels - 1}")
     # the maximal level maps to the maximal rate only while the level-to-
     # rate map is strictly increasing
     if not np.all(np.diff(level_rates) > 0):
@@ -78,13 +83,15 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None,
         # level * k + (k - 1 - slot), one slot per row: its maximum over a
         # block is the maximal level at its lowest slot, and a reduction
         # across k contiguous rows is faster than an argmax along the
-        # short slot axis
-        key = c.reshape(l * l, k).T.astype(np.int64, order="C")
-        key *= k
-        key += np.arange(k - 1, -1, -1)[:, None]
-        top = np.maximum.reduce(key).reshape(l, l)
-        argmax_slot = k - 1 - top % k
+        # short slot axis. The keys are kept in the narrowest type that
+        # holds the largest one (uint16 for 256 levels at k = 7).
         level_rates = np.asarray(level_rates, dtype=float)
+        key_type = np.min_scalar_type(level_rates.size * k - 1)
+        key = c.reshape(l * l, k).T.astype(key_type, order="C")
+        key *= k
+        key += np.arange(k - 1, -1, -1, dtype=key_type)[:, None]
+        top = np.maximum.reduce(key).reshape(l, l)
+        argmax_slot = k - 1 - (top % k).astype(np.int64)
         exact = level_rates[top // k]
     if beta is None:
         d = exact

@@ -35,12 +35,12 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
             for label, cluster in points:
                 where[:] = [label, f"repetition {rep}"]
                 seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
-                draw = draw_cluster(grid, config.scenario, cluster, seed)
+                draw = draw_cluster(grid, config.scenario, cluster, seed,
+                                    config.quant_lo_db, config.quant_hi_db)
                 solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
                 for bits in config.bits_list:
                     where[2:] = [f"{bits} bits"]
-                    rates = draw_rates(grid, draw, bits, config.quant_lo_db,
-                                       config.quant_hi_db)
+                    rates = draw_rates(grid, draw, bits)
                     for method in config.methods:
                         where[3:] = [f"method {method}"]
                         yield rep, cluster, run_cell(grid, draw, rates, bits,

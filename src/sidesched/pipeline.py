@@ -2,11 +2,14 @@
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster,
 padded with dummy vehicles to a square, with its fine-grained (truth)
-rates, which are the same at every width. Its *rates* at one feedback width
+rates and its 8-bit quantizer index over the configured dB range, both
+the same at every width. Its *rates* at one feedback width
 (``draw_rates``) are the (decision, truth) pair a scheduler decides on
 and is scored on, with the decision's block table (``compress``) that
 proposed and greedy read. A quantized decision is the level index of
-every entry plus the 2**bits level rates: its block table is built from
+every entry plus the 2**bits level rates; the b-bit indices are the
+draw's 8-bit index shifted right by 8 - b, which equals the b-bit
+quantizer bit for bit (``sideinfo``). Its block table is built from
 the indices, and scores read the rates only at the chosen entries. A
 *cell* (``run_cell``) runs one method on those rates: it solves, checks
 the assignment for subframe conflicts and scores it. The one cell loop,
@@ -32,7 +35,7 @@ from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
                        pad_to_square)
-from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix,
+from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix, _fine_index,
                        build_rate_matrices, rate_from_sinr)
 from .solvers import (SolveStats, evaluate, solve_greedy, solve_oracle,
                       solve_proposed, solve_random, verify_assignment)
@@ -58,6 +61,8 @@ class Draw:
     sinr: SinrMatrix
     dummy_mask: np.ndarray  # True where a row is a padding dummy
     truth: RateMatrix       # fine-grained rates of ``sinr``
+    quant_range: tuple[float, float]  # (lo_db, hi_db) of every quantized width
+    fine: np.ndarray        # uint8 8-bit index of ``sinr`` over ``quant_range``
 
 
 @dataclass
@@ -69,23 +74,28 @@ class CellResult:
 
 
 def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
-                 scenario_seed: int) -> Draw:
-    """The cluster's channel draw; depends only on the seed and the cluster."""
+                 scenario_seed: int, quant_lo_db: float, quant_hi_db: float
+                 ) -> Draw:
+    """The cluster's channel draw, quantized over [quant_lo_db, quant_hi_db];
+    depends only on the seed, the cluster and the range."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
     padded, dummy_mask = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
     truth = RateMatrix(padded.cluster_id, rate_from_sinr(grid.b_hz, padded.values))
-    return Draw(cluster, padded, dummy_mask, truth)
+    fine = _fine_index(quant_lo_db, quant_hi_db, padded.values)
+    return Draw(cluster, padded, dummy_mask, truth, (quant_lo_db, quant_hi_db),
+                fine)
 
 
-def draw_rates(grid: ResourceGrid, draw: Draw, bits: int, quant_lo_db: float,
-               quant_hi_db: float
+def draw_rates(grid: ResourceGrid, draw: Draw, bits: int
                ) -> tuple[RateMatrix | QuantizedRates, RateMatrix, ReducedProblem]:
     """(decision, truth, block table of decision) of a draw at ``bits``.
 
-    ``bits=0`` is ideal feedback, and the quantizer range is then unused.
+    ``bits=0`` is ideal feedback; every other width shifts the draw's
+    8-bit index.
     """
-    q = QuantizerSpec(bits, quant_lo_db, quant_hi_db) if bits else None
-    decision, truth = build_rate_matrices(draw.sinr, q, grid.b_hz, truth=draw.truth)
+    q = QuantizerSpec(bits, *draw.quant_range) if bits else None
+    decision, truth = build_rate_matrices(draw.sinr, q, grid.b_hz,
+                                          truth=draw.truth, fine=draw.fine)
     if q is None:
         reduced = compress(decision.values.ravel(), grid.k, grid.l)
     else:

@@ -6,6 +6,17 @@ The quantizer is uniform over a dB range with midpoint reconstruction;
 bin width is (hi - lo) / 2**bits. A quantized decision is a bin index per
 entry plus the rates of the 2**bits reconstruction levels
 (``QuantizedRates``); its float matrix is built only on demand.
+
+Widths nest: the b-bit index of a value is its 8-bit index shifted right
+by 8 - b, bit for bit. The b-bit bin width is the 8-bit one times the
+power of two 2**(8 - b), and correctly rounded division commutes with
+power-of-two scaling, so the b-bit quotient is the 8-bit quotient over
+2**(8 - b) exactly (a quotient below 1 floors to 0 at every width);
+floor(y / 2**s) is floor(y) >> s for y >= 0; the top-edge fold of 256
+to 255 shifts to 2**b - 1; and max(x - lo, 0) agrees with
+clip(x, lo, hi) - lo on the range, is 0 below it and reaches 256 bins
+above it either way. So a value is quantized once, at 8 bits, and every
+width reads that one index.
 """
 
 from __future__ import annotations
@@ -39,15 +50,18 @@ class QuantizerSpec:
         return (self.hi_db - self.lo_db) / self.levels
 
 
+def _fine_index(lo_db: float, hi_db: float, sinr_db) -> np.ndarray:
+    """The uint8 8-bit bin index over [lo_db, hi_db]; see the module notes."""
+    x = np.subtract(sinr_db, lo_db, out=np.empty(np.shape(sinr_db)), dtype=float)
+    np.maximum(x, 0.0, out=x)
+    x /= (hi_db - lo_db) / 256
+    np.minimum(x, 255.0, out=x)
+    return x.astype(np.uint8)  # truncation is floor on non-negative values
+
+
 def _bin_index(q: QuantizerSpec, sinr_db) -> np.ndarray:
-    # floor((clip(x) - lo) / width), op for op, in place on a private copy
-    x = np.array(sinr_db, dtype=float)
-    np.clip(x, q.lo_db, q.hi_db, out=x)
-    x -= q.lo_db
-    x /= q.bin_width_db
-    np.floor(x, out=x)
-    np.minimum(x, q.levels - 1, out=x)
-    return x.astype(np.int64)
+    """The uint8 b-bit index: the top ``q.bits`` bits of the 8-bit one."""
+    return _fine_index(q.lo_db, q.hi_db, sinr_db) >> (8 - q.bits)
 
 
 def _reconstruct(q: QuantizerSpec, idx) -> np.ndarray:
@@ -60,7 +74,7 @@ def quantize(q: QuantizerSpec, sinr_db):
     Values are clamped to [lo, hi] first; the top edge folds into the
     last bin. Scalar in gives (int, float) out, arrays are elementwise.
     """
-    idx = _bin_index(q, sinr_db)
+    idx = np.asarray(_bin_index(q, sinr_db), dtype=np.int64)
     recon = _reconstruct(q, idx)
     if np.ndim(sinr_db) == 0:
         return int(idx), float(recon)
@@ -106,7 +120,7 @@ class QuantizedRates:
     """
 
     cluster_id: int
-    idx: np.ndarray          # (N, K*L) int64 level indices
+    idx: np.ndarray          # (N, K*L) uint8 level indices
     level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
 
     def __post_init__(self):
@@ -127,7 +141,8 @@ class QuantizedRates:
 
 
 def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
-                        truth: RateMatrix | None = None):
+                        truth: RateMatrix | None = None,
+                        fine: np.ndarray | None = None):
     """(decision, truth) rate pair for one cluster.
 
     The decision matrix is what the scheduler sees: rates of the
@@ -135,7 +150,10 @@ def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
     ``q`` is None (ideal feedback). The truth matrix always holds the
     fine-grained rates. They are the same at every width, so a caller
     that builds several widths of one draw passes them in as ``truth``,
-    which is returned as it is; otherwise they are computed here.
+    which is returned as it is; otherwise they are computed here. In the
+    same way ``fine``, the 8-bit index of ``sinr`` over the range of ``q``
+    (``_fine_index``), is shifted to the width of ``q`` when it is given,
+    and computed here otherwise.
 
     A quantized decision is a ``QuantizedRates``: the bin index of every
     entry and the rates of the 2**bits reconstruction levels. Each level
@@ -147,6 +165,8 @@ def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
         truth = RateMatrix(sinr.cluster_id, rate_from_sinr(b_hz, sinr.values))
     if q is None:
         return RateMatrix(sinr.cluster_id, truth.values.copy()), truth
+    if fine is None:
+        fine = _fine_index(q.lo_db, q.hi_db, sinr.values)
     level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
-    return QuantizedRates(sinr.cluster_id, _bin_index(q, sinr.values),
+    return QuantizedRates(sinr.cluster_id, fine >> (8 - q.bits),
                           level_rates), truth

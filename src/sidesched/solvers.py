@@ -106,13 +106,13 @@ def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
     k, l = reduced.k, reduced.l
     if n_vehicles > l:
         raise InfeasibleError(f"{n_vehicles} vehicles exceed {l} subframes")
-    free = np.ones(l, dtype=bool)
+    # a claimed subframe's column reads -inf in every row still to come
+    dm = np.array(reduced.d[:n_vehicles], dtype=float)
     pairs = {}
     for i in range(n_vehicles):
-        masked = np.where(free, reduced.d[i], -np.inf)
-        f = int(masked.argmax())  # first hit = lowest subframe on ties
+        f = int(dm[i].argmax())  # first hit = lowest subframe on ties
         pairs[i] = f * k + int(reduced.argmax_slot[i, f])
-        free[f] = False
+        dm[:, f] = -np.inf
     return Assignment(cluster_id, pairs, "greedy")
 
 

@@ -175,6 +175,28 @@ class TestCompressLevelIndices:
         with pytest.raises(ValueError, match="integers"):
             compress([0.0, 1.0], 2, 1, level_rates=[1.0, 2.0])
 
+    def test_rejects_indices_out_of_range(self):
+        for idx in ([0, 4], [-1, 0], np.array([0, 255], dtype=np.uint8)):
+            with pytest.raises(ValueError, match="lie in 0..3"):
+                compress(idx, 2, 1, level_rates=[1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("k, l, dtype", [(200, 2, np.int64),
+                                             (7, 9, np.uint8)],
+                             ids=["keys-above-int16", "uint8-k7"])
+    def test_narrow_keys_equal_float_route(self, k, l, dtype):
+        # 256 levels: at k = 200 the largest key, 255 * 200 + 199, needs
+        # more than int16; every level and every slot tie is present
+        rng = np.random.default_rng(4)
+        level_rates = np.cumsum(rng.uniform(0.5, 2.0, 256))
+        idx = rng.integers(0, 256, k * l * l).astype(dtype)
+        idx[:k] = 255
+        idx[k:2 * k] = np.arange(k) % 256
+        got = compress(idx, k, l, level_rates=level_rates)
+        ref = compress(level_rates[idx].ravel(), k, l)
+        assert got.d.tobytes() == ref.d.tobytes()
+        assert got.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
+        np.testing.assert_array_equal(got.argmax_slot, ref.argmax_slot)
+
 
 class TestExpandSolution:
     def test_reference_expansion(self):

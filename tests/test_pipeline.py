@@ -5,6 +5,7 @@ rates and block table are computed once."""
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sidesched import metrics, pipeline
@@ -12,6 +13,7 @@ from sidesched.cli import load_config, run_experiment, run_sweep
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel
+from sidesched.sideinfo import _bin_index
 from sidesched.solvers import Assignment
 
 
@@ -29,21 +31,26 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     monkeypatch.setattr(pipeline, stage, clashing)
     grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
-                                 scenario_seed=1)
+                                 scenario_seed=1, quant_lo_db=-15.0,
+                                 quant_hi_db=35.0)
     with pytest.raises(ConstraintViolation):
-        rates = pipeline.draw_rates(grid, draw, 0, -15.0, 35.0)
+        rates = pipeline.draw_rates(grid, draw, 0)
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
 
 
-def _record_calls(monkeypatch, name, module=pipeline, first_args=None):
+def _record_calls(monkeypatch, name, module=pipeline, first_args=None,
+                  calls=None):
     """Results of every call to ``module.name``; the first positional
-    argument of each call goes to ``first_args`` when it is given."""
+    argument of each call goes to ``first_args`` and its (args, kwargs)
+    to ``calls``, when they are given."""
     results = []
     real = getattr(module, name)
 
     def recorded(*args, **kwargs):
         if first_args is not None:
             first_args.append(args[0])
+        if calls is not None:
+            calls.append((args, kwargs))
         results.append(real(*args, **kwargs))
         return results[-1]
 
@@ -68,7 +75,9 @@ def test_every_cell_runs_through_the_one_loop(monkeypatch, tmp_path, runner,
 def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
-    rates = _record_calls(monkeypatch, "build_rate_matrices")
+    fines = _record_calls(monkeypatch, "_fine_index")
+    rate_calls = []
+    rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
     tables = _record_calls(monkeypatch, "compress")
     proposed_in, greedy_in = [], []
     _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
@@ -90,3 +99,14 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     assert len({id(t) for t in tables}) == len(tables)
     assert [id(t) for t in proposed_in] == [id(t) for t in tables]
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
+    # the 8-bit index once per draw, read by every width of that draw, and
+    # each width's indices those of its own quantizer from scratch
+    assert len(fines) == len(draws)
+    for (args, kwargs), (decision, _) in zip(rate_calls, rates):
+        sinr, q = args[0], args[1]
+        if q is not None:
+            np.testing.assert_array_equal(decision.idx,
+                                          _bin_index(q, sinr.values))
+            assert decision.idx.dtype == np.uint8
+    fine_of = [id(kwargs["fine"]) for _, kwargs in rate_calls]
+    assert fine_of == [id(f) for f in fines for _ in range(widths)]

@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -98,7 +98,7 @@ class TestQuantize:
                              q.levels - 1).astype(np.int64)
             idx = _bin_index(q, x)
             np.testing.assert_array_equal(x, before)  # input left unchanged
-            assert idx.dtype == np.int64
+            assert idx.dtype == np.uint8
             np.testing.assert_array_equal(idx, ref)
             assert int(_bin_index(q, 35.0)) == q.levels - 1
             assert int(_bin_index(q, -15.0)) == 0
@@ -159,6 +159,43 @@ class TestQuantizeProperties:
         dec, _ = build_rate_matrices(SinrMatrix(0, x), q, 1.26e6)
         assert np.array_equal(dec.values,
                               rate_from_sinr(1.26e6, quantize(q, x)[1]))
+
+
+@st.composite
+def ranges_and_edges(draw):
+    """(lo, hi, x): a range with hi - lo >= 1e-3, and values at, and one
+    ulp either side of, every 8-bit bin edge, far outside, and at random."""
+    lo = draw(st.floats(-100.0, 100.0))
+    hi = lo + draw(st.floats(1e-3, 200.0))
+    assume(lo < hi)
+    edges = lo + np.arange(257) * ((hi - lo) / 256)
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), [-1e9, 1e9, lo, hi],
+                        draw(arrays(float, 32, elements=st.floats(-1e9, 1e9)))])
+    return lo, hi, x
+
+
+class TestNestedWidths:
+    """Every width's index is the 8-bit index shifted, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ranges_and_edges())
+    def test_bin_index_equals_out_of_place_formula(self, case):
+        lo, hi, x = case
+        for bits in range(1, 9):
+            q = QuantizerSpec(bits=bits, lo_db=lo, hi_db=hi)
+            ref = np.minimum(np.floor((np.clip(x, lo, hi) - lo) / q.bin_width_db),
+                             q.levels - 1)
+            idx = _bin_index(q, x)
+            assert idx.dtype == np.uint8
+            np.testing.assert_array_equal(idx, ref)
+
+    def test_quantize_returns_int64(self):
+        q = QuantizerSpec(bits=3)
+        idx, recon = quantize(q, np.array([[-40.0, 0.0], [35.0, 99.0]]))
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, [[0, 2], [7, 7]])
+        assert recon.dtype == np.float64
 
 
 class TestBuildRateMatrices:
