@@ -106,17 +106,18 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None,
 
 def expand_solution(reduced_assignment: dict, reduced: ReducedProblem, *,
                     cluster_id: int = 0) -> Assignment:
-    """Vehicle-to-subframe bijection back to global subchannel indices.
+    """Vehicle-to-subframe injection back to global subchannel indices.
 
     Each vehicle lands on the stored best slot of its subframe, i.e.
     subchannel l*K + argmax_slot[vehicle, l].
     """
     k, l = reduced.k, reduced.l
     items = sorted(reduced_assignment.items())
-    if [i for i, _ in items] != list(range(l)) or \
-            sorted(f for _, f in items) != list(range(l)):
+    frames = {f for _, f in items}
+    if [i for i, _ in items] != list(range(len(items))) or \
+            len(frames) != len(items) or not frames.issubset(range(l)):
         raise ConstraintViolation(
-            "reduced assignment must map vehicles 0..L-1 onto subframes 0..L-1 "
-            "one-to-one")
+            "reduced assignment must map vehicles 0..N-1 to distinct subframes "
+            "in 0..L-1")
     pairs = {i: f * k + int(reduced.argmax_slot[i, f]) for i, f in items}
     return Assignment(cluster_id=cluster_id, pairs=pairs, method="proposed")

@@ -113,8 +113,8 @@ def pad_to_square(matrix: SinrMatrix, grid: ResourceGrid, floor_db: float = -15.
 
     Dummies make the matching square so one vehicle can sit in every
     subframe. A dummy row is constant across subchannels, hence it never
-    displaces a real vehicle from its optimum. Returns the padded matrix
-    and a boolean mask, True where a row is a dummy.
+    displaces a real vehicle from its optimum. The real vehicles keep
+    rows 0..N-1, so the dummies are the rows from N on.
     """
     n, cols = matrix.values.shape
     if cols != grid.n_subchannels:
@@ -124,10 +124,6 @@ def pad_to_square(matrix: SinrMatrix, grid: ResourceGrid, floor_db: float = -15.
         raise InfeasibleError(
             f"{n} vehicles exceed {grid.l} subframes; a subframe holds one "
             "vehicle per cluster")
-    dummy_mask = np.zeros(grid.l, dtype=bool)
-    dummy_mask[n:] = True
-    if n == grid.l:
-        return SinrMatrix(matrix.cluster_id, matrix.values.copy()), dummy_mask
     pad = np.full((grid.l - n, grid.n_subchannels), float(floor_db))
     padded = np.vstack([matrix.values, pad])
-    return SinrMatrix(matrix.cluster_id, padded), dummy_mask
+    return SinrMatrix(matrix.cluster_id, padded)

@@ -1,7 +1,7 @@
 """Linear SINR quantization and the SINR-to-rate mapping.
 
-Assignments are decided on quantized reconstructions but judged on the
-fine-grained values, so rate matrices come as a (decision, truth) pair.
+Assignments are decided on a decision matrix of quantized reconstructions
+but judged on the truth matrix of fine-grained values.
 The quantizer is uniform over a dB range with midpoint reconstruction;
 bin width is (hi - lo) / 2**bits. A quantized decision is a bin index per
 entry plus the rates of the 2**bits reconstruction levels
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .scenario import SinrMatrix
 
 
 @dataclass(frozen=True)
@@ -140,20 +139,16 @@ class QuantizedRates:
         return self.level_rates[self.idx[rows, cols]]
 
 
-def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
-                        truth: RateMatrix | None = None,
-                        fine: np.ndarray | None = None):
-    """(decision, truth) rate pair for one cluster.
+def build_rate_matrices(truth: RateMatrix, q: QuantizerSpec | None, b_hz: float,
+                        fine: np.ndarray | None):
+    """The decision rates of one cluster at the width of ``q``.
 
     The decision matrix is what the scheduler sees: rates of the
-    quantized reconstructions, or the fine-grained rates themselves when
-    ``q`` is None (ideal feedback). The truth matrix always holds the
-    fine-grained rates. They are the same at every width, so a caller
-    that builds several widths of one draw passes them in as ``truth``,
-    which is returned as it is; otherwise they are computed here. In the
-    same way ``fine``, the 8-bit index of ``sinr`` over the range of ``q``
-    (``_fine_index``), is shifted to the width of ``q`` when it is given,
-    and computed here otherwise.
+    quantized reconstructions, or a copy of the fine-grained ``truth``
+    itself when ``q`` is None (ideal feedback). ``fine`` is the 8-bit
+    index of the SINR behind ``truth`` over the range of ``q``
+    (``_fine_index``); it is shifted to the width of ``q``, and is not
+    read when ``q`` is None.
 
     A quantized decision is a ``QuantizedRates``: the bin index of every
     entry and the rates of the 2**bits reconstruction levels. Each level
@@ -161,12 +156,7 @@ def build_rate_matrices(sinr: SinrMatrix, q: QuantizerSpec | None, b_hz: float,
     so ``level_rates[idx]`` equals the rate of the reconstruction bit for
     bit, and no N x KL float matrix is built.
     """
-    if truth is None:
-        truth = RateMatrix(sinr.cluster_id, rate_from_sinr(b_hz, sinr.values))
     if q is None:
-        return RateMatrix(sinr.cluster_id, truth.values.copy()), truth
-    if fine is None:
-        fine = _fine_index(q.lo_db, q.hi_db, sinr.values)
+        return RateMatrix(truth.cluster_id, truth.values.copy())
     level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
-    return QuantizedRates(sinr.cluster_id, fine >> (8 - q.bits),
-                          level_rates), truth
+    return QuantizedRates(truth.cluster_id, fine >> (8 - q.bits), level_rates)

@@ -1,10 +1,11 @@
 """Assignment methods: optimal matching, greedy, feasible-random, brute force.
 
-Every method returns an ``Assignment`` mapping vehicle indices to global
-subchannel indices with at most one vehicle per subframe. The optimal
-route (``solve_proposed``) and greedy work on the compressed block
-table; the oracle works directly on a rate matrix, enumerates the whole
-feasible set and is capped to small instances.
+Every method returns an ``Assignment`` mapping the indices 0..N-1 of a
+cluster's N real vehicles to global subchannel indices, with at most one
+vehicle per subframe. The optimal route (``solve_proposed``) and greedy
+work on the compressed block table; the oracle works directly on a rate
+matrix, enumerates the whole feasible set and is capped to small
+instances.
 """
 
 from __future__ import annotations
@@ -86,11 +87,15 @@ def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
         raise ConstraintViolation(clashes[0])
 
 
-def solve_proposed(reduced: ReducedProblem) -> dict[int, int]:
-    """Optimal vehicle-to-subframe bijection on the compressed weights."""
-    d = np.asarray(reduced.d, dtype=float)
-    cols, _ = max_weight_assignment(d)
-    return {i: int(cols[i]) for i in range(d.shape[0])}
+def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> dict[int, int]:
+    """Optimal subframe of each of the first ``n_vehicles`` rows, on the
+    compressed weights. The rows past them are the constant dummy rows,
+    which the kernel sets aside before it solves the square table.
+    """
+    if n_vehicles > reduced.l:
+        raise InfeasibleError(f"{n_vehicles} vehicles exceed {reduced.l} subframes")
+    cols, _ = max_weight_assignment(np.asarray(reduced.d, dtype=float))
+    return {i: int(cols[i]) for i in range(n_vehicles)}
 
 
 def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
@@ -165,21 +170,16 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> A
 
 
 def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
-             truth: RateMatrix | QuantizedRates, dummy_mask=None,
-             runtime_s: float = 0.0):
-    """Strip dummies; return SolveStats and per-real-vehicle truth rates.
+             truth: RateMatrix | QuantizedRates, runtime_s: float = 0.0):
+    """SolveStats and the truth rate of every vehicle of ``assignment``.
 
-    Rates come back in ascending vehicle order. Both sums cover real
-    vehicles only, and each rate matrix is read only at the chosen
-    entries.
+    Rates come back in ascending vehicle order, and each rate matrix is
+    read only at the chosen entries.
     """
     pairs = assignment.pairs
     vehicles = sorted(pairs)
     rows = np.fromiter(vehicles, np.int64, len(vehicles))
     cols = np.fromiter(map(pairs.__getitem__, vehicles), np.int64, len(vehicles))
-    if dummy_mask is not None:
-        real = ~np.asarray(dummy_mask)[rows]
-        rows, cols = rows[real], cols[real]
     truth_rates = truth.at(rows, cols)
     dec_sum = float(decision.at(rows, cols).sum())
     stats = SolveStats(dec_sum, float(truth_rates.sum()), runtime_s)

@@ -18,10 +18,10 @@ from sidesched.config import ExperimentConfig
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import iter_cells
 from sidesched.scenario import Cluster, ScenarioModel, SinrMatrix, pad_to_square
-from sidesched.sideinfo import QuantizerSpec, build_rate_matrices, quantize
+from sidesched.sideinfo import QuantizerSpec, quantize
 from sidesched.solvers import (evaluate, solve_greedy, solve_oracle,
                                solve_proposed, solve_random)
-from util import assignment_to_x, build_constraint_matrix
+from util import assignment_to_x, build_constraint_matrix, decision_of
 
 MASTER_SEED = 20260822
 SEEDS = 100
@@ -102,13 +102,13 @@ class TestAcceptanceGate:
             q = QuantizerSpec(bits=bits) if bits else None
             matrix = SinrMatrix(0, sinr)
 
-            padded, mask = pad_to_square(matrix, grid)
-            decision, _ = build_rate_matrices(padded, q, grid.b_hz)
+            padded = pad_to_square(matrix, grid)
+            decision = decision_of(padded.values, q, grid.b_hz)
             reduced = compress(decision.values.ravel(), grid.k, grid.l)
-            asg = expand_solution(solve_proposed(reduced), reduced)
-            got, _ = evaluate(asg, decision, decision, dummy_mask=mask)
+            asg = expand_solution(solve_proposed(reduced, n), reduced)
+            got, _ = evaluate(asg, decision, decision)
 
-            dec_real, _ = build_rate_matrices(matrix, q, grid.b_hz)
+            dec_real = decision_of(sinr, q, grid.b_hz)
             ref, _ = evaluate(solve_oracle(dec_real, grid), dec_real, dec_real)
 
             a = got.sum_rate_decision_bps
@@ -128,11 +128,11 @@ class TestAcceptanceGate:
                 grid = ResourceGrid(k=k, l=l)
                 a_mat = build_constraint_matrix(k, l).astype(np.int64)
                 ones = np.ones(2 * l, dtype=np.int64)
-                sinr = SinrMatrix(0, rng.uniform(-15.0, 35.0, (l, k * l)))
-                decision, _ = build_rate_matrices(sinr, None, grid.b_hz)
+                sinr = rng.uniform(-15.0, 35.0, (l, k * l))
+                decision = decision_of(sinr, None, grid.b_hz)
                 reduced = compress(decision.values.ravel(), grid.k, grid.l)
                 pairs_by_solver = {
-                    "proposed": expand_solution(solve_proposed(reduced),
+                    "proposed": expand_solution(solve_proposed(reduced, l),
                                                 reduced).pairs,
                     "greedy": solve_greedy(reduced, l).pairs,
                     "oracle": solve_oracle(decision, grid).pairs,

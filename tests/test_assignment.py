@@ -9,10 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import ConstraintViolation, ShapeError
-from sidesched.scenario import SinrMatrix
-from sidesched.sideinfo import QuantizerSpec, build_rate_matrices
+from sidesched.sideinfo import QuantizerSpec
 from util import (assignment_to_x, brute_full_optimum, brute_max_matching,
-                  build_constraint_matrix)
+                  build_constraint_matrix, decision_of)
 
 
 class TestConstraintMatrix:
@@ -153,7 +152,7 @@ class TestCompressLevelIndices:
     @given(case=quantized_draws())
     def test_equals_table_of_level_rates_bit_for_bit(self, case):
         q, k, l, sinr = case
-        dec, _ = build_rate_matrices(SinrMatrix(0, sinr), q, 1.26e6)
+        dec = decision_of(sinr, q, 1.26e6)
         got = compress(dec.idx.ravel(), k, l, level_rates=dec.level_rates)
         ref = compress(dec.level_rates[dec.idx].ravel(), k, l)
         assert got.d.dtype == ref.d.dtype == np.float64
@@ -214,10 +213,13 @@ class TestExpandSolution:
         with pytest.raises(ConstraintViolation):
             expand_solution({0: 1, 1: 1}, r)
 
-    def test_rejects_missing_vehicle(self):
-        r = compress(np.arange(8, dtype=float), 2, 2)
-        with pytest.raises(ConstraintViolation):
-            expand_solution({0: 0}, r)
+    def test_accepts_injections_only(self):
+        # vehicles 0..N-1 onto distinct subframes of 0..L-1, for any N <= L
+        r = compress(np.arange(18, dtype=float), 2, 3)
+        assert expand_solution({0: 2}, r).pairs == {0: 5}
+        for bad in ({1: 0}, {0: 0, 2: 1}, {0: 1, 1: 1}, {0: 3}, {0: -1}):
+            with pytest.raises(ConstraintViolation):
+                expand_solution(bad, r)
 
 
 class TestCompressionLossless:

@@ -6,21 +6,34 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
+from sidesched import cli
 from sidesched.pipeline import CellResult
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve a module's annotations through sys.modules
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("perfbench_run", ROOT / "perfbench" / "run.py").WORKLOADS
 
 
 def _params(caller, attr):
@@ -55,3 +68,27 @@ def test_verify_assignment_signature(tracer):
 def test_cell_result_names_its_series():
     names = {f.name for f in dataclasses.fields(CellResult)}
     assert {"method", "bits"} <= names
+
+
+def test_traced_smoke_run_records_every_required_span(tracer, workloads,
+                                                      monkeypatch, tmp_path):
+    # the tracer rebinds every wrapped name; monkeypatch restores them
+    for caller, attr, _ in tracer.WRAPS:
+        module = importlib.import_module(caller)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    traced = tracer.Tracer()
+    traced.install()
+    # No workload runs oracle, and the tracer wraps none of its stages, so
+    # it counts an oracle cell as one that made no assignment.
+    smoke = cli.load_config(ROOT / "configs" / "smoke.json")
+    config = dataclasses.replace(
+        smoke, out_dir=str(tmp_path),
+        methods=tuple(m for m in smoke.methods if m != "oracle"))
+    cli.run_experiment(config)
+    cli.run_sweep(config)
+    summary = traced.summary()
+    silent = sorted({span for w in workloads.values() for span in w.required
+                     if summary["spans"].get(span, {}).get("calls", 0) == 0})
+    assert silent == []
+    assert summary["failed_cells"] == 0, summary["notes"]
+    assert summary["failed_outside_cells"] == 0, summary["notes"]

@@ -31,11 +31,28 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     monkeypatch.setattr(pipeline, stage, clashing)
     grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
-                                 scenario_seed=1, quant_lo_db=-15.0,
-                                 quant_hi_db=35.0)
+                                 scenario_seed=1, quant_range=None)
     with pytest.raises(ConstraintViolation):
         rates = pipeline.draw_rates(grid, draw, 0)
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
+
+
+@pytest.mark.parametrize("method, stage", [
+    ("proposed", "expand_solution"),
+    ("greedy", "solve_greedy"),
+    ("random", "solve_random"),
+    ("oracle", "solve_oracle"),
+])
+def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
+    # 3 vehicles on 5 subframes: rows 3 and 4 of the draw are dummies
+    assignments = _record_calls(monkeypatch, stage)
+    grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
+    draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
+                                 scenario_seed=4, quant_range=(-15.0, 35.0))
+    rates = pipeline.draw_rates(grid, draw, 2)
+    cell = pipeline.run_cell(grid, draw, rates, 2, method, solver_seed=5)
+    assert [sorted(a.pairs) for a in assignments] == [[0, 1, 2]]
+    assert cell.vehicle_rates_bps.shape == (3,)
 
 
 def _record_calls(monkeypatch, name, module=pipeline, first_args=None,
@@ -75,6 +92,7 @@ def test_every_cell_runs_through_the_one_loop(monkeypatch, tmp_path, runner,
 def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
+    padded = _record_calls(monkeypatch, "pad_to_square")
     fines = _record_calls(monkeypatch, "_fine_index")
     rate_calls = []
     rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
@@ -88,8 +106,8 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     widths = len(config.bits_list)
     assert len(draws) == config.repetitions * len(points)
     assert len(rates) == len(draws) * widths
-    # every width of a draw is scored on one truth matrix, computed once
-    truths = [truth for _, truth in rates]
+    # every width of a draw reads one truth matrix, computed once
+    truths = [args[0] for args, _ in rate_calls]
     for d in range(len(draws)):
         per_draw = truths[d * widths:(d + 1) * widths]
         assert all(t is per_draw[0] for t in per_draw)
@@ -101,12 +119,21 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
     # the 8-bit index once per draw, read by every width of that draw, and
     # each width's indices those of its own quantizer from scratch
-    assert len(fines) == len(draws)
-    for (args, kwargs), (decision, _) in zip(rate_calls, rates):
-        sinr, q = args[0], args[1]
+    assert len(fines) == len(padded) == len(draws)
+    sinrs = [s for s in padded for _ in range(widths)]
+    for (args, _), decision, sinr in zip(rate_calls, rates, sinrs):
+        q = args[1]
         if q is not None:
             np.testing.assert_array_equal(decision.idx,
                                           _bin_index(q, sinr.values))
             assert decision.idx.dtype == np.uint8
-    fine_of = [id(kwargs["fine"]) for _, kwargs in rate_calls]
+    fine_of = [id(args[3]) for args, _ in rate_calls]
     assert fine_of == [id(f) for f in fines for _ in range(widths)]
+
+
+def test_no_fine_index_without_a_quantized_width(monkeypatch, tmp_path):
+    config = replace(load_config(SMOKE), out_dir=str(tmp_path), bits_list=(0,))
+    fines = _record_calls(monkeypatch, "_fine_index")
+    draws = _record_calls(monkeypatch, "generate_sinr")
+    run_experiment(config)
+    assert draws and fines == []

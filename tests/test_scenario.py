@@ -107,24 +107,22 @@ class TestPadToSquare:
     def test_identity_when_full(self):
         g = ResourceGrid(k=2, l=3)
         m = SinrMatrix(0, np.arange(18, dtype=float).reshape(3, 6))
-        padded, mask = pad_to_square(m, g)
+        padded = pad_to_square(m, g)
         np.testing.assert_array_equal(padded.values, m.values)
-        assert not mask.any()
 
     def test_appends_floor_rows(self):
         g = ResourceGrid(k=2, l=5)
         m = SinrMatrix(0, np.ones((3, 10)))
-        padded, mask = pad_to_square(m, g, floor_db=-15.0)
+        padded = pad_to_square(m, g, floor_db=-15.0)
         assert padded.values.shape == (5, 10)
         np.testing.assert_array_equal(padded.values[:3], m.values)
         assert np.all(padded.values[3:] == -15.0)
-        np.testing.assert_array_equal(mask, [False, False, False, True, True])
 
     def test_original_rows_bitwise_equal(self):
         g = ResourceGrid(k=3, l=6)
         rng = np.random.default_rng(2)
         vals = rng.uniform(-15, 35, (4, 18))
-        padded, _ = pad_to_square(SinrMatrix(1, vals), g)
+        padded = pad_to_square(SinrMatrix(1, vals), g)
         assert np.array_equal(padded.values[:4], vals)
 
     def test_too_many_vehicles(self):

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sidesched.scenario import SinrMatrix
 from sidesched.sideinfo import (QuantizerSpec, RateMatrix, _bin_index,
                                 build_rate_matrices, quantize, rate_from_sinr)
+from util import decision_of
 
 
 def mp_rate(b_hz, sinr_db):
@@ -156,7 +156,7 @@ class TestQuantizeProperties:
     @settings(max_examples=60, deadline=None)
     @given(q=QUANTIZERS, x=arrays(float, (4, 9), elements=SINR_DB))
     def test_level_table_matches_rate_of_reconstruction(self, q, x):
-        dec, _ = build_rate_matrices(SinrMatrix(0, x), q, 1.26e6)
+        dec = decision_of(x, q, 1.26e6)
         assert np.array_equal(dec.values,
                               rate_from_sinr(1.26e6, quantize(q, x)[1]))
 
@@ -201,39 +201,37 @@ class TestNestedWidths:
 class TestBuildRateMatrices:
     def test_ideal_pair_is_bitwise_equal(self):
         rng = np.random.default_rng(1)
-        sinr = SinrMatrix(0, rng.uniform(-15, 35, (4, 8)))
-        dec, tru = build_rate_matrices(sinr, None, 1.26e6)
+        tru = RateMatrix(0, rate_from_sinr(1.26e6, rng.uniform(-15, 35, (4, 8))))
+        dec = build_rate_matrices(tru, None, 1.26e6, None)
         assert np.array_equal(dec.values, tru.values)
         assert dec.values is not tru.values
 
     def test_single_entry_quantized(self):
-        sinr = SinrMatrix(0, np.array([[10.0]]))
         q = QuantizerSpec(bits=2, lo_db=-15.0, hi_db=35.0)
-        dec, tru = build_rate_matrices(sinr, q, 1.26e6)
+        dec = decision_of(np.array([[10.0]]), q, 1.26e6)
         assert dec.values[0, 0] == rate_from_sinr(1.26e6, 16.25)
-        assert tru.values[0, 0] == rate_from_sinr(1.26e6, 10.0)
 
     def test_eight_bit_gap_bounded_by_slope(self):
         # |rate(recon) - rate(s)| <= max slope * half bin width; the slope
         # of the rate map grows with SINR, so the top of range bounds it
         rng = np.random.default_rng(5)
-        sinr = SinrMatrix(0, rng.uniform(-15, 35, (20, 50)))
+        sinr = rng.uniform(-15, 35, (20, 50))
         q = QuantizerSpec(bits=8, lo_db=-15.0, hi_db=35.0)
-        dec, tru = build_rate_matrices(sinr, q, 1.26e6)
+        dec = decision_of(sinr, q, 1.26e6)
         half_bin = q.bin_width_db / 2
         assert abs(half_bin - 0.09765625) < 1e-12
         eps = 1e-6
         slope_top = (rate_from_sinr(1.26e6, 35.0) -
                      rate_from_sinr(1.26e6, 35.0 - eps)) / eps
-        assert np.max(np.abs(dec.values - tru.values)) <= slope_top * half_bin
+        tru = rate_from_sinr(1.26e6, sinr)
+        assert np.max(np.abs(dec.values - tru)) <= slope_top * half_bin
 
     def test_rates_non_negative(self):
         rng = np.random.default_rng(9)
-        sinr = SinrMatrix(0, rng.uniform(-15, 35, (5, 10)))
+        sinr = rng.uniform(-15, 35, (5, 10))
+        assert rate_from_sinr(2e6, sinr).min() >= 0
         for q in (None, QuantizerSpec(bits=3)):
-            dec, tru = build_rate_matrices(sinr, q, 2e6)
-            assert dec.values.min() >= 0
-            assert tru.values.min() >= 0
+            assert decision_of(sinr, q, 2e6).values.min() >= 0
 
     def test_rate_matrix_rejects_negative(self):
         with pytest.raises(ValueError):

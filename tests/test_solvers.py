@@ -177,7 +177,7 @@ class TestProposed:
             g = ResourceGrid(k=k, l=l)
             vals = rng.uniform(0, 9, (l, k * l))
             r = compress(vals.ravel(), k, l)
-            a = expand_solution(solve_proposed(r), r)
+            a = expand_solution(solve_proposed(r, l), r)
             got = sum(vals[i, sc] for i, sc in a.pairs.items())
             b = solve_oracle(rates(vals), g)
             ref = sum(vals[i, sc] for i, sc in b.pairs.items())
@@ -192,11 +192,15 @@ class TestProposed:
             g = ResourceGrid(k=k, l=l)
             vals = rng.uniform(0, 9, (l, k * l))
             r = compress(vals.ravel(), k, l)
-            a = expand_solution(solve_proposed(r), r)
+            a = expand_solution(solve_proposed(r, l), r)
             opt = sum(vals[i, sc] for i, sc in a.pairs.items())
             gr = solve_greedy(r, l)
             grd = sum(vals[i, sc] for i, sc in gr.pairs.items())
             assert opt >= grd - 1e-9
+
+    def test_too_many_vehicles(self):
+        with pytest.raises(InfeasibleError):
+            solve_proposed(compress(np.zeros(8), 2, 2), 3)
 
     def test_greedy_beats_random_on_average(self):
         rng = np.random.default_rng(14)
@@ -237,15 +241,6 @@ class TestVerifyAndEvaluate:
         assert stats.sum_rate_decision_bps == 5.0
         assert stats.sum_rate_truth_bps == 2.0
         np.testing.assert_array_equal(v, [2.0])
-
-    def test_evaluate_drops_dummies(self):
-        from sidesched.solvers import Assignment
-        dec = rates([[1.0, 2.0], [3.0, 4.0]])
-        mask = np.array([False, True])
-        stats, v = evaluate(Assignment(0, {0: 0, 1: 1}, "proposed"),
-                            dec, dec, dummy_mask=mask)
-        assert stats.sum_rate_truth_bps == 1.0
-        assert v.shape == (1,)
 
 
 def verify_by_messages(assignment, grid):

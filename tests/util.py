@@ -1,13 +1,27 @@
 """Independent reference computations shared by the tests.
 
 Everything here enumerates or integrates directly, without touching the
-package's solver code paths, so it can serve as an oracle for them.
+package's solver code paths, so it can serve as an oracle for them. The
+one exception, ``decision_of``, builds solver input.
 """
 
 import itertools
 
 import numpy as np
 from scipy import stats
+
+from sidesched.sideinfo import (QuantizerSpec, RateMatrix, build_rate_matrices,
+                                quantize, rate_from_sinr)
+
+
+def decision_of(sinr_db, q, b_hz):
+    """Decision rates of an SINR matrix in dB at quantizer ``q``, or at
+    ideal feedback when ``q`` is None, from the truth rates and the uint8
+    8-bit index, as a draw holds them (``pipeline.draw_cluster``)."""
+    truth = RateMatrix(0, rate_from_sinr(b_hz, sinr_db))
+    fine = None if q is None else quantize(
+        QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0].astype(np.uint8)
+    return build_rate_matrices(truth, q, b_hz, fine)
 
 
 def brute_max_matching(d):
