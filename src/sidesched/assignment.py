@@ -7,7 +7,10 @@ vehicle. Since a subframe admits a single vehicle, only that vehicle's
 best in-subframe slot can appear in an optimum, so each K-wide block
 collapses to one macro choice. That leaves an L x L table of block
 maxima plus the slot attaining each maximum; solving the square problem
-and re-expanding the stored slots loses nothing of the sum rate.
+and re-expanding the stored slots (``expand_solution``) loses nothing of
+the sum rate. The expansion names the real vehicles only, as an
+``Assignment`` array of subchannels, and is checked like every other
+method's assignment, by ``solvers.verify_assignment``.
 
 Cost vectors are vehicle-major: entry i*(K*L) + k is vehicle i on global
 subchannel k, with k = l*K + slot.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, ShapeError
+from .errors import ShapeError
 from .solvers import Assignment
 
 
@@ -104,20 +107,15 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None,
     return ReducedProblem(d, argmax_slot, k, l)
 
 
-def expand_solution(reduced_assignment: dict, reduced: ReducedProblem, *,
+def expand_solution(subframes: np.ndarray, reduced: ReducedProblem, *,
                     cluster_id: int = 0) -> Assignment:
-    """Vehicle-to-subframe injection back to global subchannel indices.
+    """Subframe of each vehicle 0..N-1 back to its global subchannel.
 
     Each vehicle lands on the stored best slot of its subframe, i.e.
-    subchannel l*K + argmax_slot[vehicle, l].
+    subchannel f*K + argmax_slot[vehicle, f]. Nothing is checked here: a
+    subframe outside 0..L-1 fails the gather or lands outside the grid,
+    and ``solvers.verify_assignment`` rejects both that and a shared
+    subframe.
     """
-    k, l = reduced.k, reduced.l
-    items = sorted(reduced_assignment.items())
-    frames = {f for _, f in items}
-    if [i for i, _ in items] != list(range(len(items))) or \
-            len(frames) != len(items) or not frames.issubset(range(l)):
-        raise ConstraintViolation(
-            "reduced assignment must map vehicles 0..N-1 to distinct subframes "
-            "in 0..L-1")
-    pairs = {i: f * k + int(reduced.argmax_slot[i, f]) for i, f in items}
-    return Assignment(cluster_id=cluster_id, pairs=pairs, method="proposed")
+    slots = reduced.argmax_slot[np.arange(subframes.size), subframes]
+    return Assignment(cluster_id, subframes * reduced.k + slots, "proposed")

@@ -173,8 +173,7 @@ def write_assignment_csv(path, assignments, grid: ResourceGrid):
         w = csv.writer(fh)
         w.writerow(ASSIGNMENT_HEADER)
         for assn in assignments:
-            for i in sorted(assn.pairs):
-                sc = assn.pairs[i]
+            for i, sc in enumerate(assn.subchannel.tolist()):
                 w.writerow([assn.cluster_id, i, sc, sc // grid.k])
 
 

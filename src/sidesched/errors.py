@@ -14,12 +14,11 @@ class ShapeError(ValueError):
 
 
 class ParseError(ValueError):
-    """A CSV record failed to parse; carries the 1-based cell location."""
+    """A CSV record failed to parse; carries the 1-based row."""
 
-    def __init__(self, message, row=None, col=None):
+    def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
-        self.col = col
 
 
 class ConstraintViolation(ValueError):

@@ -26,7 +26,7 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     (repetition, ``cluster.id``). A ``ValueError`` is prefixed with the
     label, repetition, width and method of its cell and re-raised bare, so
     it keeps its type and attributes (``ConfigError.keys``,
-    ``ParseError.row`` and ``col``).
+    ``ParseError.row``).
     """
     grid, master = config.grid, config.master_seed
     # the 8-bit index is computed only when some width reads it

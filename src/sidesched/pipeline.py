@@ -11,8 +11,11 @@ level rates; the b-bit indices are the draw's 8-bit index shifted right
 by 8 - b, which equals the b-bit quantizer bit for bit (``sideinfo``).
 Its block table is built from the indices, and scores read the rates
 only at the chosen entries. A *cell* (``run_cell``) runs one method on
-those rates: it solves, checks the assignment, which names the real
-vehicles only, for subframe conflicts and scores it on the truth rates.
+those rates: it solves, checks the assignment and scores it on the truth
+rates. Every method's assignment is an array of one subchannel per real
+vehicle, so each vehicle takes exactly one subchannel by construction;
+``verify_assignment`` is the one check of the other constraint, one
+vehicle per subframe, for every method alike.
 The one cell loop, ``metrics.iter_cells``, nests repetition x cluster,
 then width, then method, so each draw is computed once and each width's
 rates once per draw, shared by every method; each draw is released
@@ -87,8 +90,8 @@ def draw_rates(grid: ResourceGrid, draw: Draw, bits: int
                ) -> tuple[RateMatrix | QuantizedRates, ReducedProblem]:
     """(decision, block table of decision) of a draw at ``bits``.
 
-    ``bits=0`` is ideal feedback; every other width shifts the draw's
-    8-bit index.
+    ``bits=0`` is ideal feedback, decided on ``draw.truth`` itself; every
+    other width shifts the draw's 8-bit index.
     """
     q = QuantizerSpec(bits, *draw.quant_range) if bits else None
     decision = build_rate_matrices(draw.truth, q, grid.b_hz, draw.fine)
@@ -105,8 +108,8 @@ def run_cell(grid: ResourceGrid, draw: Draw,
              bits: int, method: str, solver_seed: int = 0) -> CellResult:
     """Solve, check and score one method on a draw's rates at ``bits``.
 
-    Every assignment names the real vehicles only, and is checked for
-    subframe conflicts before it is scored on the draw's truth rates,
+    Every assignment holds one subchannel per real vehicle, and is checked
+    for subframe conflicts before it is scored on the draw's truth rates,
     whatever the method.
     """
     decision, reduced = rates
@@ -115,8 +118,8 @@ def run_cell(grid: ResourceGrid, draw: Draw,
 
     t0 = time.perf_counter()
     if method == "proposed":
-        mapping = solve_proposed(reduced, n_real)
-        assn = expand_solution(mapping, reduced, cluster_id=cluster.id)
+        subframes = solve_proposed(reduced, n_real)
+        assn = expand_solution(subframes, reduced, cluster_id=cluster.id)
     elif method == "greedy":
         assn = solve_greedy(reduced, n_real, cluster_id=cluster.id)
     elif method == "random":

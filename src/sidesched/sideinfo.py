@@ -144,8 +144,8 @@ def build_rate_matrices(truth: RateMatrix, q: QuantizerSpec | None, b_hz: float,
     """The decision rates of one cluster at the width of ``q``.
 
     The decision matrix is what the scheduler sees: rates of the
-    quantized reconstructions, or a copy of the fine-grained ``truth``
-    itself when ``q`` is None (ideal feedback). ``fine`` is the 8-bit
+    quantized reconstructions, or the fine-grained ``truth`` itself, not
+    a copy, when ``q`` is None (ideal feedback). ``fine`` is the 8-bit
     index of the SINR behind ``truth`` over the range of ``q``
     (``_fine_index``); it is shifted to the width of ``q``, and is not
     read when ``q`` is None.
@@ -157,6 +157,6 @@ def build_rate_matrices(truth: RateMatrix, q: QuantizerSpec | None, b_hz: float,
     bit, and no N x KL float matrix is built.
     """
     if q is None:
-        return RateMatrix(truth.cluster_id, truth.values.copy())
+        return truth
     level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
     return QuantizedRates(truth.cluster_id, fine >> (8 - q.bits), level_rates)

@@ -1,10 +1,13 @@
 """Assignment methods: optimal matching, greedy, feasible-random, brute force.
 
-Every method returns an ``Assignment`` mapping the indices 0..N-1 of a
-cluster's N real vehicles to global subchannel indices, with at most one
-vehicle per subframe. The optimal route (``solve_proposed``) and greedy
-work on the compressed block table; the oracle works directly on a rate
-matrix, enumerates the whole feasible set and is capped to small
+Every method returns an ``Assignment`` whose ``subchannel`` array holds
+the global subchannel of each of a cluster's N real vehicles, vehicle i
+at entry i, so every vehicle takes exactly one subchannel by
+construction. The other constraint, at most one vehicle per subframe, is
+checked in one place, ``verify_assignment``, which every cell runs on
+every method's assignment. The optimal route (``solve_proposed``) and
+greedy work on the compressed block table; the oracle works directly on
+a rate matrix, enumerates the whole feasible set and is capped to small
 instances.
 """
 
@@ -36,7 +39,7 @@ class Assignment:
     """Chosen subchannel per vehicle for one cluster."""
 
     cluster_id: int
-    pairs: dict[int, int]  # vehicle index -> global subchannel index
+    subchannel: np.ndarray  # (N,) int64: global subchannel of vehicle i
     method: str
 
 
@@ -73,21 +76,18 @@ def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
     A feasible assignment takes one range check and one count per
     subframe; the messages are built only when the count finds a clash.
     """
-    pairs = assignment.pairs
-    subchannels = np.fromiter(pairs.values(), np.int64, len(pairs))
-    if not subchannels.size or (
-            subchannels.min() >= 0 and subchannels.max() < grid.n_subchannels
-            and np.bincount(subchannels // grid.k).max() < 2):
+    sc = assignment.subchannel
+    if not sc.size or (sc.min() >= 0 and sc.max() < grid.n_subchannels
+                       and np.bincount(sc // grid.k).max() < 2):
         return
-    vehicles = sorted(pairs)
-    subchannels = [pairs[i] for i in vehicles]
-    clashes = shared_subframes(vehicles, subchannels,
-                               [subframe_of(grid, sc) for sc in subchannels])
+    subchannels = sc.tolist()
+    clashes = shared_subframes(range(len(subchannels)), subchannels,
+                               [subframe_of(grid, s) for s in subchannels])
     if clashes:
         raise ConstraintViolation(clashes[0])
 
 
-def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> dict[int, int]:
+def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> np.ndarray:
     """Optimal subframe of each of the first ``n_vehicles`` rows, on the
     compressed weights. The rows past them are the constant dummy rows,
     which the kernel sets aside before it solves the square table.
@@ -95,7 +95,7 @@ def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> dict[int, int]:
     if n_vehicles > reduced.l:
         raise InfeasibleError(f"{n_vehicles} vehicles exceed {reduced.l} subframes")
     cols, _ = max_weight_assignment(np.asarray(reduced.d, dtype=float))
-    return {i: int(cols[i]) for i in range(n_vehicles)}
+    return cols[:n_vehicles]
 
 
 def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
@@ -113,12 +113,12 @@ def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
         raise InfeasibleError(f"{n_vehicles} vehicles exceed {l} subframes")
     # a claimed subframe's column reads -inf in every row still to come
     dm = np.array(reduced.d[:n_vehicles], dtype=float)
-    pairs = {}
+    frames = np.empty(n_vehicles, np.int64)
     for i in range(n_vehicles):
-        f = int(dm[i].argmax())  # first hit = lowest subframe on ties
-        pairs[i] = f * k + int(reduced.argmax_slot[i, f])
-        dm[:, f] = -np.inf
-    return Assignment(cluster_id, pairs, "greedy")
+        frames[i] = dm[i].argmax()  # first hit = lowest subframe on ties
+        dm[:, frames[i]] = -np.inf
+    slots = reduced.argmax_slot[np.arange(n_vehicles), frames]
+    return Assignment(cluster_id, frames * k + slots, "greedy")
 
 
 def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
@@ -130,8 +130,7 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
         raise InfeasibleError(f"{n_vehicles} vehicles exceed {grid.l} subframes")
     frames = rng.permutation(grid.l)[:n_vehicles]
     slots = rng.integers(0, grid.k, size=n_vehicles)
-    pairs = {i: int(frames[i]) * grid.k + int(slots[i]) for i in range(n_vehicles)}
-    return Assignment(cluster_id, pairs, "random")
+    return Assignment(cluster_id, frames * grid.k + slots, "random")
 
 
 def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> Assignment:
@@ -156,7 +155,6 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> A
     blocks = vals.reshape(n, grid.l, grid.k)  # (vehicle, subframe, slot)
     slots = blocks.argmax(axis=2)
     best_rate = np.take_along_axis(blocks, slots[..., None], axis=2)[..., 0].tolist()
-    best_slot = slots.tolist()
     best_total = -np.inf
     best_inj = None
     for inj in itertools.permutations(range(grid.l), n):
@@ -165,8 +163,9 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> A
             total += rates_i[f]
         if total > best_total:
             best_total, best_inj = total, inj
-    pairs = {i: f * grid.k + best_slot[i][f] for i, f in enumerate(best_inj)}
-    return Assignment(decision.cluster_id, pairs, "oracle")
+    frames = np.array(best_inj, np.int64)
+    subchannel = frames * grid.k + slots[np.arange(n), frames]
+    return Assignment(decision.cluster_id, subchannel, "oracle")
 
 
 def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
@@ -176,10 +175,8 @@ def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
     Rates come back in ascending vehicle order, and each rate matrix is
     read only at the chosen entries.
     """
-    pairs = assignment.pairs
-    vehicles = sorted(pairs)
-    rows = np.fromiter(vehicles, np.int64, len(vehicles))
-    cols = np.fromiter(map(pairs.__getitem__, vehicles), np.int64, len(vehicles))
+    cols = assignment.subchannel
+    rows = np.arange(cols.size)
     truth_rates = truth.at(rows, cols)
     dec_sum = float(decision.at(rows, cols).sum())
     stats = SolveStats(dec_sum, float(truth_rates.sum()), runtime_s)

@@ -131,15 +131,15 @@ class TestAcceptanceGate:
                 sinr = rng.uniform(-15.0, 35.0, (l, k * l))
                 decision = decision_of(sinr, None, grid.b_hz)
                 reduced = compress(decision.values.ravel(), grid.k, grid.l)
-                pairs_by_solver = {
+                by_solver = {
                     "proposed": expand_solution(solve_proposed(reduced, l),
-                                                reduced).pairs,
-                    "greedy": solve_greedy(reduced, l).pairs,
-                    "oracle": solve_oracle(decision, grid).pairs,
-                    "random": solve_random(grid, l, np.random.default_rng(7)).pairs,
+                                                reduced),
+                    "greedy": solve_greedy(reduced, l),
+                    "oracle": solve_oracle(decision, grid),
+                    "random": solve_random(grid, l, np.random.default_rng(7)),
                 }
-                for name, pairs in pairs_by_solver.items():
-                    x = assignment_to_x(pairs, k, l)
+                for name, assn in by_solver.items():
+                    x = assignment_to_x(assn.subchannel, k, l)
                     if not np.array_equal(a_mat @ x, ones):
                         failures.append((name, k, l))
         ok = not failures

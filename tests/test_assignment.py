@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import ConstraintViolation, ShapeError
+from sidesched.grid import ResourceGrid
 from sidesched.sideinfo import QuantizerSpec
+from sidesched.solvers import verify_assignment
 from util import (assignment_to_x, brute_full_optimum, brute_max_matching,
                   build_constraint_matrix, decision_of)
 
@@ -55,9 +57,9 @@ class TestConstraintMatrix:
             l = int(rng.integers(1, 6))
             a = build_constraint_matrix(k, l)
             frames = rng.permutation(l)
-            pairs = {i: int(frames[i]) * k + int(rng.integers(0, k))
-                     for i in range(l)}
-            x = assignment_to_x(pairs, k, l)
+            subchannel = [int(frames[i]) * k + int(rng.integers(0, k))
+                          for i in range(l)]
+            x = assignment_to_x(subchannel, k, l)
             assert np.all(a @ x == 1)
 
     def test_linear_cost_identity(self):
@@ -66,8 +68,8 @@ class TestConstraintMatrix:
         k, l = 2, 3
         c = rng.normal(size=k * l * l)
         frames = rng.permutation(l)
-        pairs = {i: int(frames[i]) * k + int(rng.integers(0, k)) for i in range(l)}
-        x = assignment_to_x(pairs, k, l)
+        subchannel = [int(frames[i]) * k + int(rng.integers(0, k)) for i in range(l)]
+        x = assignment_to_x(subchannel, k, l)
         assert np.isclose(c @ x, x @ np.diag(c) @ x)
 
     def test_one_sided_pseudo_inverse(self):
@@ -200,26 +202,38 @@ class TestCompressLevelIndices:
 class TestExpandSolution:
     def test_reference_expansion(self):
         r = compress([1, 3, 2, 5, 4, 1, 2, 2], 2, 2)
-        a = expand_solution({0: 1, 1: 0}, r)
-        assert a.pairs == {0: 3, 1: 0}
+        a = expand_solution(np.array([1, 0]), r)
+        assert a.subchannel.dtype == np.int64
+        assert a.subchannel.tolist() == [3, 0]
 
     def test_k1_passthrough(self):
         r = compress(np.arange(4, dtype=float), 1, 2)
-        a = expand_solution({0: 0, 1: 1}, r)
-        assert a.pairs == {0: 0, 1: 1}
+        a = expand_solution(np.array([0, 1]), r)
+        assert a.subchannel.tolist() == [0, 1]
 
     def test_rejects_duplicate_subframe(self):
+        # the expansion checks nothing; verify_assignment finds the clash
         r = compress(np.arange(8, dtype=float), 2, 2)
+        a = expand_solution(np.array([1, 1]), r)
         with pytest.raises(ConstraintViolation):
-            expand_solution({0: 1, 1: 1}, r)
+            verify_assignment(a, ResourceGrid(k=2, l=2))
 
     def test_accepts_injections_only(self):
-        # vehicles 0..N-1 onto distinct subframes of 0..L-1, for any N <= L
+        # vehicles 0..N-1 onto distinct subframes of 0..L-1, for any N <= L.
+        # An array names each vehicle once, so only a subframe can be wrong.
         r = compress(np.arange(18, dtype=float), 2, 3)
-        assert expand_solution({0: 2}, r).pairs == {0: 5}
-        for bad in ({1: 0}, {0: 0, 2: 1}, {0: 1, 1: 1}, {0: 3}, {0: -1}):
-            with pytest.raises(ConstraintViolation):
-                expand_solution(bad, r)
+        g = ResourceGrid(k=2, l=3)
+        a = expand_solution(np.array([2]), r)
+        verify_assignment(a, g)
+        assert a.subchannel.tolist() == [5]
+        with pytest.raises(ConstraintViolation):
+            verify_assignment(expand_solution(np.array([0, 1, 1]), r), g)
+        # subframe -1 lands on a negative subchannel
+        with pytest.raises(IndexError, match="subchannel index -1 outside"):
+            verify_assignment(expand_solution(np.array([-1]), r), g)
+        for too_high in (3, 4):  # the gather itself fails
+            with pytest.raises(IndexError):
+                expand_solution(np.array([0, too_high]), r)
 
 
 class TestCompressionLossless:
@@ -245,9 +259,9 @@ class TestCompressionLossless:
             r = compress(vals.ravel(), k, l)
             mapping, red_best = brute_max_matching(r.d)
             a = expand_solution(mapping, r)
-            x = assignment_to_x(a.pairs, k, l)
+            x = assignment_to_x(a.subchannel, k, l)
             assert np.all(build_constraint_matrix(k, l) @ x == 1)
-            value = sum(vals[i, sc] for i, sc in a.pairs.items())
+            value = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
             assert np.isclose(value, red_best, rtol=1e-12)
 
     @settings(max_examples=80, deadline=None)
@@ -267,6 +281,6 @@ class TestCompressionLossless:
             assert np.all(blocks[i, f, :r.argmax_slot[i, f]] < r.d[i, f])
         # any bijection keeps its sum through expansion
         perm = rng.permutation(l)
-        a = expand_solution({i: int(perm[i]) for i in range(l)}, r)
-        assert sum(vals[i, sc] for i, sc in a.pairs.items()) == \
+        a = expand_solution(perm, r)
+        assert sum(vals[i, sc] for i, sc in enumerate(a.subchannel)) == \
             sum(r.d[i, perm[i]] for i in range(l))

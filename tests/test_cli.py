@@ -361,13 +361,13 @@ class TestRunExperiment:
 
     def test_error_keeps_type_and_location(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
-            raise ParseError("x", row=3, col=4)
+            raise ParseError("x", row=3)
 
         monkeypatch.setattr(pipeline, "solve_greedy", failing)
         raw = tiny_raw(methods=["greedy"], out_dir=str(tmp_path / "out"))
         with pytest.raises(ParseError) as exc:
             run_experiment(config_from_dict(raw))
-        assert (exc.value.row, exc.value.col) == (3, 4)
+        assert exc.value.row == 3
         assert "cluster 0" in str(exc.value)
         assert "method greedy" in str(exc.value)
 
@@ -420,7 +420,7 @@ class TestRunSweep:
 
     def test_error_names_sweep_cell(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
-            raise ParseError("x", row=3, col=4)
+            raise ParseError("x", row=3)
 
         monkeypatch.setattr(pipeline, "solve_greedy", failing)
         raw = tiny_raw(out_dir=str(tmp_path / "out"),
@@ -434,8 +434,8 @@ class TestValidateAssignments:
     def test_round_trip_of_written_assignments(self, tmp_path):
         g = ResourceGrid(k=2, l=6)
         p = tmp_path / "assn.csv"
-        write_assignment_csv(p, [Assignment(0, {0: 0, 1: 2}, "greedy"),
-                                 Assignment(1, {0: 5}, "greedy")], g)
+        write_assignment_csv(p, [Assignment(0, np.array([0, 2]), "greedy"),
+                                 Assignment(1, np.array([5]), "greedy")], g)
         rep = validate_assignment_file(p, k=2)
         assert rep.ok
         assert rep.n_rows == 3

@@ -26,7 +26,7 @@ from sidesched.solvers import Assignment
 def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     def clashing(*args, **kwargs):
         # subchannels 0 and 1 both lie in subframe 0 when k = 2
-        return Assignment(0, {0: 0, 1: 1}, method)
+        return Assignment(0, np.array([0, 1]), method)
 
     monkeypatch.setattr(pipeline, stage, clashing)
     grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
@@ -44,15 +44,23 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     ("oracle", "solve_oracle"),
 ])
 def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
-    # 3 vehicles on 5 subframes: rows 3 and 4 of the draw are dummies
+    # 3 vehicles on 5 subframes: rows 3 and 4 of the draw are dummies. At
+    # ideal feedback the decision is the draw's truth itself, which no
+    # cell may write to.
     assignments = _record_calls(monkeypatch, stage)
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
-    rates = pipeline.draw_rates(grid, draw, 2)
-    cell = pipeline.run_cell(grid, draw, rates, 2, method, solver_seed=5)
-    assert [sorted(a.pairs) for a in assignments] == [[0, 1, 2]]
-    assert cell.vehicle_rates_bps.shape == (3,)
+    truth = draw.truth.values.copy()
+    for bits in (0, 2):
+        rates = pipeline.draw_rates(grid, draw, bits)
+        cell = pipeline.run_cell(grid, draw, rates, bits, method, solver_seed=5)
+        subchannel = assignments[-1].subchannel
+        assert isinstance(subchannel, np.ndarray)
+        assert (subchannel.dtype, subchannel.shape) == (np.int64, (3,))
+        assert cell.vehicle_rates_bps.shape == (3,)
+        assert draw.truth.values.tobytes() == truth.tobytes()
+    assert len(assignments) == 2
 
 
 def _record_calls(monkeypatch, name, module=pipeline, first_args=None,

@@ -204,7 +204,7 @@ class TestBuildRateMatrices:
         tru = RateMatrix(0, rate_from_sinr(1.26e6, rng.uniform(-15, 35, (4, 8))))
         dec = build_rate_matrices(tru, None, 1.26e6, None)
         assert np.array_equal(dec.values, tru.values)
-        assert dec.values is not tru.values
+        assert dec.values is tru.values
 
     def test_single_entry_quantized(self):
         q = QuantizerSpec(bits=2, lo_db=-15.0, hi_db=35.0)

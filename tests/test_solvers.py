@@ -34,18 +34,18 @@ class TestGreedy:
     def test_reference_case(self):
         g = ResourceGrid(k=2, l=2)
         a = greedy([[1, 3, 2, 5], [4, 1, 2, 2]], g)
-        assert a.pairs == {0: 3, 1: 0}
+        assert a.subchannel.tolist() == [3, 0]
 
     def test_fills_in_index_order(self):
         g = ResourceGrid(k=1, l=2)
         a = greedy([[5, 1], [4, 1]], g)
-        assert a.pairs == {0: 0, 1: 1}
+        assert a.subchannel.tolist() == [0, 1]
 
     def test_first_come_first_served_can_be_suboptimal(self):
         g = ResourceGrid(k=1, l=2)
         vals = [[5.0, 4.0], [5.0, 1.0]]
         a = greedy(vals, g)
-        total = sum(vals[i][sc] for i, sc in a.pairs.items())
+        total = sum(vals[i][sc] for i, sc in enumerate(a.subchannel))
         assert total == 6.0
         _, best = brute_full_optimum(np.asarray(vals), 1, 2)
         assert best == 9.0
@@ -53,7 +53,7 @@ class TestGreedy:
     def test_tie_takes_lowest_index(self):
         g = ResourceGrid(k=2, l=2)
         a = greedy([[3, 3, 3, 3]], g)
-        assert a.pairs == {0: 0}
+        assert a.subchannel.tolist() == [0]
 
     def test_too_many_vehicles(self):
         g = ResourceGrid(k=2, l=2)
@@ -71,7 +71,7 @@ class TestGreedy:
                                                max_size=n)))
         vals[constant] = vals[constant][:, :1]
         g = ResourceGrid(k=k, l=l)
-        assert greedy(vals, g).pairs == greedy_full_matrix(vals, k, l)
+        assert greedy(vals, g).subchannel.tolist() == greedy_full_matrix(vals, k, l)
 
 
 class TestRandom:
@@ -79,12 +79,12 @@ class TestRandom:
         g = ResourceGrid(k=3, l=8)
         a = solve_random(g, 5, np.random.default_rng(77))
         b = solve_random(g, 5, np.random.default_rng(77))
-        assert a.pairs == b.pairs
+        np.testing.assert_array_equal(a.subchannel, b.subchannel)
 
     def test_k1_full_load_is_a_permutation(self):
         g = ResourceGrid(k=1, l=5)
         a = solve_random(g, 5, np.random.default_rng(3))
-        assert sorted(a.pairs.values()) == list(range(5))
+        assert sorted(a.subchannel.tolist()) == list(range(5))
 
     def test_permutations_uniform_within_3_sigma(self):
         # L = 3, K = 1, n = 3: six permutations, 10**5 draws
@@ -94,7 +94,7 @@ class TestRandom:
         counts = {}
         for _ in range(n_draws):
             a = solve_random(g, 3, rng)
-            key = tuple(a.pairs[i] for i in range(3))
+            key = tuple(a.subchannel.tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         p = 1.0 / 6.0
@@ -120,19 +120,19 @@ class TestOracle:
     def test_single_vehicle_takes_global_best(self):
         g = ResourceGrid(k=2, l=2)
         a = solve_oracle(rates([[1, 3, 2, 5]]), g)
-        assert a.pairs == {0: 3}
+        assert a.subchannel.tolist() == [3]
 
     def test_reference_case_value(self):
         g = ResourceGrid(k=2, l=2)
         vals = np.array([[1, 3, 2, 5], [4, 1, 2, 2]], dtype=float)
         a = solve_oracle(rates(vals), g)
-        total = sum(vals[i, sc] for i, sc in a.pairs.items())
+        total = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
         assert total == 9.0
 
     def test_all_equal_weights(self):
         g = ResourceGrid(k=2, l=3)
         a = solve_oracle(rates(np.full((3, 6), 2.5)), g)
-        total = sum(2.5 for _ in a.pairs)
+        total = sum(2.5 for _ in a.subchannel)
         assert total == 3 * 2.5
         verify_assignment(a, g)
 
@@ -145,7 +145,7 @@ class TestOracle:
             g = ResourceGrid(k=k, l=l)
             vals = rng.uniform(0, 9, (n, k * l))
             a = solve_oracle(rates(vals), g)
-            got = sum(vals[i, sc] for i, sc in a.pairs.items())
+            got = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
             _, ref = brute_full_optimum(vals, k, l)
             assert np.isclose(got, ref, rtol=1e-12)
 
@@ -159,7 +159,7 @@ class TestOracle:
             n = int(rng.integers(1, l + 1))
             vals = rng.integers(0, 3, (n, k * l)).astype(float)
             a = solve_oracle(rates(vals), ResourceGrid(k=k, l=l))
-            assert a.pairs == brute_full_optimum(vals, k, l)[0]
+            assert a.subchannel.tolist() == brute_full_optimum(vals, k, l)[0]
 
     def test_caps(self):
         with pytest.raises(CapacityError):
@@ -178,9 +178,9 @@ class TestProposed:
             vals = rng.uniform(0, 9, (l, k * l))
             r = compress(vals.ravel(), k, l)
             a = expand_solution(solve_proposed(r, l), r)
-            got = sum(vals[i, sc] for i, sc in a.pairs.items())
+            got = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
             b = solve_oracle(rates(vals), g)
-            ref = sum(vals[i, sc] for i, sc in b.pairs.items())
+            ref = sum(vals[i, sc] for i, sc in enumerate(b.subchannel))
             assert np.isclose(got, ref, rtol=1e-12)
             verify_assignment(a, g)
 
@@ -193,9 +193,9 @@ class TestProposed:
             vals = rng.uniform(0, 9, (l, k * l))
             r = compress(vals.ravel(), k, l)
             a = expand_solution(solve_proposed(r, l), r)
-            opt = sum(vals[i, sc] for i, sc in a.pairs.items())
+            opt = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
             gr = solve_greedy(r, l)
-            grd = sum(vals[i, sc] for i, sc in gr.pairs.items())
+            grd = sum(vals[i, sc] for i, sc in enumerate(gr.subchannel))
             assert opt >= grd - 1e-9
 
     def test_too_many_vehicles(self):
@@ -210,8 +210,8 @@ class TestProposed:
             vals = rng.uniform(0, 9, (6, 12))
             gr = greedy(vals, g)
             ra = solve_random(g, 6, rng)
-            margins.append(sum(vals[i, sc] for i, sc in gr.pairs.items()) -
-                           sum(vals[i, sc] for i, sc in ra.pairs.items()))
+            margins.append(sum(vals[i, sc] for i, sc in enumerate(gr.subchannel)) -
+                           sum(vals[i, sc] for i, sc in enumerate(ra.subchannel)))
         assert np.mean(margins) > 0
 
 
@@ -219,7 +219,7 @@ class TestVerifyAndEvaluate:
     def test_verify_flags_shared_subframe(self):
         g = ResourceGrid(k=7, l=100)
         from sidesched.solvers import Assignment
-        a = Assignment(0, {0: 3, 1: 5}, "greedy")
+        a = Assignment(0, np.array([3, 5]), "greedy")
         with pytest.raises(ConstraintViolation) as exc:
             verify_assignment(a, g)
         assert "subframe 0" in str(exc.value)
@@ -227,7 +227,7 @@ class TestVerifyAndEvaluate:
     def test_evaluate_single_vehicle(self):
         a_vals = np.array([[1.0, 2.0]])
         from sidesched.solvers import Assignment
-        stats, v = evaluate(Assignment(0, {0: 1}, "greedy"),
+        stats, v = evaluate(Assignment(0, np.array([1]), "greedy"),
                             rates(a_vals), rates(a_vals))
         assert stats.sum_rate_decision_bps == 2.0
         assert stats.sum_rate_truth_bps == 2.0
@@ -237,7 +237,7 @@ class TestVerifyAndEvaluate:
         from sidesched.solvers import Assignment
         dec = rates([[5.0, 1.0]])
         tru = rates([[2.0, 3.0]])
-        stats, v = evaluate(Assignment(0, {0: 0}, "greedy"), dec, tru)
+        stats, v = evaluate(Assignment(0, np.array([0]), "greedy"), dec, tru)
         assert stats.sum_rate_decision_bps == 5.0
         assert stats.sum_rate_truth_bps == 2.0
         np.testing.assert_array_equal(v, [2.0])
@@ -245,9 +245,8 @@ class TestVerifyAndEvaluate:
 
 def verify_by_messages(assignment, grid):
     """``verify_assignment`` without its counting fast path."""
-    vehicles = sorted(assignment.pairs)
-    subchannels = [assignment.pairs[i] for i in vehicles]
-    clashes = shared_subframes(vehicles, subchannels,
+    subchannels = assignment.subchannel.tolist()
+    clashes = shared_subframes(range(len(subchannels)), subchannels,
                                [subframe_of(grid, sc) for sc in subchannels])
     if clashes:
         raise ConstraintViolation(clashes[0])
@@ -265,7 +264,7 @@ class TestVerifyFastPath:
     def test_first_clash_message(self):
         g = ResourceGrid(k=7, l=100)
         # subframe 1 clashes first in vehicle order, then subframe 0
-        a = Assignment(0, {4: 3, 0: 9, 1: 5, 2: 12, 3: 699}, "greedy")
+        a = Assignment(0, np.array([9, 5, 12, 699, 3]), "greedy")
         with pytest.raises(ConstraintViolation) as exc:
             verify_assignment(a, g)
         assert str(exc.value) == (
@@ -275,15 +274,12 @@ class TestVerifyFastPath:
     def test_out_of_range_raises_index_error(self, sc):
         g = ResourceGrid(k=7, l=100)
         with pytest.raises(IndexError, match=f"subchannel index {sc} outside"):
-            verify_assignment(Assignment(0, {0: 3, 1: sc, 2: 4}, "greedy"), g)
+            verify_assignment(Assignment(0, np.array([3, sc, 4]), "greedy"), g)
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 4), l=st.integers(1, 8),
-           subchannels=st.lists(st.integers(-2, 34), max_size=10),
-           order=st.randoms(use_true_random=False))
-    def test_same_outcome_as_the_messages(self, k, l, subchannels, order):
-        vehicles = list(range(len(subchannels)))
-        order.shuffle(vehicles)  # insertion order must not matter
+           subchannels=st.lists(st.integers(-2, 34), max_size=10))
+    def test_same_outcome_as_the_messages(self, k, l, subchannels):
         g = ResourceGrid(k=k, l=l)
-        a = Assignment(0, dict(zip(vehicles, subchannels)), "greedy")
+        a = Assignment(0, np.array(subchannels, dtype=np.int64), "greedy")
         assert outcome(verify_assignment, a, g) == outcome(verify_by_messages, a, g)

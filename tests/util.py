@@ -27,7 +27,8 @@ def decision_of(sinr_db, q, b_hz):
 def brute_max_matching(d):
     """Optimal square matching by permutation enumeration.
 
-    Strict improvement keeps the lexicographically first optimum.
+    Strict improvement keeps the lexicographically first optimum, returned
+    as the column of each row and the total.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -37,43 +38,45 @@ def brute_max_matching(d):
         val = sum(d[i, perm[i]] for i in range(n))
         if val > best_val:
             best_val, best = val, perm
-    return dict(enumerate(best)), best_val
+    return np.array(best), best_val
 
 
 def brute_full_optimum(values, k, l):
     """Exhaustive optimum over the entire feasible set, slot tuples included.
 
     values: (n, k*l) rate matrix. Every subframe injection is combined
-    with every per-vehicle slot tuple; use only on tiny instances.
+    with every per-vehicle slot tuple; use only on tiny instances. Returns
+    the subchannel of each vehicle and the total.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     best_val = -np.inf
-    best_pairs = None
+    best = None
     for inj in itertools.permutations(range(l), n):
         for slots in itertools.product(range(k), repeat=n):
             val = sum(values[i, inj[i] * k + slots[i]] for i in range(n))
             if val > best_val:
                 best_val = val
-                best_pairs = {i: inj[i] * k + slots[i] for i in range(n)}
-    return best_pairs, best_val
+                best = [inj[i] * k + slots[i] for i in range(n)]
+    return best, best_val
 
 
 def greedy_full_matrix(values, k, l):
     """First-come first-served greedy scanning the full N x K*L rate matrix.
 
     Vehicles in ascending index take the best subchannel among subframes
-    nobody claimed yet; ties go to the lowest subchannel index.
+    nobody claimed yet; ties go to the lowest subchannel index. Returns
+    the subchannel of each vehicle.
     """
     vals = np.asarray(values, dtype=float)
     free = np.ones(l, dtype=bool)
-    pairs = {}
+    picks = []
     for i in range(vals.shape[0]):
         masked = np.where(np.repeat(free, k), vals[i], -np.inf)
         sc = int(np.argmax(masked))  # first hit = lowest index on ties
-        pairs[i] = sc
+        picks.append(sc)
         free[sc // k] = False
-    return pairs
+    return picks
 
 
 def build_constraint_matrix(k, l):
@@ -91,10 +94,10 @@ def build_constraint_matrix(k, l):
     return np.vstack([per_vehicle, per_subframe])
 
 
-def assignment_to_x(pairs, k, l):
-    """Vehicle-major indicator vector of an assignment."""
+def assignment_to_x(subchannel, k, l):
+    """Vehicle-major indicator vector of the subchannel of each vehicle."""
     x = np.zeros(k * l * l, dtype=np.int64)
-    for i, sc in pairs.items():
+    for i, sc in enumerate(subchannel):
         x[i * k * l + sc] = 1
     return x
 
