@@ -13,12 +13,11 @@ from .metrics import EvalReport, SweepRow, build_report, sweep_density
 from .munkres import max_weight_assignment
 from .pipeline import (CellResult, Draw, derive_seed, draw_cluster, draw_rates,
                        run_cell)
-from .scenario import (Cluster, ScenarioModel, SinrMatrix, generate_sinr,
-                       make_clusters, pad_to_square)
+from .scenario import (Cluster, ScenarioModel, generate_sinr, make_clusters,
+                       pad_to_square)
 from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix,
                        build_rate_matrices, quantize, rate_from_sinr)
-from .solvers import (Assignment, METHODS, SolveStats, evaluate, solve_greedy,
-                      solve_oracle, solve_proposed, solve_random,
-                      verify_assignment)
+from .solvers import (Assignment, METHODS, evaluate, solve_greedy, solve_oracle,
+                      solve_proposed, solve_random, verify_assignment)
 
 __version__ = "0.1.0"

@@ -123,9 +123,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         run_records.append({
             "method": cell.method, "bits": cell.bits,
             "cluster": cluster.id, "repetition": rep,
-            "sum_rate_decision_bps": cell.stats.sum_rate_decision_bps,
-            "sum_rate_truth_bps": cell.stats.sum_rate_truth_bps,
-            "runtime_s": cell.stats.runtime_s,
+            "sum_rate_decision_bps": cell.sum_rate_decision_bps,
+            "sum_rate_truth_bps": cell.sum_rate_truth_bps,
+            "runtime_s": cell.runtime_s,
         })
     reports = []
     for (method, bits), series in samples.items():

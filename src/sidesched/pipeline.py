@@ -1,21 +1,19 @@
 """The three stages of a cell: draw, rates, and the cell itself.
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster,
-padded with dummy vehicles to a square, with its fine-grained (truth)
-rates and, when some width is quantized, its 8-bit quantizer index over
-the configured dB range; both serve every width. Its *rates* at one
-feedback width (``draw_rates``) are the decision a scheduler decides on
-and its block table (``compress``) that proposed and greedy read. A
-quantized decision is the level index of every entry plus the 2**bits
-level rates; the b-bit indices are the draw's 8-bit index shifted right
-by 8 - b, which equals the b-bit quantizer bit for bit (``sideinfo``).
-Its block table is built from the indices, and scores read the rates
-only at the chosen entries. A *cell* (``run_cell``) runs one method on
-those rates: it solves, checks the assignment and scores it on the truth
-rates. Every method's assignment is an array of one subchannel per real
-vehicle, so each vehicle takes exactly one subchannel by construction;
-``verify_assignment`` is the one check of the other constraint, one
-vehicle per subframe, for every method alike.
+padded with dummy vehicles to a square: its fine-grained (truth) rates
+and, when some width is quantized, its 8-bit quantizer index over the
+configured dB range; both serve every width. Its *rates* at one feedback
+width (``draw_rates``) are the decision a scheduler decides on and the
+block table (``compress``) that proposed and greedy read. A quantized
+decision is the level index of every entry plus the 2**bits level rates;
+the b-bit indices are the draw's 8-bit index shifted right by 8 - b,
+which equals the b-bit quantizer bit for bit (``sideinfo``). A *cell*
+(``run_cell``) runs one method on those rates. It solves; it checks the
+assignment, which holds one subchannel per real vehicle, for one vehicle
+per subframe (``verify_assignment``, for every method alike); and it
+scores it on the truth rates. Its ``CellResult`` keeps each vehicle's
+truth rate, the decision sum rate and the solve time.
 The one cell loop, ``metrics.iter_cells``, nests repetition x cluster,
 then width, then method, so each draw is computed once and each width's
 rates once per draw, shared by every method; each draw is released
@@ -39,8 +37,8 @@ from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix, _fine_index,
                        build_rate_matrices, rate_from_sinr)
-from .solvers import (SolveStats, evaluate, solve_greedy, solve_oracle,
-                      solve_proposed, solve_random, verify_assignment)
+from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
+                      solve_random, verify_assignment)
 
 # Stream tags keeping scenario draws and solver randomness disjoint.
 SCENARIO_STREAM = 0
@@ -71,7 +69,12 @@ class CellResult:
     method: str
     bits: int  # 0 = ideal fine-grained feedback
     vehicle_rates_bps: np.ndarray  # truth rates of real vehicles, ascending index
-    stats: SolveStats
+    sum_rate_decision_bps: float  # what the scheduler believed
+    runtime_s: float  # solve time, checks and scoring excluded
+
+    @property
+    def sum_rate_truth_bps(self) -> float:
+        return float(self.vehicle_rates_bps.sum())
 
 
 def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
@@ -81,8 +84,8 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     and ``quant_range``, None when no width is quantized."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
     padded = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    truth = RateMatrix(padded.cluster_id, rate_from_sinr(grid.b_hz, padded.values))
-    fine = None if quant_range is None else _fine_index(*quant_range, padded.values)
+    truth = RateMatrix(rate_from_sinr(grid.b_hz, padded))
+    fine = None if quant_range is None else _fine_index(*quant_range, padded)
     return Draw(cluster, truth, quant_range, fine)
 
 
@@ -108,9 +111,8 @@ def run_cell(grid: ResourceGrid, draw: Draw,
              bits: int, method: str, solver_seed: int = 0) -> CellResult:
     """Solve, check and score one method on a draw's rates at ``bits``.
 
-    Every assignment holds one subchannel per real vehicle, and is checked
-    for subframe conflicts before it is scored on the draw's truth rates,
-    whatever the method.
+    Every method's assignment is checked for subframe conflicts before it
+    is scored on the draw's truth rates.
     """
     decision, reduced = rates
     cluster = draw.cluster
@@ -126,11 +128,9 @@ def run_cell(grid: ResourceGrid, draw: Draw,
         rng = np.random.default_rng(solver_seed)
         assn = solve_random(grid, n_real, rng, cluster_id=cluster.id)
     elif method == "oracle":
-        assn = solve_oracle(RateMatrix(cluster.id, decision.values[:n_real]), grid)
+        assn = solve_oracle(decision, grid, n_real, cluster_id=cluster.id)
     else:
         raise ValueError(f"unknown method {method!r}")
     runtime = time.perf_counter() - t0
     verify_assignment(assn, grid)
-
-    stats, vehicle_rates = evaluate(assn, decision, draw.truth, runtime)
-    return CellResult(method, bits, vehicle_rates, stats)
+    return CellResult(method, bits, *evaluate(assn, decision, draw.truth), runtime)

@@ -1,13 +1,14 @@
 """Per-cluster SINR side information: synthetic models and dummy padding.
 
-A cluster's side information is an N x (K*L) matrix of fine-grained SINR
+A cluster's side information is an N x (K*L) array of fine-grained SINR
 in dB, one row per vehicle and one column per subchannel of the window.
-The scheduling math consumes only this matrix; here it is drawn from
-seeded statistical models.
+The scheduling math consumes only this array; here it is drawn from
+seeded statistical models with finite levels, clamped to [floor, ceil].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,22 +39,6 @@ def make_clusters(sizes) -> list[Cluster]:
     return [Cluster(j, n) for j, n in enumerate(sizes)]
 
 
-@dataclass
-class SinrMatrix:
-    """Finite SINR values in dB, vehicles along rows, subchannels along columns."""
-
-    cluster_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ShapeError(
-                f"SINR matrix must be 2-D, got ndim={self.values.ndim}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("SINR values must be finite")
-
-
 @dataclass(frozen=True)
 class ScenarioModel:
     """Synthetic SINR generator parameters. All levels are in dB.
@@ -77,14 +62,17 @@ class ScenarioModel:
     seed: int = 0
 
     def __post_init__(self):
-        ordered = self.sinr_floor_db < self.sinr_ceil_db
-        require(kind=self.kind in SCENARIO_KINDS, std_db=self.std_db >= 0,
-                p_bad=0.0 <= self.p_bad <= 1.0, sinr_floor_db=ordered,
-                sinr_ceil_db=ordered, seed=self.seed >= 0)
+        fin, ordered = math.isfinite, self.sinr_floor_db < self.sinr_ceil_db
+        require(kind=self.kind in SCENARIO_KINDS, mean_db=fin(self.mean_db),
+                std_db=fin(self.std_db) and self.std_db >= 0,
+                bad_mean_db=fin(self.bad_mean_db), p_bad=0.0 <= self.p_bad <= 1.0,
+                sinr_floor_db=fin(self.sinr_floor_db) and ordered,
+                sinr_ceil_db=fin(self.sinr_ceil_db) and ordered,
+                p_t_dbm=fin(self.p_t_dbm), seed=self.seed >= 0)
 
 
-def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) -> SinrMatrix:
-    """Draw the cluster's SINR matrix.
+def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) -> np.ndarray:
+    """Draw the cluster's N x (K*L) SINR array in dB.
 
     Deterministic in (model.seed, cluster.id): the stream is split per
     cluster, so regenerating any one cluster gives identical values
@@ -104,11 +92,11 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
         bad_row = rng.random((cluster.n_vehicles, 1)) < model.p_bad
         centers = np.where(bad_row, model.bad_mean_db, model.mean_db) + shift
         vals = rng.normal(centers, model.std_db, shape)
-    vals = np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db)
-    return SinrMatrix(cluster.id, vals)
+    return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db)
 
 
-def pad_to_square(matrix: SinrMatrix, grid: ResourceGrid, floor_db: float = -15.0):
+def pad_to_square(sinr_db: np.ndarray, grid: ResourceGrid,
+                  floor_db: float = -15.0) -> np.ndarray:
     """Append dummy vehicles at the floor SINR until there are L rows.
 
     Dummies make the matching square so one vehicle can sit in every
@@ -116,7 +104,7 @@ def pad_to_square(matrix: SinrMatrix, grid: ResourceGrid, floor_db: float = -15.
     displaces a real vehicle from its optimum. The real vehicles keep
     rows 0..N-1, so the dummies are the rows from N on.
     """
-    n, cols = matrix.values.shape
+    n, cols = sinr_db.shape
     if cols != grid.n_subchannels:
         raise ShapeError(
             f"matrix has {cols} subchannel columns, grid has {grid.n_subchannels}")
@@ -125,5 +113,4 @@ def pad_to_square(matrix: SinrMatrix, grid: ResourceGrid, floor_db: float = -15.
             f"{n} vehicles exceed {grid.l} subframes; a subframe holds one "
             "vehicle per cluster")
     pad = np.full((grid.l - n, grid.n_subchannels), float(floor_db))
-    padded = np.vstack([matrix.values, pad])
-    return SinrMatrix(matrix.cluster_id, padded)
+    return np.vstack([sinr_db, pad])

@@ -94,7 +94,6 @@ def rate_from_sinr(b_hz: float, sinr_db):
 class RateMatrix:
     """Per-(vehicle, subchannel) rates in bits/s; non-negative and finite."""
 
-    cluster_id: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -118,7 +117,6 @@ class QuantizedRates:
     ``_bin_index`` and lie in range by construction.
     """
 
-    cluster_id: int
     idx: np.ndarray          # (N, K*L) uint8 level indices
     level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
 
@@ -159,4 +157,4 @@ def build_rate_matrices(truth: RateMatrix, q: QuantizerSpec | None, b_hz: float,
     if q is None:
         return truth
     level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
-    return QuantizedRates(truth.cluster_id, fine >> (8 - q.bits), level_rates)
+    return QuantizedRates(fine >> (8 - q.bits), level_rates)

@@ -6,9 +6,9 @@ at entry i, so every vehicle takes exactly one subchannel by
 construction. The other constraint, at most one vehicle per subframe, is
 checked in one place, ``verify_assignment``, which every cell runs on
 every method's assignment. The optimal route (``solve_proposed``) and
-greedy work on the compressed block table; the oracle works directly on
-a rate matrix, enumerates the whole feasible set and is capped to small
-instances.
+greedy work on the compressed block table; the oracle works on the real
+rows of a rate matrix and enumerates the feasible set, capped to small
+instances. ``evaluate`` reads the truth rates and the decision sum.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ class Assignment:
     cluster_id: int
     subchannel: np.ndarray  # (N,) int64: global subchannel of vehicle i
     method: str
-
-
-@dataclass
-class SolveStats:
-    """Sum rates of one solve; decision is what the scheduler believed."""
-
-    sum_rate_decision_bps: float
-    sum_rate_truth_bps: float
-    runtime_s: float = 0.0
 
 
 def shared_subframes(vehicles, subchannels, subframes) -> list[str]:
@@ -133,8 +124,10 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
     return Assignment(cluster_id, frames * grid.k + slots, "random")
 
 
-def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> Assignment:
-    """Exhaustive optimum over every subframe injection and slot choice.
+def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid,
+                 n_vehicles: int, cluster_id: int = 0) -> Assignment:
+    """Exhaustive optimum of the first ``n_vehicles`` rows over every
+    subframe injection and slot choice.
 
     Slot choices factor per vehicle (one vehicle per subframe), so each
     injection is scored from the block maxima over each subframe's K
@@ -145,8 +138,8 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> A
         raise CapacityError(
             f"oracle capped at l <= {ORACLE_MAX_L} and k <= {ORACLE_MAX_K}, "
             f"got l={grid.l}, k={grid.k}")
-    vals = decision.values
-    n = vals.shape[0]
+    n = n_vehicles
+    vals = decision.values[:n]
     if vals.shape[1] != grid.n_subchannels:
         raise ShapeError(
             f"rate matrix has {vals.shape[1]} columns, grid has {grid.n_subchannels}")
@@ -165,19 +158,16 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid) -> A
             best_total, best_inj = total, inj
     frames = np.array(best_inj, np.int64)
     subchannel = frames * grid.k + slots[np.arange(n), frames]
-    return Assignment(decision.cluster_id, subchannel, "oracle")
+    return Assignment(cluster_id, subchannel, "oracle")
 
 
 def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
-             truth: RateMatrix | QuantizedRates, runtime_s: float = 0.0):
-    """SolveStats and the truth rate of every vehicle of ``assignment``.
+             truth: RateMatrix | QuantizedRates) -> tuple[np.ndarray, float]:
+    """(truth rate of every vehicle of ``assignment``, decision sum rate).
 
     Rates come back in ascending vehicle order, and each rate matrix is
     read only at the chosen entries.
     """
     cols = assignment.subchannel
     rows = np.arange(cols.size)
-    truth_rates = truth.at(rows, cols)
-    dec_sum = float(decision.at(rows, cols).sum())
-    stats = SolveStats(dec_sum, float(truth_rates.sum()), runtime_s)
-    return stats, truth_rates
+    return truth.at(rows, cols), float(decision.at(rows, cols).sum())

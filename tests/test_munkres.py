@@ -34,7 +34,7 @@ def full_load_block_maxima(model, bits):
     grid = ResourceGrid(k=7, l=100)
     sinr = generate_sinr(model, Cluster(id=0, n_vehicles=100), grid)
     padded = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    decision = decision_of(padded.values, QuantizerSpec(bits=bits), grid.b_hz)
+    decision = decision_of(padded, QuantizerSpec(bits=bits), grid.b_hz)
     return compress(decision.values.ravel(), grid.k, grid.l).d
 
 

@@ -83,7 +83,8 @@ def _record_calls(monkeypatch, name, module=pipeline, first_args=None,
     return results
 
 
-SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+ROOT = Path(__file__).resolve().parents[1]
+SMOKE = ROOT / "configs" / "smoke.json"
 
 
 @pytest.mark.parametrize("runner, n_cells", [(run_experiment, 48),
@@ -133,7 +134,7 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
         q = args[1]
         if q is not None:
             np.testing.assert_array_equal(decision.idx,
-                                          _bin_index(q, sinr.values))
+                                          _bin_index(q, sinr))
             assert decision.idx.dtype == np.uint8
     fine_of = [id(args[3]) for args, _ in rate_calls]
     assert fine_of == [id(f) for f in fines for _ in range(widths)]
@@ -145,3 +146,11 @@ def test_no_fine_index_without_a_quantized_width(monkeypatch, tmp_path):
     draws = _record_calls(monkeypatch, "generate_sinr")
     run_experiment(config)
     assert draws and fines == []
+
+
+def test_readme_library_example_runs(capsys):
+    # the fenced python block under "Library use", run as written
+    section = (ROOT / "README.md").read_text().split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert "Mbps across 80 vehicles" in capsys.readouterr().out

@@ -201,7 +201,7 @@ class TestNestedWidths:
 class TestBuildRateMatrices:
     def test_ideal_pair_is_bitwise_equal(self):
         rng = np.random.default_rng(1)
-        tru = RateMatrix(0, rate_from_sinr(1.26e6, rng.uniform(-15, 35, (4, 8))))
+        tru = RateMatrix(rate_from_sinr(1.26e6, rng.uniform(-15, 35, (4, 8))))
         dec = build_rate_matrices(tru, None, 1.26e6, None)
         assert np.array_equal(dec.values, tru.values)
         assert dec.values is tru.values
@@ -235,4 +235,4 @@ class TestBuildRateMatrices:
 
     def test_rate_matrix_rejects_negative(self):
         with pytest.raises(ValueError):
-            RateMatrix(0, np.array([[-1.0]]))
+            RateMatrix(np.array([[-1.0]]))

@@ -18,7 +18,7 @@ def decision_of(sinr_db, q, b_hz):
     """Decision rates of an SINR matrix in dB at quantizer ``q``, or at
     ideal feedback when ``q`` is None, from the truth rates and the uint8
     8-bit index, as a draw holds them (``pipeline.draw_cluster``)."""
-    truth = RateMatrix(0, rate_from_sinr(b_hz, sinr_db))
+    truth = RateMatrix(rate_from_sinr(b_hz, sinr_db))
     fine = None if q is None else quantize(
         QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0].astype(np.uint8)
     return build_rate_matrices(truth, q, b_hz, fine)
