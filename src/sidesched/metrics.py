@@ -29,9 +29,6 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     ``ParseError.row``).
     """
     grid, master = config.grid, config.master_seed
-    # the 8-bit index is computed only when some width reads it
-    quant_range = ((config.quant_lo_db, config.quant_hi_db)
-                   if any(config.bits_list) else None)
     where = []
     try:
         for rep in range(config.repetitions):
@@ -39,7 +36,7 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
                 where[:] = [label, f"repetition {rep}"]
                 seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
                 draw = draw_cluster(grid, config.scenario, cluster, seed,
-                                    quant_range)
+                                    (config.quant_lo_db, config.quant_hi_db))
                 solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
                 for bits in config.bits_list:
                     where[2:] = [f"{bits} bits"]

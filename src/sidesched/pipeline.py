@@ -1,23 +1,22 @@
 """The three stages of a cell: draw, rates, and the cell itself.
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster,
-padded with dummy vehicles to a square: its fine-grained (truth) rates
-and, when some width is quantized, its 8-bit quantizer index over the
+padded with dummy vehicles to a square: its SINR in dB, the truth, rated
+only where read (``FineRates``), and its 8-bit quantizer index over the
 configured dB range; both serve every width. Its *rates* at one feedback
 width (``draw_rates``) are the decision a scheduler decides on and the
-block table (``compress``) that proposed and greedy read. A quantized
-decision is the level index of every entry plus the 2**bits level rates;
-the b-bit indices are the draw's 8-bit index shifted right by 8 - b,
-which equals the b-bit quantizer bit for bit (``sideinfo``). A *cell*
-(``run_cell``) runs one method on those rates. It solves; it checks the
-assignment, which holds one subchannel per real vehicle, for one vehicle
-per subframe (``verify_assignment``, for every method alike); and it
-scores it on the truth rates. Its ``CellResult`` keeps each vehicle's
-truth rate, the decision sum rate and the solve time.
-The one cell loop, ``metrics.iter_cells``, nests repetition x cluster,
-then width, then method, so each draw is computed once and each width's
-rates once per draw, shared by every method; each draw is released
-before the next one is made.
+block table (``compress``) that proposed and greedy read. The ideal
+decision is the truth, whose table rates only the SINR block maxima. A
+quantized decision is the level index of every entry plus the 2**bits
+level rates; the b-bit indices are the draw's 8-bit index shifted right
+by 8 - b, which equals the b-bit quantizer bit for bit (``sideinfo``). A
+*cell* (``run_cell``) runs one method on those rates. It solves, checks
+the assignment (one subchannel per real vehicle) for one vehicle per
+subframe (``verify_assignment``, for every method), and scores it on the
+truth rates. The one cell loop, ``metrics.iter_cells``, nests repetition
+x cluster, then width, then method, so each draw is computed once and
+each width's rates once per draw, shared by every method; each draw is
+released before the next one is made.
 
 Seeds are derived hierarchically from the master seed through
 SeedSequence spawn keys, making every stage a pure function of its
@@ -35,7 +34,7 @@ import numpy as np
 from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
-from .sideinfo import (QuantizedRates, QuantizerSpec, RateMatrix, _fine_index,
+from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _fine_index,
                        build_rate_matrices, rate_from_sinr)
 from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
                       solve_random, verify_assignment)
@@ -59,9 +58,9 @@ class Draw:
     rows 0..N-1 are its real vehicles and the rest dummies."""
 
     cluster: Cluster
-    truth: RateMatrix  # fine-grained rates of the padded SINR
-    quant_range: tuple[float, float] | None  # (lo_db, hi_db); None: no width quantized
-    fine: np.ndarray | None  # uint8 8-bit index of the padded SINR over quant_range
+    truth: FineRates  # the padded SINR, rated where read
+    quant_range: tuple[float, float]  # (lo_db, hi_db) of every quantized width
+    fine: np.ndarray  # uint8 8-bit index of the padded SINR over quant_range
 
 
 @dataclass
@@ -78,28 +77,27 @@ class CellResult:
 
 
 def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
-                 scenario_seed: int, quant_range: tuple[float, float] | None
-                 ) -> Draw:
+                 scenario_seed: int, quant_range: tuple[float, float]) -> Draw:
     """The cluster's channel draw; depends only on the seed, the cluster
-    and ``quant_range``, None when no width is quantized."""
+    and ``quant_range``."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
     padded = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    truth = RateMatrix(rate_from_sinr(grid.b_hz, padded))
-    fine = None if quant_range is None else _fine_index(*quant_range, padded)
-    return Draw(cluster, truth, quant_range, fine)
+    return Draw(cluster, FineRates(padded, grid.b_hz), quant_range,
+                _fine_index(*quant_range, padded))
 
 
 def draw_rates(grid: ResourceGrid, draw: Draw, bits: int
-               ) -> tuple[RateMatrix | QuantizedRates, ReducedProblem]:
+               ) -> tuple[FineRates | QuantizedRates, ReducedProblem]:
     """(decision, block table of decision) of a draw at ``bits``.
 
-    ``bits=0`` is ideal feedback, decided on ``draw.truth`` itself; every
-    other width shifts the draw's 8-bit index.
+    ``bits=0`` decides on ``draw.truth`` and rates its SINR block maxima;
+    every other width shifts the draw's 8-bit index.
     """
     q = QuantizerSpec(bits, *draw.quant_range) if bits else None
-    decision = build_rate_matrices(draw.truth, q, grid.b_hz, draw.fine)
+    decision = build_rate_matrices(draw.truth, q, draw.fine)
     if q is None:
-        reduced = compress(decision.values.ravel(), grid.k, grid.l)
+        reduced = compress(draw.truth.sinr_db.ravel(), grid.k, grid.l)
+        reduced = replace(reduced, d=rate_from_sinr(grid.b_hz, reduced.d))
     else:
         reduced = compress(decision.idx.ravel(), grid.k, grid.l,
                            level_rates=decision.level_rates)
@@ -107,7 +105,7 @@ def draw_rates(grid: ResourceGrid, draw: Draw, bits: int
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,
-             rates: tuple[RateMatrix | QuantizedRates, ReducedProblem],
+             rates: tuple[FineRates | QuantizedRates, ReducedProblem],
              bits: int, method: str, solver_seed: int = 0) -> CellResult:
     """Solve, check and score one method on a draw's rates at ``bits``.
 

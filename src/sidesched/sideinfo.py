@@ -1,11 +1,10 @@
 """Linear SINR quantization and the SINR-to-rate mapping.
 
-Assignments are decided on a decision matrix of quantized reconstructions
-but judged on the truth matrix of fine-grained values.
-The quantizer is uniform over a dB range with midpoint reconstruction;
-bin width is (hi - lo) / 2**bits. A quantized decision is a bin index per
-entry plus the rates of the 2**bits reconstruction levels
-(``QuantizedRates``); its float matrix is built only on demand.
+Assignments are decided on quantized reconstructions but judged on the
+fine-grained SINR (``FineRates``). The quantizer is uniform over a dB
+range with midpoint reconstruction; bin width is (hi - lo) / 2**bits. A
+quantized decision is a bin index per entry plus the 2**bits level rates
+(``QuantizedRates``). Both rate only the entries read.
 
 Widths nest: the b-bit index of a value is its 8-bit index shifted right
 by 8 - b, bit for bit. The b-bit bin width is the 8-bit one times the
@@ -90,22 +89,26 @@ def rate_from_sinr(b_hz: float, sinr_db):
     return rate
 
 
-@dataclass
-class RateMatrix:
-    """Per-(vehicle, subchannel) rates in bits/s; non-negative and finite."""
+@dataclass(frozen=True)
+class FineRates:
+    """Rates, in bits/s, of an SINR array in dB, rated only where read."""
 
-    values: np.ndarray
+    sinr_db: np.ndarray
+    b_hz: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"rate matrix must be 2-D, got ndim={self.values.ndim}")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("rates must be finite and non-negative")
+        # rate increases with SINR: the largest SINR's rate bounds them all
+        if not np.isfinite(rate_from_sinr(self.b_hz, self.sinr_db.max())):
+            raise ValueError("rates must be finite")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The float rate matrix, built on each access."""
+        return rate_from_sinr(self.b_hz, self.sinr_db)
 
     def at(self, rows, cols) -> np.ndarray:
-        """Rates of the (rows[i], cols[i]) entries."""
-        return self.values[rows, cols]
+        """Rates of the (rows[i], cols[i]) entries, or of a block of slices."""
+        return rate_from_sinr(self.b_hz, self.sinr_db[rows, cols])
 
 
 @dataclass
@@ -113,8 +116,8 @@ class QuantizedRates:
     """Quantized decision rates: a level index per (vehicle, subchannel)
     and the rate of each level, in bits/s.
 
-    Only the 2**bits level rates are checked; the indices come from
-    ``_bin_index`` and lie in range by construction.
+    Only the 2**bits level rates are checked; the indices are a shifted
+    ``_fine_index`` and lie in range by construction.
     """
 
     idx: np.ndarray          # (N, K*L) uint8 level indices
@@ -133,20 +136,18 @@ class QuantizedRates:
         return self.level_rates[self.idx]
 
     def at(self, rows, cols) -> np.ndarray:
-        """Rates of the (rows[i], cols[i]) entries."""
+        """Rates of the (rows[i], cols[i]) entries, or of a block of slices."""
         return self.level_rates[self.idx[rows, cols]]
 
 
-def build_rate_matrices(truth: RateMatrix, q: QuantizerSpec | None, b_hz: float,
-                        fine: np.ndarray | None):
+def build_rate_matrices(truth: FineRates, q: QuantizerSpec | None, fine: np.ndarray):
     """The decision rates of one cluster at the width of ``q``.
 
-    The decision matrix is what the scheduler sees: rates of the
-    quantized reconstructions, or the fine-grained ``truth`` itself, not
-    a copy, when ``q`` is None (ideal feedback). ``fine`` is the 8-bit
-    index of the SINR behind ``truth`` over the range of ``q``
-    (``_fine_index``); it is shifted to the width of ``q``, and is not
-    read when ``q`` is None.
+    The decision is what the scheduler sees: rates of the quantized
+    reconstructions, or the fine-grained ``truth`` itself, not a copy,
+    when ``q`` is None (ideal feedback). ``fine`` is the 8-bit index of
+    the SINR behind ``truth`` over the range of ``q`` (``_fine_index``);
+    it is shifted to the width of ``q``, and is not read when ``q`` is None.
 
     A quantized decision is a ``QuantizedRates``: the bin index of every
     entry and the rates of the 2**bits reconstruction levels. Each level
@@ -156,5 +157,5 @@ def build_rate_matrices(truth: RateMatrix, q: QuantizerSpec | None, b_hz: float,
     """
     if q is None:
         return truth
-    level_rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
+    level_rates = rate_from_sinr(truth.b_hz, _reconstruct(q, np.arange(q.levels)))
     return QuantizedRates(fine >> (8 - q.bits), level_rates)

@@ -6,8 +6,8 @@ at entry i, so every vehicle takes exactly one subchannel by
 construction. The other constraint, at most one vehicle per subframe, is
 checked in one place, ``verify_assignment``, which every cell runs on
 every method's assignment. The optimal route (``solve_proposed``) and
-greedy work on the compressed block table; the oracle works on the real
-rows of a rate matrix and enumerates the feasible set, capped to small
+greedy work on the compressed block table; the oracle rates the real
+rows of a decision and enumerates the feasible set, capped to small
 instances. ``evaluate`` reads the truth rates and the decision sum.
 """
 
@@ -25,7 +25,7 @@ from .munkres import max_weight_assignment
 
 if TYPE_CHECKING:
     from .assignment import ReducedProblem
-    from .sideinfo import QuantizedRates, RateMatrix
+    from .sideinfo import FineRates, QuantizedRates
 
 METHODS = ("proposed", "greedy", "random", "oracle")
 
@@ -124,7 +124,7 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
     return Assignment(cluster_id, frames * grid.k + slots, "random")
 
 
-def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid,
+def solve_oracle(decision: FineRates | QuantizedRates, grid: ResourceGrid,
                  n_vehicles: int, cluster_id: int = 0) -> Assignment:
     """Exhaustive optimum of the first ``n_vehicles`` rows over every
     subframe injection and slot choice.
@@ -139,7 +139,7 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid,
             f"oracle capped at l <= {ORACLE_MAX_L} and k <= {ORACLE_MAX_K}, "
             f"got l={grid.l}, k={grid.k}")
     n = n_vehicles
-    vals = decision.values[:n]
+    vals = decision.at(np.s_[:n], np.s_[:])  # only the rows it enumerates
     if vals.shape[1] != grid.n_subchannels:
         raise ShapeError(
             f"rate matrix has {vals.shape[1]} columns, grid has {grid.n_subchannels}")
@@ -161,12 +161,12 @@ def solve_oracle(decision: RateMatrix | QuantizedRates, grid: ResourceGrid,
     return Assignment(cluster_id, subchannel, "oracle")
 
 
-def evaluate(assignment: Assignment, decision: RateMatrix | QuantizedRates,
-             truth: RateMatrix | QuantizedRates) -> tuple[np.ndarray, float]:
+def evaluate(assignment: Assignment, decision: FineRates | QuantizedRates,
+             truth: FineRates | QuantizedRates) -> tuple[np.ndarray, float]:
     """(truth rate of every vehicle of ``assignment``, decision sum rate).
 
-    Rates come back in ascending vehicle order, and each rate matrix is
-    read only at the chosen entries.
+    Rates come back in ascending vehicle order, and each side is rated
+    only at the chosen entries.
     """
     cols = assignment.subchannel
     rows = np.arange(cols.size)

@@ -1,15 +1,19 @@
 """Cell path: every method's assignment is checked before it is scored,
-every cell runs through the one loop, and each draw and each width's
-rates and block table are computed once."""
+every cell runs through the one loop, each draw and each width's rates
+and block table are computed once, and only the entries a cell reads are
+rated."""
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sidesched import metrics, pipeline
+from sidesched import metrics, pipeline, sideinfo
+from sidesched.assignment import compress
 from sidesched.cli import load_config, run_experiment, run_sweep
+from sidesched.config import config_from_dict
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel
@@ -31,7 +35,7 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     monkeypatch.setattr(pipeline, stage, clashing)
     grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
-                                 scenario_seed=1, quant_range=None)
+                                 scenario_seed=1, quant_range=(-15.0, 35.0))
     with pytest.raises(ConstraintViolation):
         rates = pipeline.draw_rates(grid, draw, 0)
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
@@ -45,13 +49,13 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
 ])
 def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
     # 3 vehicles on 5 subframes: rows 3 and 4 of the draw are dummies. At
-    # ideal feedback the decision is the draw's truth itself, which no
-    # cell may write to.
+    # ideal feedback the decision is the draw's truth itself, whose SINR
+    # no cell may write to.
     assignments = _record_calls(monkeypatch, stage)
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
-    truth = draw.truth.values.copy()
+    truth = draw.truth.sinr_db.copy()
     for bits in (0, 2):
         rates = pipeline.draw_rates(grid, draw, bits)
         cell = pipeline.run_cell(grid, draw, rates, bits, method, solver_seed=5)
@@ -59,7 +63,7 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
         assert isinstance(subchannel, np.ndarray)
         assert (subchannel.dtype, subchannel.shape) == (np.int64, (3,))
         assert cell.vehicle_rates_bps.shape == (3,)
-        assert draw.truth.values.tobytes() == truth.tobytes()
+        assert draw.truth.sinr_db.tobytes() == truth.tobytes()
     assert len(assignments) == 2
 
 
@@ -105,24 +109,26 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     fines = _record_calls(monkeypatch, "_fine_index")
     rate_calls = []
     rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
-    tables = _record_calls(monkeypatch, "compress")
+    compressed = _record_calls(monkeypatch, "compress")
+    widths_rated = _record_calls(monkeypatch, "draw_rates", module=metrics)
     proposed_in, greedy_in = [], []
     _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
     _record_calls(monkeypatch, "solve_greedy", first_args=greedy_in)
     runner(config)
+    tables = [table for _, table in widths_rated]
     points = (config.cluster_sizes if runner is run_experiment
               else config.sweep_n_vehicles)
     widths = len(config.bits_list)
     assert len(draws) == config.repetitions * len(points)
     assert len(rates) == len(draws) * widths
-    # every width of a draw reads one truth matrix, computed once
+    # every width of a draw reads one truth, made once
     truths = [args[0] for args, _ in rate_calls]
     for d in range(len(draws)):
         per_draw = truths[d * widths:(d + 1) * widths]
         assert all(t is per_draw[0] for t in per_draw)
     assert len({id(t) for t in truths}) == len(draws)
     # and every width's block table once, read by proposed and greedy alike
-    assert len(tables) == len(rates)
+    assert len(tables) == len(compressed) == len(rates)
     assert len({id(t) for t in tables}) == len(tables)
     assert [id(t) for t in proposed_in] == [id(t) for t in tables]
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
@@ -136,16 +142,63 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
             np.testing.assert_array_equal(decision.idx,
                                           _bin_index(q, sinr))
             assert decision.idx.dtype == np.uint8
-    fine_of = [id(args[3]) for args, _ in rate_calls]
+    fine_of = [id(args[2]) for args, _ in rate_calls]
     assert fine_of == [id(f) for f in fines for _ in range(widths)]
+    # an ideal width decides on the truth itself, and its table of rated
+    # SINR block maxima is the table of the full rate matrix
+    for (args, _), decision, table in zip(rate_calls, rates, tables):
+        if args[1] is None:
+            assert decision is args[0]
+            ref = compress(decision.values.ravel(), table.k, table.l)
+            assert table.d.tobytes() == ref.d.tobytes()
+            np.testing.assert_array_equal(table.argmax_slot, ref.argmax_slot)
 
 
-def test_no_fine_index_without_a_quantized_width(monkeypatch, tmp_path):
-    config = replace(load_config(SMOKE), out_dir=str(tmp_path), bits_list=(0,))
-    fines = _record_calls(monkeypatch, "_fine_index")
+@pytest.mark.parametrize("runner", [run_experiment, run_sweep])
+def test_no_rating_beyond_the_block_table(monkeypatch, tmp_path, runner):
+    # the oracle rates its own rows; every other method reads the L x L
+    # block table, N chosen entries and the 2**bits level rates
+    config = replace(load_config(SMOKE), out_dir=str(tmp_path),
+                     methods=("proposed", "greedy", "random"))
+    sizes = []
+    real = sideinfo.rate_from_sinr
+
+    def sized(b_hz, sinr_db):
+        sizes.append(np.size(sinr_db))
+        return real(b_hz, sinr_db)
+
+    for module in (sideinfo, pipeline):
+        monkeypatch.setattr(module, "rate_from_sinr", sized)
+    runner(config)
+    assert sizes and max(sizes) <= config.grid.l ** 2
+
+
+def _smoke_with_scenario(tmp_path, **scenario):
+    raw = json.loads(SMOKE.read_text())
+    raw["scenario"] = scenario
+    raw["out_dir"] = str(tmp_path)
+    return config_from_dict(raw)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_an_overflowing_rate_fails_at_the_first_draw(monkeypatch, tmp_path):
+    # above about 3082.5 dB the linear SINR overflows; a quarter of a uniform
+    # draw on [-15, 4000] dB lies there
     draws = _record_calls(monkeypatch, "generate_sinr")
+    config = _smoke_with_scenario(tmp_path, kind="uniform", ceil_db=4000.0)
+    with pytest.raises(ValueError,
+                       match="^cluster 0, repetition 0: rates must be finite"):
+        run_experiment(config)
+    assert len(draws) == 1
+
+
+def test_a_high_ceiling_alone_does_not_fail(tmp_path):
+    # the same ceiling with a gaussian draw never near it: the check reads
+    # the rates a draw has, not the range it may reach
+    config = _smoke_with_scenario(tmp_path, kind="gaussian", ceil_db=4000.0)
     run_experiment(config)
-    assert draws and fines == []
+    run_sweep(config)
+    assert (tmp_path / "cdf.csv").is_file() and (tmp_path / "sweep.csv").is_file()
 
 
 def test_readme_library_example_runs(capsys):

@@ -85,6 +85,22 @@ class TestGenerateSinr:
         assert np.all(near_good | near_bad)
         assert near_good.any() and near_bad.any()
 
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_two_state_rows_equal_the_broadcast_normal(self, n):
+        # the rows are rng.normal(centers, std_db, shape) bit for bit, from
+        # the same stream; floor and ceil are wide so nothing is clipped
+        g = ResourceGrid(k=7, l=100)
+        for seed in range(20):
+            m = ScenarioModel(kind="two-state", std_db=6.5, p_t_dbm=20.5,
+                              sinr_floor_db=-1e3, sinr_ceil_db=1e3, seed=seed)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+            bad = rng.random((n, 1)) < m.p_bad
+            centers = np.where(bad, m.bad_mean_db, m.mean_db) + (20.5 - 23.0)
+            ref = rng.normal(centers, m.std_db, (n, g.n_subchannels))
+            got = generate_sinr(m, Cluster(3, n), g)
+            assert got.tobytes() == ref.tobytes()
+
     def test_power_shift_moves_gaussian(self):
         g = ResourceGrid(k=10, l=20)
         c = Cluster(0, 30)

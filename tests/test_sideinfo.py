@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sidesched.sideinfo import (QuantizerSpec, RateMatrix, _bin_index,
+from sidesched.assignment import compress
+from sidesched.sideinfo import (FineRates, QuantizerSpec, _bin_index,
                                 build_rate_matrices, quantize, rate_from_sinr)
 from util import decision_of
 
@@ -201,10 +202,10 @@ class TestNestedWidths:
 class TestBuildRateMatrices:
     def test_ideal_pair_is_bitwise_equal(self):
         rng = np.random.default_rng(1)
-        tru = RateMatrix(rate_from_sinr(1.26e6, rng.uniform(-15, 35, (4, 8))))
-        dec = build_rate_matrices(tru, None, 1.26e6, None)
-        assert np.array_equal(dec.values, tru.values)
-        assert dec.values is tru.values
+        tru = FineRates(rng.uniform(-15, 35, (4, 8)), 1.26e6)
+        dec = build_rate_matrices(tru, None, None)
+        assert dec is tru
+        assert dec.values.tobytes() == rate_from_sinr(1.26e6, tru.sinr_db).tobytes()
 
     def test_single_entry_quantized(self):
         q = QuantizerSpec(bits=2, lo_db=-15.0, hi_db=35.0)
@@ -233,6 +234,47 @@ class TestBuildRateMatrices:
         for q in (None, QuantizerSpec(bits=3)):
             assert decision_of(sinr, q, 2e6).values.min() >= 0
 
-    def test_rate_matrix_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RateMatrix(np.array([[-1.0]]))
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_fine_rates_reject_a_non_finite_rate(self):
+        # 10**(x/10) overflows above about 3082.5 dB
+        FineRates(np.array([[-15.0, 3000.0]]), 1.26e6)
+        for bad in (3100.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="rates must be finite"):
+                FineRates(np.array([[-15.0, bad]]), 1.26e6)
+
+
+class TestRatedWhereRead:
+    """Rating a subset gives the full matrix's entries byte for byte.
+
+    numpy picks its SIMD loops for ``power`` and ``log2`` per host and may
+    treat an array's tail apart from its body, so the rates a cell reads
+    (gathered entries, block maxima) are held against the whole matrix
+    here, on the host that runs the suite.
+    """
+
+    B_HZ = 1.26e6
+
+    def test_gathered_entries_equal_the_full_matrix(self):
+        rng = np.random.default_rng(16)
+        sinr = rng.uniform(-15.0, 35.0, (100, 700))
+        truth = FineRates(sinr, self.B_HZ)
+        full = truth.values
+        for n in range(1, 71):
+            rows, cols = rng.integers(0, 100, n), rng.integers(0, 700, n)
+            assert truth.at(rows, cols).tobytes() == full[rows, cols].tobytes()
+            # a contiguous run at every offset within a SIMD width
+            row = sinr[n % 100, n % 8:n % 8 + n]
+            assert (rate_from_sinr(self.B_HZ, row).tobytes()
+                    == full[n % 100, n % 8:n % 8 + n].tobytes())
+
+    @pytest.mark.parametrize("tie_heavy", [False, True])
+    def test_rated_block_maxima_equal_the_table_of_the_full_matrix(self, tie_heavy):
+        k, l = 7, 100
+        rng = np.random.default_rng(17)
+        sinr = rng.uniform(-15.0, 35.0, (l, k * l))
+        if tie_heavy:
+            sinr = np.clip(np.round(sinr / 5) * 5, -10.0, 30.0)
+        table = compress(sinr.ravel(), k, l)
+        ref = compress(rate_from_sinr(self.B_HZ, sinr).ravel(), k, l)
+        assert rate_from_sinr(self.B_HZ, table.d).tobytes() == ref.d.tobytes()
+        np.testing.assert_array_equal(table.argmax_slot, ref.argmax_slot)

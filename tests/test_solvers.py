@@ -11,20 +11,26 @@ from hypothesis.extra.numpy import arrays
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import CapacityError, ConstraintViolation, InfeasibleError
 from sidesched.grid import ResourceGrid, subframe_of
-from sidesched.sideinfo import RateMatrix
 from sidesched.solvers import (Assignment, evaluate, shared_subframes,
                                solve_greedy, solve_oracle, solve_proposed,
                                solve_random, verify_assignment)
 from util import brute_full_optimum, greedy_full_matrix
 
 
-def rates(vals):
-    return RateMatrix(np.asarray(vals, dtype=float))
+class Rates:
+    """Given rates read as ``sideinfo.FineRates`` and ``QuantizedRates``
+    are read: at entries or at a block of slices."""
+
+    def __init__(self, vals):
+        self.values = np.asarray(vals, dtype=float)
+
+    def at(self, rows, cols):
+        return self.values[rows, cols]
 
 
 def oracle(vals, g):
     """The oracle on every row of ``vals``."""
-    return solve_oracle(rates(vals), g, len(vals))
+    return solve_oracle(Rates(vals), g, len(vals))
 
 
 def greedy(vals, g):
@@ -169,7 +175,7 @@ class TestOracle:
     def test_reads_the_first_rows_and_stamps_the_cluster(self):
         # a high row past n_vehicles, as a padded decision's dummies, is not read
         vals = np.array([[1, 3, 2, 5], [9, 9, 9, 9]], dtype=float)
-        a = solve_oracle(rates(vals), ResourceGrid(k=2, l=2), 1, cluster_id=4)
+        a = solve_oracle(Rates(vals), ResourceGrid(k=2, l=2), 1, cluster_id=4)
         assert a.subchannel.tolist() == [3]
         assert a.cluster_id == 4
 
@@ -240,15 +246,15 @@ class TestVerifyAndEvaluate:
         a_vals = np.array([[1.0, 2.0]])
         from sidesched.solvers import Assignment
         v, decision_sum = evaluate(Assignment(0, np.array([1]), "greedy"),
-                                   rates(a_vals), rates(a_vals))
+                                   Rates(a_vals), Rates(a_vals))
         assert decision_sum == 2.0
         assert v.sum() == 2.0
         np.testing.assert_array_equal(v, [2.0])
 
     def test_evaluate_splits_decision_and_truth(self):
         from sidesched.solvers import Assignment
-        dec = rates([[5.0, 1.0]])
-        tru = rates([[2.0, 3.0]])
+        dec = Rates([[5.0, 1.0]])
+        tru = Rates([[2.0, 3.0]])
         v, decision_sum = evaluate(Assignment(0, np.array([0]), "greedy"), dec, tru)
         assert decision_sum == 5.0
         assert v.sum() == 2.0

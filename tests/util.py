@@ -10,18 +10,18 @@ import itertools
 import numpy as np
 from scipy import stats
 
-from sidesched.sideinfo import (QuantizerSpec, RateMatrix, build_rate_matrices,
-                                quantize, rate_from_sinr)
+from sidesched.sideinfo import (FineRates, QuantizerSpec, build_rate_matrices,
+                                quantize)
 
 
 def decision_of(sinr_db, q, b_hz):
     """Decision rates of an SINR matrix in dB at quantizer ``q``, or at
-    ideal feedback when ``q`` is None, from the truth rates and the uint8
-    8-bit index, as a draw holds them (``pipeline.draw_cluster``)."""
-    truth = RateMatrix(rate_from_sinr(b_hz, sinr_db))
+    ideal feedback when ``q`` is None, from the truth and the uint8 8-bit
+    index, as a draw holds them (``pipeline.draw_cluster``)."""
+    truth = FineRates(np.asarray(sinr_db, dtype=float), b_hz)
     fine = None if q is None else quantize(
         QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0].astype(np.uint8)
-    return build_rate_matrices(truth, q, b_hz, fine)
+    return build_rate_matrices(truth, q, fine)
 
 
 def brute_max_matching(d):
