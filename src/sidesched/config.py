@@ -12,10 +12,12 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import ConfigError, ParseError
 from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid
 from .scenario import ScenarioModel
-from .sideinfo import QuantizerSpec
+from .sideinfo import QuantizerSpec, quantized_rates
 from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L
 
 
@@ -59,13 +61,18 @@ class ExperimentConfig:
                 for i, x in enumerate(axis) if x in axis[:i]]
         bad += [f"{key}[{i}]" for key in ("clusters", "sweep.n_vehicles")
                 for i, n in enumerate(axes[key]) if not 1 <= n <= l]
-        # width 0 has no quantizer, but the range is checked all the same
+        # width 0 has no quantizer, but the range is checked all the same;
+        # a quantized width needs finite level rates that strictly increase
         for i, bits in enumerate(self.bits_list or (0,)):
             try:
-                QuantizerSpec(bits or 1, self.quant_lo_db, self.quant_hi_db)
+                q = QuantizerSpec(bits or 1, self.quant_lo_db, self.quant_hi_db)
+                if bits:
+                    quantized_rates(q, self.grid.b_hz, np.zeros((1, 1), np.uint8))
             except ConfigError as exc:
                 bad += [f"quant.bits[{i}]" if name == "bits" else f"quant.{name}"
                         for name in exc.keys]
+            except ValueError:
+                bad += ["quant.lo_db", "quant.hi_db"]
         for i, method in enumerate(self.methods):
             if method not in METHODS:
                 bad.append(f"methods[{i}]")

@@ -6,12 +6,13 @@ only where read (``FineRates``), and its 8-bit quantizer index over the
 configured dB range; both serve every width. Its *rates* at one feedback
 width (``draw_rates``) are the decision a scheduler decides on and the
 block table (``compress``) that proposed and greedy read. The ideal
-decision is the truth, whose table rates only the SINR block maxima. A
-quantized decision is the level index of every entry plus the 2**bits
-level rates; the b-bit indices are the draw's 8-bit index shifted right
-by 8 - b, which equals the b-bit quantizer bit for bit (``sideinfo``). A
-*cell* (``run_cell``) runs one method on those rates. It solves, checks
-the assignment (one subchannel per real vehicle) for one vehicle per
+decision is the truth, keyed by SINR; a quantized decision is keyed by
+the level index of every entry, the draw's 8-bit index shifted right by
+8 - b, which equals the b-bit quantizer bit for bit (``sideinfo``).
+Every width builds its table one way, as the block maxima of the keys
+mapped to their rates, so only the L x L maxima are rated. A *cell*
+(``run_cell``) runs one method on those rates. It solves, checks the
+assignment (one subchannel per real vehicle) for one vehicle per
 subframe (``verify_assignment``, for every method), and scores it on the
 truth rates. The one cell loop, ``metrics.iter_cells``, nests repetition
 x cluster, then width, then method, so each draw is computed once and
@@ -35,7 +36,7 @@ from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _fine_index,
-                       build_rate_matrices, rate_from_sinr)
+                       build_rate_matrices)
 from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
                       solve_random, verify_assignment)
 
@@ -90,18 +91,14 @@ def draw_rates(grid: ResourceGrid, draw: Draw, bits: int
                ) -> tuple[FineRates | QuantizedRates, ReducedProblem]:
     """(decision, block table of decision) of a draw at ``bits``.
 
-    ``bits=0`` decides on ``draw.truth`` and rates its SINR block maxima;
-    every other width shifts the draw's 8-bit index.
+    ``bits=0`` decides on ``draw.truth``; every other width shifts the
+    draw's 8-bit index. The table is built from the decision's keys, and
+    only its L x L block maxima are rated.
     """
     q = QuantizerSpec(bits, *draw.quant_range) if bits else None
     decision = build_rate_matrices(draw.truth, q, draw.fine)
-    if q is None:
-        reduced = compress(draw.truth.sinr_db.ravel(), grid.k, grid.l)
-        reduced = replace(reduced, d=rate_from_sinr(grid.b_hz, reduced.d))
-    else:
-        reduced = compress(decision.idx.ravel(), grid.k, grid.l,
-                           level_rates=decision.level_rates)
-    return decision, reduced
+    reduced = compress(decision.key.ravel(), grid.k, grid.l)
+    return decision, replace(reduced, d=decision.rate(reduced.d))
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,

@@ -1,10 +1,14 @@
 """Linear SINR quantization and the SINR-to-rate mapping.
 
 Assignments are decided on quantized reconstructions but judged on the
-fine-grained SINR (``FineRates``). The quantizer is uniform over a dB
-range with midpoint reconstruction; bin width is (hi - lo) / 2**bits. A
-quantized decision is a bin index per entry plus the 2**bits level rates
-(``QuantizedRates``). Both rate only the entries read.
+fine-grained SINR. The quantizer is uniform over a dB range with
+midpoint reconstruction; bin width is (hi - lo) / 2**bits. Both rate
+types hold a ``key`` per entry and a ``rate(key)`` that increases with
+it: the SINR in dB and ``rate_from_sinr`` (``FineRates``), or the bin
+index and the 2**bits level rates (``QuantizedRates``). So a table of
+key block maxima, mapped through ``rate``, is the table of rate block
+maxima, and only the entries read are rated. (SINRs an ulp apart may
+round to one rate; the table then keeps the larger SINR's slot.)
 
 Widths nest: the b-bit index of a value is its 8-bit index shifted right
 by 8 - b, bit for bit. The b-bit bin width is the 8-bit one times the
@@ -89,55 +93,64 @@ def rate_from_sinr(b_hz: float, sinr_db):
     return rate
 
 
-@dataclass(frozen=True)
-class FineRates:
-    """Rates, in bits/s, of an SINR array in dB, rated only where read."""
-
-    sinr_db: np.ndarray
-    b_hz: float
-
-    def __post_init__(self):
-        # rate increases with SINR: the largest SINR's rate bounds them all
-        if not np.isfinite(rate_from_sinr(self.b_hz, self.sinr_db.max())):
-            raise ValueError("rates must be finite")
+class _KeyedRates:
+    """Rates, in bits/s, of a key per entry, rated only where read."""
 
     @property
     def values(self) -> np.ndarray:
         """The float rate matrix, built on each access."""
-        return rate_from_sinr(self.b_hz, self.sinr_db)
+        return self.rate(self.key)
 
     def at(self, rows, cols) -> np.ndarray:
         """Rates of the (rows[i], cols[i]) entries, or of a block of slices."""
-        return rate_from_sinr(self.b_hz, self.sinr_db[rows, cols])
+        return self.rate(self.key[rows, cols])
+
+
+@dataclass(frozen=True)
+class FineRates(_KeyedRates):
+    """Fine-grained rates: the key is the SINR in dB."""
+
+    key: np.ndarray
+    b_hz: float
+
+    def __post_init__(self):
+        # rate increases with SINR: the largest SINR's rate bounds them all
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.rate(self.key.max())):
+                raise ValueError("rates must be finite")
+
+    def rate(self, key):
+        return rate_from_sinr(self.b_hz, key)
 
 
 @dataclass
-class QuantizedRates:
-    """Quantized decision rates: a level index per (vehicle, subchannel)
-    and the rate of each level, in bits/s.
+class QuantizedRates(_KeyedRates):
+    """Quantized decision rates: the key is a level index per entry, in
+    range by construction (a shifted ``_fine_index``), rated per level."""
 
-    Only the 2**bits level rates are checked; the indices are a shifted
-    ``_fine_index`` and lie in range by construction.
-    """
-
-    idx: np.ndarray          # (N, K*L) uint8 level indices
+    key: np.ndarray          # (N, K*L) uint8 level indices
     level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
 
     def __post_init__(self):
-        self.level_rates = np.asarray(self.level_rates, dtype=float)
-        if np.ndim(self.idx) != 2 or self.level_rates.ndim != 1:
+        rates = self.level_rates = np.asarray(self.level_rates, dtype=float)
+        if np.ndim(self.key) != 2 or rates.ndim != 1:
             raise ValueError("need a 2-D index matrix and a 1-D level table")
-        if not np.all(np.isfinite(self.level_rates)) or np.any(self.level_rates < 0):
-            raise ValueError("rates must be finite and non-negative")
+        # the largest key has the largest rate only while rates increase
+        if not (np.all(np.isfinite(rates) & (rates >= 0))
+                and np.all(np.diff(rates) > 0)):
+            raise ValueError("level rates must be finite, non-negative and "
+                             "strictly increasing")
 
-    @property
-    def values(self) -> np.ndarray:
-        """The float decision matrix, built on each access."""
-        return self.level_rates[self.idx]
+    def rate(self, key):
+        return self.level_rates[key]
 
-    def at(self, rows, cols) -> np.ndarray:
-        """Rates of the (rows[i], cols[i]) entries, or of a block of slices."""
-        return self.level_rates[self.idx[rows, cols]]
+
+def quantized_rates(q: QuantizerSpec, b_hz: float, key) -> QuantizedRates:
+    """Level indices ``key`` at the width of ``q``, rated per level by the
+    float expression ``quantize`` applies per entry, bit for bit."""
+    with np.errstate(over="ignore"):  # an overflow is an inf rate, rejected
+        levels = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
+    return QuantizedRates(key, levels)
 
 
 def build_rate_matrices(truth: FineRates, q: QuantizerSpec | None, fine: np.ndarray):
@@ -148,14 +161,9 @@ def build_rate_matrices(truth: FineRates, q: QuantizerSpec | None, fine: np.ndar
     when ``q`` is None (ideal feedback). ``fine`` is the 8-bit index of
     the SINR behind ``truth`` over the range of ``q`` (``_fine_index``);
     it is shifted to the width of ``q``, and is not read when ``q`` is None.
-
-    A quantized decision is a ``QuantizedRates``: the bin index of every
-    entry and the rates of the 2**bits reconstruction levels. Each level
-    comes from the same float expression ``quantize`` applies per entry,
-    so ``level_rates[idx]`` equals the rate of the reconstruction bit for
-    bit, and no N x KL float matrix is built.
+    A quantized decision keeps the bin index of every entry and the
+    2**bits level rates (``quantized_rates``), not an N x KL float matrix.
     """
     if q is None:
         return truth
-    level_rates = rate_from_sinr(truth.b_hz, _reconstruct(q, np.arange(q.levels)))
-    return QuantizedRates(fine >> (8 - q.bits), level_rates)
+    return quantized_rates(q, truth.b_hz, fine >> (8 - q.bits))

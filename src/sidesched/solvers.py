@@ -166,8 +166,9 @@ def evaluate(assignment: Assignment, decision: FineRates | QuantizedRates,
     """(truth rate of every vehicle of ``assignment``, decision sum rate).
 
     Rates come back in ascending vehicle order, and each side is rated
-    only at the chosen entries.
+    only at the chosen entries, once when the decision is the truth.
     """
     cols = assignment.subchannel
     rows = np.arange(cols.size)
-    return truth.at(rows, cols), float(decision.at(rows, cols).sum())
+    rates = truth.at(rows, cols)
+    return rates, float((rates if decision is truth else decision.at(rows, cols)).sum())

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import ConstraintViolation, ShapeError
 from sidesched.grid import ResourceGrid
-from sidesched.sideinfo import QuantizerSpec
+from sidesched.sideinfo import QuantizedRates, QuantizerSpec
 from sidesched.solvers import verify_assignment
 from util import (assignment_to_x, brute_full_optimum, brute_max_matching,
                   build_constraint_matrix, decision_of)
@@ -132,54 +132,48 @@ class TestCompress:
 
 
 @st.composite
-def quantized_draws(draw):
-    """(quantizer, k, l, SINR) with entries at, and one ulp around, every
-    bin edge, and some rows constant across the window."""
-    q = QuantizerSpec(bits=draw(st.integers(1, 8)))
+def keyed_decisions(draw):
+    """(decision, k, l): a quantized decision of SINR at, and one ulp
+    around, every bin edge, or an ideal one of SINR on a quarter-dB grid,
+    with some rows constant across the window.
+
+    ``rate_from_sinr`` rounds SINRs a few ulps apart to one rate in about
+    half of all cases; the key table then keeps the larger SINR's slot,
+    whose rate is the same, so the ideal arm draws keys that rate apart.
+    """
+    bits = draw(st.integers(0, 8))
+    q = QuantizerSpec(bits=bits or 1)
     k, l = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     edges = q.lo_db + np.arange(q.levels + 1) * q.bin_width_db
     near = np.concatenate([edges, np.nextafter(edges, -np.inf),
                            np.nextafter(edges, np.inf)])
-    values = st.one_of(st.sampled_from(near.tolist()), st.floats(-40.0, 60.0))
+    values = (st.one_of(st.sampled_from(near.tolist()), st.floats(-40.0, 60.0))
+              if bits else st.integers(-160, 240).map(lambda i: i / 4))
     sinr = draw(arrays(float, (l, k * l), elements=values))
     constant = np.array(draw(st.lists(st.booleans(), min_size=l, max_size=l)))
     sinr[constant] = sinr[constant, :1]
-    return q, k, l, sinr
+    return decision_of(sinr, q if bits else None, 1.26e6), k, l
 
 
 class TestCompressLevelIndices:
-    """The block table built from level indices, as quantized widths build it."""
+    """The block table built from a decision's keys, as every width builds it."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=quantized_draws())
-    def test_equals_table_of_level_rates_bit_for_bit(self, case):
-        q, k, l, sinr = case
-        dec = decision_of(sinr, q, 1.26e6)
-        got = compress(dec.idx.ravel(), k, l, level_rates=dec.level_rates)
-        ref = compress(dec.level_rates[dec.idx].ravel(), k, l)
-        assert got.d.dtype == ref.d.dtype == np.float64
-        assert got.d.tobytes() == ref.d.tobytes()
-        assert got.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
-        np.testing.assert_array_equal(got.argmax_slot, ref.argmax_slot)
-        soft = compress(dec.idx.ravel(), k, l, beta=1e-6,
-                        level_rates=dec.level_rates)
-        assert soft.d.tobytes() == compress(dec.values.ravel(), k, l,
-                                            beta=1e-6).d.tobytes()
+    @given(case=keyed_decisions())
+    def test_rate_of_the_key_table_equals_the_table_of_rates(self, case):
+        decision, k, l = case
+        keyed = compress(decision.key.ravel(), k, l)
+        ref = compress(decision.values.ravel(), k, l)
+        got = decision.rate(keyed.d)
+        assert got.dtype == ref.d.dtype == np.float64
+        assert got.tobytes() == ref.d.tobytes()
+        assert keyed.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
+        np.testing.assert_array_equal(keyed.argmax_slot, ref.argmax_slot)
 
-    def test_rejects_rates_that_do_not_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            compress([0, 1], 2, 1, level_rates=[1.0, 1.0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            compress([0, 1], 2, 1, level_rates=[2.0, 1.0])
-
-    def test_rejects_float_indices(self):
-        with pytest.raises(ValueError, match="integers"):
-            compress([0.0, 1.0], 2, 1, level_rates=[1.0, 2.0])
-
-    def test_rejects_indices_out_of_range(self):
-        for idx in ([0, 4], [-1, 0], np.array([0, 255], dtype=np.uint8)):
-            with pytest.raises(ValueError, match="lie in 0..3"):
-                compress(idx, 2, 1, level_rates=[1.0, 2.0, 3.0, 4.0])
+    def test_rejects_negative_integer_keys(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            compress([0, -1], 2, 1)
+        compress(np.array([0, 255], dtype=np.uint8), 2, 1)
 
     @pytest.mark.parametrize("k, l, dtype", [(200, 2, np.int64),
                                              (7, 9, np.uint8)],
@@ -188,13 +182,14 @@ class TestCompressLevelIndices:
         # 256 levels: at k = 200 the largest key, 255 * 200 + 199, needs
         # more than int16; every level and every slot tie is present
         rng = np.random.default_rng(4)
-        level_rates = np.cumsum(rng.uniform(0.5, 2.0, 256))
         idx = rng.integers(0, 256, k * l * l).astype(dtype)
         idx[:k] = 255
         idx[k:2 * k] = np.arange(k) % 256
-        got = compress(idx, k, l, level_rates=level_rates)
-        ref = compress(level_rates[idx].ravel(), k, l)
-        assert got.d.tobytes() == ref.d.tobytes()
+        decision = QuantizedRates(idx.reshape(l, k * l),
+                                  np.cumsum(rng.uniform(0.5, 2.0, 256)))
+        got = compress(decision.key.ravel(), k, l)
+        ref = compress(decision.values.ravel(), k, l)
+        assert decision.rate(got.d).tobytes() == ref.d.tobytes()
         assert got.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
         np.testing.assert_array_equal(got.argmax_slot, ref.argmax_slot)
 

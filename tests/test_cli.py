@@ -262,6 +262,20 @@ class TestConfigParsing:
             config_from_dict(raw)
         assert exc.value.keys == keys
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits, lo, hi", [([0, 2], -400.0, -300.0),
+                                              ([8], 3000.0, 3100.0)],
+                             ids=["every-level-rates-0", "overflow"])
+    def test_range_without_increasing_level_rates_named_at_load(self, bits,
+                                                                lo, hi):
+        # the rule of the level table, checked before any cell runs
+        raw = tiny_raw(quant={"bits": bits, "lo_db": lo, "hi_db": hi})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == ["quant.hi_db", "quant.lo_db"]
+        # width 0 rates no level, so the range alone is not an error
+        config_from_dict(tiny_raw(quant={"bits": [0], "lo_db": lo, "hi_db": hi}))
+
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(tiny_raw(grid=5))

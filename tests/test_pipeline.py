@@ -55,7 +55,7 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
-    truth = draw.truth.sinr_db.copy()
+    truth = draw.truth.key.copy()
     for bits in (0, 2):
         rates = pipeline.draw_rates(grid, draw, bits)
         cell = pipeline.run_cell(grid, draw, rates, bits, method, solver_seed=5)
@@ -63,7 +63,7 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
         assert isinstance(subchannel, np.ndarray)
         assert (subchannel.dtype, subchannel.shape) == (np.int64, (3,))
         assert cell.vehicle_rates_bps.shape == (3,)
-        assert draw.truth.sinr_db.tobytes() == truth.tobytes()
+        assert draw.truth.key.tobytes() == truth.tobytes()
     assert len(assignments) == 2
 
 
@@ -139,9 +139,9 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     for (args, _), decision, sinr in zip(rate_calls, rates, sinrs):
         q = args[1]
         if q is not None:
-            np.testing.assert_array_equal(decision.idx,
+            np.testing.assert_array_equal(decision.key,
                                           _bin_index(q, sinr))
-            assert decision.idx.dtype == np.uint8
+            assert decision.key.dtype == np.uint8
     fine_of = [id(args[2]) for args, _ in rate_calls]
     assert fine_of == [id(f) for f in fines for _ in range(widths)]
     # an ideal width decides on the truth itself, and its table of rated
@@ -167,10 +167,34 @@ def test_no_rating_beyond_the_block_table(monkeypatch, tmp_path, runner):
         sizes.append(np.size(sinr_db))
         return real(b_hz, sinr_db)
 
-    for module in (sideinfo, pipeline):
-        monkeypatch.setattr(module, "rate_from_sinr", sized)
+    monkeypatch.setattr(sideinfo, "rate_from_sinr", sized)
     runner(config)
     assert sizes and max(sizes) <= config.grid.l ** 2
+
+
+def test_an_ideal_cell_rates_its_chosen_entries_once(monkeypatch):
+    # at 0 bits the decision is the truth, so the decision sum reads the
+    # truth rates of the N chosen entries instead of rating them again
+    grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
+    draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
+                                 scenario_seed=4, quant_range=(-15.0, 35.0))
+    rates = pipeline.draw_rates(grid, draw, 0)
+    assignments = _record_calls(monkeypatch, "expand_solution")
+    sizes = []
+    real = sideinfo.rate_from_sinr
+
+    def sized(b_hz, sinr_db):
+        sizes.append(np.size(sinr_db))
+        return real(b_hz, sinr_db)
+
+    monkeypatch.setattr(sideinfo, "rate_from_sinr", sized)
+    cell = pipeline.run_cell(grid, draw, rates, 0, "proposed")
+    assert sizes == [3]
+    monkeypatch.undo()
+    cols = assignments[0].subchannel
+    truth = real(grid.b_hz, draw.truth.key[np.arange(3), cols])
+    assert cell.vehicle_rates_bps.tobytes() == truth.tobytes()
+    assert cell.sum_rate_decision_bps == float(truth.sum())
 
 
 def _smoke_with_scenario(tmp_path, **scenario):
@@ -180,7 +204,7 @@ def _smoke_with_scenario(tmp_path, **scenario):
     return config_from_dict(raw)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_an_overflowing_rate_fails_at_the_first_draw(monkeypatch, tmp_path):
     # above about 3082.5 dB the linear SINR overflows; a quarter of a uniform
     # draw on [-15, 4000] dB lies there

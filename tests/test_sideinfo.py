@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress
-from sidesched.sideinfo import (FineRates, QuantizerSpec, _bin_index,
-                                build_rate_matrices, quantize, rate_from_sinr)
+from sidesched.sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
+                                _bin_index, build_rate_matrices, quantize,
+                                rate_from_sinr)
 from util import decision_of
 
 
@@ -205,7 +206,7 @@ class TestBuildRateMatrices:
         tru = FineRates(rng.uniform(-15, 35, (4, 8)), 1.26e6)
         dec = build_rate_matrices(tru, None, None)
         assert dec is tru
-        assert dec.values.tobytes() == rate_from_sinr(1.26e6, tru.sinr_db).tobytes()
+        assert dec.values.tobytes() == rate_from_sinr(1.26e6, tru.key).tobytes()
 
     def test_single_entry_quantized(self):
         q = QuantizerSpec(bits=2, lo_db=-15.0, hi_db=35.0)
@@ -234,13 +235,29 @@ class TestBuildRateMatrices:
         for q in (None, QuantizerSpec(bits=3)):
             assert decision_of(sinr, q, 2e6).values.min() >= 0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_fine_rates_reject_a_non_finite_rate(self):
         # 10**(x/10) overflows above about 3082.5 dB
         FineRates(np.array([[-15.0, 3000.0]]), 1.26e6)
         for bad in (3100.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="rates must be finite"):
                 FineRates(np.array([[-15.0, bad]]), 1.26e6)
+
+
+class TestQuantizedRates:
+    """The level table's rules, checked where the table is made."""
+
+    KEY = np.zeros((1, 2), np.uint8)
+
+    def test_rejects_rates_that_do_not_increase(self):
+        for levels in ([1.0, 1.0], [2.0, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                QuantizedRates(self.KEY, levels)
+
+    def test_rejects_non_finite_or_negative_rates(self):
+        for levels in ([1.0, np.inf], [np.nan, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ValueError, match="finite, non-negative"):
+                QuantizedRates(self.KEY, levels)
 
 
 class TestRatedWhereRead:
