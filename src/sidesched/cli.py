@@ -4,6 +4,12 @@ Configs are JSON. Rates cross the I/O boundary in Mbit/s; everything
 internal stays in bits/s. Artifacts (cdf.csv, criteria.csv, sweep.csv,
 summary.json) are byte-reproducible for a given config and master seed;
 manifest.json additionally records wall-clock runtimes, which are not.
+
+Each artifact is one string written at once, in fixed bytes: CSV rows
+end in \\r\\n (the csv module's default dialect), every float is written
+as ``float.__repr__``, and JSON has indent 2 and sorted keys.
+``tests/test_cli.py::TestArtifactWriters`` pins all three against the
+csv and json modules on generated reports and run records.
 """
 
 from __future__ import annotations
@@ -46,54 +52,73 @@ def _mbps(x: float) -> float:
     return x / 1e6
 
 
-def _write_cdf_csv(path, reports):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "bits", "rate_x_mbps", "prob"])
-        for rep in reports:
-            for x, p in rep.cdf:
-                w.writerow([rep.method, rep.bits, _mbps(x), p])
+# float.__repr__, not repr() or f"{x!r}": under numpy 2 those write an
+# np.float64 as "np.float64(0.5)", where csv and json write "0.5".
+_num = float.__repr__
 
 
-def _write_criteria_csv(path, reports):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "bits", "highest", "average", "worst", "std_dev"])
-        for rep in reports:
-            w.writerow([rep.method, rep.bits, _mbps(rep.highest_bps),
-                        _mbps(rep.average_bps), _mbps(rep.worst_bps),
-                        _mbps(rep.std_dev_bps)])
+def _csv(header: list[str], rows) -> str:
+    """A CSV file of ``rows``, each already formatted with its \\r\\n."""
+    return ",".join(header) + "\r\n" + "".join(rows)
 
 
-def _write_json(path, doc):
-    # one encode and one write; json.dump with indent writes per token
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_csv(path, text: str):
+    # newline="" keeps each row's \r\n as written on every platform
+    Path(path).write_text(text, newline="")
 
 
-def _write_summary_json(path, reports):
-    series = [{
-        "method": rep.method,
-        "bits": rep.bits,
-        "highest_mbps": _mbps(rep.highest_bps),
-        "average_mbps": _mbps(rep.average_bps),
-        "worst_mbps": _mbps(rep.worst_bps),
-        "std_dev_mbps": _mbps(rep.std_dev_bps),
-        "cdf": [[_mbps(x), p] for x, p in rep.cdf],
-    } for rep in reports]
-    _write_json(path, {"series": series})
+def _report_files(reports) -> tuple[str, str, str]:
+    """The cdf.csv, criteria.csv and summary.json text of ``reports``,
+    with every number formatted once and shared by the files that repeat
+    it."""
+    cdf_rows, criteria_rows, series = [], [], []
+    for rep in reports:
+        head = f"{rep.method},{rep.bits},"
+        hi, avg, worst, std = (_num(_mbps(v)) for v in (
+            rep.highest_bps, rep.average_bps, rep.worst_bps, rep.std_dev_bps))
+        cdf = [(_num(_mbps(x)), _num(p)) for x, p in rep.cdf]
+        cdf_rows += [f"{head}{x},{p}\r\n" for x, p in cdf]
+        criteria_rows.append(f"{head}{hi},{avg},{worst},{std}\r\n")
+        points = ",\n".join(f"        [\n          {x},\n          {p}\n"
+                            "        ]" for x, p in cdf)
+        series.append(
+            f'    {{\n      "average_mbps": {avg},\n'
+            f'      "bits": {rep.bits},\n'
+            f'      "cdf": [\n{points}\n      ],\n'
+            f'      "highest_mbps": {hi},\n'
+            f'      "method": {json.dumps(rep.method)},\n'
+            f'      "std_dev_mbps": {std},\n'
+            f'      "worst_mbps": {worst}\n    }}')
+    return (_csv(["method", "bits", "rate_x_mbps", "prob"], cdf_rows),
+            _csv(["method", "bits", "highest", "average", "worst", "std_dev"],
+                 criteria_rows),
+            '{\n  "series": [\n' + ",\n".join(series) + "\n  ]\n}\n")
 
 
-def _write_manifest(path, config, runs, extra=None):
-    doc = {
-        "config": asdict(config),
-        "config_hash": config_hash(config),
-        "master_seed": config.master_seed,
-        "runs": runs,
-    }
-    if extra:
-        doc.update(extra)
-    _write_json(path, doc)
+def _run_json(rep: int, cluster_id: int, cell) -> str:
+    """One cell's record in the manifest's ``runs`` list."""
+    return (f'    {{\n      "bits": {cell.bits},\n'
+            f'      "cluster": {cluster_id},\n'
+            f'      "method": {json.dumps(cell.method)},\n'
+            f'      "repetition": {rep},\n'
+            f'      "runtime_s": {_num(cell.runtime_s)},\n'
+            f'      "sum_rate_decision_bps": {_num(cell.sum_rate_decision_bps)},\n'
+            f'      "sum_rate_truth_bps": {_num(cell.sum_rate_truth_bps)}\n    }}')
+
+
+def _manifest_json(config: ExperimentConfig, runs: list[str],
+                   reservations: list[dict] | None = None) -> str:
+    """manifest.json text; ``runs`` are ``_run_json`` records."""
+    fields = asdict(config)
+    doc = {"config": fields, "config_hash": config_hash(fields),
+           "master_seed": config.master_seed}
+    if reservations is not None:
+        doc["reservations"] = reservations
+    # "runs" sorts after every other key, and every newline json.dumps
+    # writes is layout, so the list is joined on in place of the last one
+    runs_text = "[\n" + ",\n".join(runs) + "\n  ]" if runs else "[]"
+    return (json.dumps(doc, indent=2, sort_keys=True)[:-2]
+            + f',\n  "runs": {runs_text}\n}}\n')
 
 
 def _reservations(config: ExperimentConfig, clusters) -> list[dict]:
@@ -116,17 +141,11 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     clusters = make_clusters(config.cluster_sizes)
     samples = {(m, b): [] for m in config.methods for b in config.bits_list}
-    run_records = []
+    runs = []
     points = [(f"cluster {c.id}", c) for c in clusters]
     for rep, cluster, cell in iter_cells(config, points):
         samples[cell.method, cell.bits].append(cell.vehicle_rates_bps)
-        run_records.append({
-            "method": cell.method, "bits": cell.bits,
-            "cluster": cluster.id, "repetition": rep,
-            "sum_rate_decision_bps": cell.sum_rate_decision_bps,
-            "sum_rate_truth_bps": cell.sum_rate_truth_bps,
-            "runtime_s": cell.runtime_s,
-        })
+        runs.append(_run_json(rep, cluster.id, cell))
     reports = []
     for (method, bits), series in samples.items():
         reports.append(build_report(np.concatenate(series),
@@ -139,11 +158,12 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         "summary": out / "summary.json",
         "manifest": out / "manifest.json",
     }
-    _write_cdf_csv(paths["cdf"], reports)
-    _write_criteria_csv(paths["criteria"], reports)
-    _write_summary_json(paths["summary"], reports)
-    _write_manifest(paths["manifest"], config, run_records,
-                    extra={"reservations": _reservations(config, clusters)})
+    cdf, criteria, summary = _report_files(reports)
+    _write_csv(paths["cdf"], cdf)
+    _write_csv(paths["criteria"], criteria)
+    paths["summary"].write_text(summary)
+    paths["manifest"].write_text(_manifest_json(
+        config, runs, _reservations(config, clusters)))
     return paths
 
 
@@ -154,13 +174,11 @@ def run_sweep(config: ExperimentConfig) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep_density(config)
     paths = {"sweep": out / "sweep.csv", "manifest": out / "manifest.json"}
-    with open(paths["sweep"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "bits", "n_vehicles", "worst_rate_mbps"])
-        for row in rows:
-            w.writerow([row.method, row.bits, row.n_vehicles,
-                        _mbps(row.worst_rate_mean_bps)])
-    _write_manifest(paths["manifest"], config, [])
+    _write_csv(paths["sweep"], _csv(
+        ["method", "bits", "n_vehicles", "worst_rate_mbps"],
+        [f"{row.method},{row.bits},{row.n_vehicles},"
+         f"{_num(_mbps(row.worst_rate_mean_bps))}\r\n" for row in rows]))
+    paths["manifest"].write_text(_manifest_json(config, []))
     return paths
 
 
@@ -169,12 +187,10 @@ ASSIGNMENT_HEADER = ["cluster", "vehicle", "subchannel", "subframe"]
 
 def write_assignment_csv(path, assignments, grid: ResourceGrid):
     """Persist assignments in the four-column exchange format."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ASSIGNMENT_HEADER)
-        for assn in assignments:
-            for i, sc in enumerate(assn.subchannel.tolist()):
-                w.writerow([assn.cluster_id, i, sc, sc // grid.k])
+    _write_csv(path, _csv(ASSIGNMENT_HEADER, [
+        f"{assn.cluster_id},{i},{sc},{sc // grid.k}\r\n"
+        for assn in assignments
+        for i, sc in enumerate(assn.subchannel.tolist())]))
 
 
 @dataclass

@@ -225,7 +225,9 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    """sha256 over the canonical JSON form; changes with any field."""
-    blob = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
+def config_hash(config: ExperimentConfig | dict) -> str:
+    """sha256 over the canonical JSON form of a config or of its
+    ``asdict``; changes with any field."""
+    fields = config if isinstance(config, dict) else asdict(config)
+    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -3,6 +3,7 @@ summary criteria, sweeps."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -76,12 +77,13 @@ def build_report(samples, grid_points: int = 30, method: str = "",
     s = np.asarray(samples, dtype=float).ravel()
     if s.size == 0:
         raise ValueError("samples must be non-empty")
-    if not np.all(np.isfinite(s)):
+    ordered = np.sort(s)
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    # NaN sorts last and -inf/+inf to the ends, so the ends show them all
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("samples must be finite")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    lo, hi = float(s.min()), float(s.max())
-    ordered = np.sort(s)
     if hi > lo:
         xs = np.linspace(lo, hi, grid_points)
         probs = np.searchsorted(ordered, xs, side="left") / s.size

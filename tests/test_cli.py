@@ -1,25 +1,31 @@
 """Config validation, experiment artifacts, assignment file checking."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidesched
 from sidesched import pipeline
-from sidesched.cli import (main, run_experiment, run_sweep,
-                           validate_assignment_file, write_assignment_csv)
+from sidesched.cli import (_manifest_json, _report_files, _run_json, main,
+                           run_experiment, run_sweep, validate_assignment_file,
+                           write_assignment_csv)
 from sidesched.config import config_from_dict, config_hash, load_config
 from sidesched.errors import ConfigError, InfeasibleError, ParseError
 from sidesched.grid import ResourceGrid
-from sidesched.solvers import Assignment
+from sidesched.metrics import EvalReport
+from sidesched.pipeline import CellResult
+from sidesched.solvers import METHODS, Assignment
 
 
 def tiny_raw(**over):
@@ -442,6 +448,99 @@ class TestRunSweep:
         with pytest.raises(ParseError,
                            match="^N=2, repetition 0, 0 bits, method greedy: x$"):
             run_sweep(config_from_dict(raw))
+
+
+# Finite floats as Python floats and as np.float64, with the edge cases
+# named: zero, the smallest subnormal, a huge value and an integral one.
+FLOATS = st.one_of(st.sampled_from([0.0, 5e-324, 1e300, 3.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+NUMBERS = st.one_of(FLOATS, FLOATS.map(np.float64))
+REPORTS = st.builds(
+    EvalReport, method=st.sampled_from(METHODS), bits=st.integers(0, 8),
+    samples=st.just(np.zeros(1)), highest_bps=NUMBERS, average_bps=NUMBERS,
+    worst_bps=NUMBERS, std_dev_bps=NUMBERS,
+    cdf=st.lists(st.tuples(NUMBERS, NUMBERS), min_size=2, max_size=64))
+RUNS = st.lists(st.tuples(
+    st.integers(0, 10**6), st.integers(0, 10**6),
+    st.builds(CellResult, method=st.sampled_from(METHODS),
+              bits=st.integers(0, 8),
+              vehicle_rates_bps=NUMBERS.map(lambda x: np.array([x])),
+              sum_rate_decision_bps=NUMBERS, runtime_s=NUMBERS)), max_size=8)
+# None: a sweep's manifest, which has no reservations key
+RESERVATIONS = st.none() | st.lists(st.fixed_dictionaries({
+    "cluster": st.integers(0, 99), "t_sps_s": NUMBERS,
+    "windows": st.integers(0, 10**4)}), min_size=1, max_size=3)
+
+
+def csv_text(header, rows):
+    fh = io.StringIO()
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(rows)
+    return fh.getvalue()
+
+
+def json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestArtifactWriters:
+    """Each string writer writes the bytes of the csv module's default
+    dialect and of json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(REPORTS, min_size=1, max_size=4))
+    def test_report_files_match_csv_and_json(self, reports):
+        cdf, criteria, summary = _report_files(reports)
+        assert cdf == csv_text(
+            ["method", "bits", "rate_x_mbps", "prob"],
+            [[r.method, r.bits, x / 1e6, p] for r in reports for x, p in r.cdf])
+        assert criteria == csv_text(
+            ["method", "bits", "highest", "average", "worst", "std_dev"],
+            [[r.method, r.bits, r.highest_bps / 1e6, r.average_bps / 1e6,
+              r.worst_bps / 1e6, r.std_dev_bps / 1e6] for r in reports])
+        assert summary == json_text({"series": [{
+            "method": r.method, "bits": r.bits,
+            "highest_mbps": r.highest_bps / 1e6,
+            "average_mbps": r.average_bps / 1e6,
+            "worst_mbps": r.worst_bps / 1e6,
+            "std_dev_mbps": r.std_dev_bps / 1e6,
+            "cdf": [[x / 1e6, p] for x, p in r.cdf]} for r in reports]})
+
+    @settings(max_examples=40, deadline=None)
+    @given(RUNS, RESERVATIONS, st.text(min_size=1), st.integers(0, 2**64 - 1))
+    def test_manifest_matches_json(self, runs, reservations, out_dir, seed):
+        config = replace(config_from_dict(tiny_raw()), out_dir=out_dir,
+                         master_seed=seed)
+        doc = {"config": asdict(config), "config_hash": config_hash(config),
+               "master_seed": seed, "runs": [{
+                   "method": cell.method, "bits": cell.bits,
+                   "cluster": cluster, "repetition": rep,
+                   "sum_rate_decision_bps": cell.sum_rate_decision_bps,
+                   "sum_rate_truth_bps": cell.sum_rate_truth_bps,
+                   "runtime_s": cell.runtime_s} for rep, cluster, cell in runs]}
+        if reservations is not None:
+            doc["reservations"] = reservations
+        assert _manifest_json(
+            config, [_run_json(*run) for run in runs],
+            reservations) == json_text(doc)
+
+    def test_assignment_csv_matches_csv(self, tmp_path):
+        p = tmp_path / "assn.csv"
+        write_assignment_csv(p, [Assignment(0, np.array([0, 2]), "greedy"),
+                                 Assignment(1, np.array([5]), "greedy")],
+                             ResourceGrid(k=2, l=6))
+        assert p.read_bytes() == csv_text(
+            ["cluster", "vehicle", "subchannel", "subframe"],
+            [[0, 0, 0, 0], [0, 1, 2, 1], [1, 0, 5, 2]]).encode()
+
+    def test_numpy_floats_are_written_as_floats(self):
+        # numpy 2 writes repr(np.float64(0.5)) as "np.float64(0.5)"
+        rep = EvalReport("greedy", 2, np.zeros(1), *[np.float64(0.5)] * 4,
+                         [(np.float64(1.5e6), np.float64(0.0))] * 2)
+        cdf, criteria, summary = _report_files([rep])
+        assert "np." not in cdf + criteria + summary
+        assert cdf.endswith("greedy,2,1.5,0.0\r\n")
 
 
 class TestValidateAssignments:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sidesched.config import ExperimentConfig
 from sidesched.errors import ConfigError
@@ -84,6 +86,13 @@ class TestBuildReport:
             build_report([1.0], grid_points=1)
         with pytest.raises(ValueError):
             build_report([np.nan])
+
+    @given(st.lists(st.floats(0, 1e9), max_size=20),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_sample_anywhere_raises(self, finite, bad, data):
+        at = data.draw(st.integers(0, len(finite)))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            build_report(finite[:at] + [bad] + finite[at:])
 
 
 class TestSweepDensity:
