@@ -91,8 +91,7 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     return ReducedProblem(d, argmax_slot, k, l)
 
 
-def expand_solution(subframes: np.ndarray, reduced: ReducedProblem, *,
-                    cluster_id: int = 0) -> Assignment:
+def expand_solution(subframes: np.ndarray, reduced: ReducedProblem) -> Assignment:
     """Subframe of each vehicle 0..N-1 back to its global subchannel.
 
     Each vehicle lands on the stored best slot of its subframe, i.e.
@@ -102,4 +101,4 @@ def expand_solution(subframes: np.ndarray, reduced: ReducedProblem, *,
     subframe.
     """
     slots = reduced.argmax_slot[np.arange(subframes.size), subframes]
-    return Assignment(cluster_id, subframes * reduced.k + slots, "proposed")
+    return Assignment(subframes * reduced.k + slots, "proposed")

@@ -95,10 +95,10 @@ def _report_files(reports) -> tuple[str, str, str]:
             '{\n  "series": [\n' + ",\n".join(series) + "\n  ]\n}\n")
 
 
-def _run_json(rep: int, cluster_id: int, cell) -> str:
+def _run_json(rep: int, cluster: int, cell) -> str:
     """One cell's record in the manifest's ``runs`` list."""
     return (f'    {{\n      "bits": {cell.bits},\n'
-            f'      "cluster": {cluster_id},\n'
+            f'      "cluster": {cluster},\n'
             f'      "method": {json.dumps(cell.method)},\n'
             f'      "repetition": {rep},\n'
             f'      "runtime_s": {_num(cell.runtime_s)},\n'
@@ -148,10 +148,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         runs.append(_run_json(rep, cluster.id, cell))
     reports = []
     for (method, bits), series in samples.items():
-        reports.append(build_report(np.concatenate(series),
-                                    config.cdf_grid_points, method, bits))
-        log.info("series %s/%d bits done (%d samples)", method, bits,
-                 reports[-1].samples.size)
+        pooled = np.concatenate(series)
+        reports.append(build_report(pooled, config.cdf_grid_points, method, bits))
+        log.info("series %s/%d bits done (%d samples)", method, bits, pooled.size)
     paths = {
         "cdf": out / "cdf.csv",
         "criteria": out / "criteria.csv",
@@ -186,10 +185,10 @@ ASSIGNMENT_HEADER = ["cluster", "vehicle", "subchannel", "subframe"]
 
 
 def write_assignment_csv(path, assignments, grid: ResourceGrid):
-    """Persist assignments in the four-column exchange format."""
+    """Persist {cluster id: assignment} in the four-column exchange format."""
     _write_csv(path, _csv(ASSIGNMENT_HEADER, [
-        f"{assn.cluster_id},{i},{sc},{sc // grid.k}\r\n"
-        for assn in assignments
+        f"{cluster},{i},{sc},{sc // grid.k}\r\n"
+        for cluster, assn in assignments.items()
         for i, sc in enumerate(assn.subchannel.tolist())]))
 
 
@@ -276,10 +275,10 @@ def main(argv=None) -> int:
                        help="subchannels per subframe, to recompute subframes")
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("SIDESCHED_LOG", "WARNING").upper(),
-                      logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s")
+    # a level name gives its number; anything else, its "Level x" string
+    level = logging.getLevelName(os.environ.get("SIDESCHED_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
 
     try:
         if args.command in ("run", "sweep"):

@@ -1,6 +1,8 @@
 """The experiment config: its JSON keys, its rules and its hash.
 
-``config_from_dict`` checks only the JSON types that ``SCHEMA`` lists.
+Every default is written once, on its dataclass field, so
+``config_from_dict({}) == ExperimentConfig()``: the reader checks only
+the JSON types that ``SCHEMA`` lists and passes on the keys present.
 Every rule on the values is written once, in the ``__post_init__`` of
 the dataclass that owns the field, so a directly built config obeys it too.
 """
@@ -26,13 +28,13 @@ class ExperimentConfig:
     """Everything one run or sweep needs; a bad value raises ConfigError
     naming its config-file key when the config is built."""
 
-    grid: ResourceGrid
-    scenario: ScenarioModel
-    cluster_sizes: tuple[int, ...]
-    bits_list: tuple[int, ...]          # 0 = ideal fine-grained feedback
-    methods: tuple[str, ...]
-    repetitions: int
-    master_seed: int | None             # None: drawn at run time, recorded
+    grid: ResourceGrid = ResourceGrid()
+    scenario: ScenarioModel = ScenarioModel()
+    cluster_sizes: tuple[int, ...] = (100,)
+    bits_list: tuple[int, ...] = (0,)   # 0 = ideal fine-grained feedback
+    methods: tuple[str, ...] = ("proposed", "greedy", "random")
+    repetitions: int = 100
+    master_seed: int | None = None      # None: drawn at run time, recorded
     out_dir: str = "results"
     cdf_grid_points: int = 30
     quant_lo_db: float = -15.0
@@ -96,35 +98,35 @@ class ExperimentConfig:
 
 
 #: Config-file key -> (ExperimentConfig field, dotted through ``grid`` and
-#: ``scenario``; default; JSON type). A JSON type in brackets is a list of
-#: that type; "|int" also takes one bare entry and "|null" takes null.
+#: ``scenario``; JSON type). A JSON type in brackets is a list of that
+#: type; "|int" also takes one bare entry and "|null" takes null.
 SCHEMA = {
-    "grid.k_subchannels": ("grid.k", 7, "int"),
-    "grid.l_subframes": ("grid.l", 100, "int"),
-    "grid.t_ms": ("grid.t_ms", 1.0, "number"),
-    "grid.b_hz": ("grid.b_hz", 1.26e6, "number"),
-    "scenario.kind": ("scenario.kind", "uniform", "string"),
-    "scenario.mean_db": ("scenario.mean_db", 10.0, "number"),
-    "scenario.std_db": ("scenario.std_db", 8.0, "number"),
-    "scenario.bad_mean_db": ("scenario.bad_mean_db", -5.0, "number"),
-    "scenario.p_bad": ("scenario.p_bad", 0.2, "number"),
-    "scenario.floor_db": ("scenario.sinr_floor_db", -15.0, "number"),
-    "scenario.ceil_db": ("scenario.sinr_ceil_db", 35.0, "number"),
-    "scenario.p_t_dbm": ("scenario.p_t_dbm", 23.0, "number"),
-    "clusters": ("cluster_sizes", (100,), "[int]"),
-    "quant.bits": ("bits_list", (0,), "[int]|int"),
-    "quant.lo_db": ("quant_lo_db", -15.0, "number"),
-    "quant.hi_db": ("quant_hi_db", 35.0, "number"),
-    "methods": ("methods", ("proposed", "greedy", "random"), "[string]"),
-    "repetitions": ("repetitions", 100, "int"),
-    "master_seed": ("master_seed", None, "int|null"),
-    "out_dir": ("out_dir", "results", "string"),
-    "cdf_grid_points": ("cdf_grid_points", 30, "int"),
-    "sweep.n_vehicles": ("sweep_n_vehicles", None, "[int]"),
-    "t_sps_pool_s": ("t_sps_pool_s", DEFAULT_T_SPS_POOL_S, "[number]"),
+    "grid.k_subchannels": ("grid.k", "int"),
+    "grid.l_subframes": ("grid.l", "int"),
+    "grid.t_ms": ("grid.t_ms", "number"),
+    "grid.b_hz": ("grid.b_hz", "number"),
+    "scenario.kind": ("scenario.kind", "string"),
+    "scenario.mean_db": ("scenario.mean_db", "number"),
+    "scenario.std_db": ("scenario.std_db", "number"),
+    "scenario.bad_mean_db": ("scenario.bad_mean_db", "number"),
+    "scenario.p_bad": ("scenario.p_bad", "number"),
+    "scenario.floor_db": ("scenario.sinr_floor_db", "number"),
+    "scenario.ceil_db": ("scenario.sinr_ceil_db", "number"),
+    "scenario.p_t_dbm": ("scenario.p_t_dbm", "number"),
+    "clusters": ("cluster_sizes", "[int]"),
+    "quant.bits": ("bits_list", "[int]|int"),
+    "quant.lo_db": ("quant_lo_db", "number"),
+    "quant.hi_db": ("quant_hi_db", "number"),
+    "methods": ("methods", "[string]"),
+    "repetitions": ("repetitions", "int"),
+    "master_seed": ("master_seed", "int|null"),
+    "out_dir": ("out_dir", "string"),
+    "cdf_grid_points": ("cdf_grid_points", "int"),
+    "sweep.n_vehicles": ("sweep_n_vehicles", "[int]"),
+    "t_sps_pool_s": ("t_sps_pool_s", "[number]"),
 }
 
-_KEY_OF = {path: key for key, (path, _, _) in SCHEMA.items()}
+_KEY_OF = {path: key for key, (path, _) in SCHEMA.items()}
 
 
 def _entry(x, json_type: str):
@@ -167,29 +169,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     the wrong JSON type and values the config's dataclasses reject."""
     bad = []
     kwargs = {"grid": {}, "scenario": {}, "": {}}  # owner -> field -> value
-    stand_ins = set()  # keys of the wrong type, which take their default
-    for key, (path, default, json_type) in SCHEMA.items():
+    stand_ins = set()  # keys of the wrong type, which keep their default
+    for key, (path, json_type) in SCHEMA.items():
         section, _, leaf = key.rpartition(".")
         node = raw.get(section) if section else raw
-        value, where = default, []
-        if isinstance(node, dict) and leaf in node:
-            value, where = _read(node[leaf], json_type)
+        if not (isinstance(node, dict) and leaf in node):
+            continue
+        value, where = _read(node[leaf], json_type)
         if where:
             bad += [key + suffix for suffix in where]
             stand_ins.add(key)
-            value = default
+            continue
         owner, _, field = path.rpartition(".")
         kwargs[owner][field] = value
 
     def build(cls, owner):
-        # a field the dataclass rejects is named and takes its default
+        # a field the dataclass rejects is named and keeps its default
         try:
             return cls(**kwargs[owner])
         except ConfigError as exc:
-            keys = [_KEY_OF[f"{owner}.{field}"] for field in exc.keys]
-            bad.extend(keys)
-            return cls(**kwargs[owner] | {field: SCHEMA[key][1]
-                                          for field, key in zip(exc.keys, keys)})
+            bad.extend(_KEY_OF[f"{owner}.{field}"] for field in exc.keys)
+            return cls(**{f: v for f, v in kwargs[owner].items() if f not in exc.keys})
 
     try:
         config = ExperimentConfig(grid=build(ResourceGrid, "grid"),

@@ -21,8 +21,8 @@ DEFAULT_T_SPS_POOL_S = (1.0, 4.0, 8.0)
 class ResourceGrid:
     """Immutable lattice geometry: ``k`` subchannels per subframe, ``l`` subframes."""
 
-    k: int               # subchannels per subframe
-    l: int               # subframes per scheduling window
+    k: int = 7           # subchannels per subframe
+    l: int = 100         # subframes per scheduling window
     t_ms: float = 1.0    # subframe duration
     b_hz: float = 1.26e6  # bandwidth of one subchannel
 

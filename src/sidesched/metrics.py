@@ -13,6 +13,7 @@ from .config import ExperimentConfig
 from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, CellResult, derive_seed,
                        draw_cluster, draw_rates, run_cell)
 from .scenario import Cluster
+from .sideinfo import QuantizerSpec
 
 
 def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
@@ -21,27 +22,29 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     widths and methods, for ``repetitions`` repetitions.
 
     ``points`` are (label, cluster) pairs. The loop nests repetition x
-    point, then width, then method: each draw is computed once and each
-    width's rates and block table once per draw, shared by every method,
-    and each is released before the next is made. Seeds are keyed by
-    (repetition, ``cluster.id``). A ``ValueError`` is prefixed with the
-    label, repetition, width and method of its cell and re-raised bare, so
-    it keeps its type and attributes (``ConfigError.keys``,
-    ``ParseError.row``).
+    point, then width, then method: each width's quantizer is built once,
+    each draw is computed once and each width's rates and block table once
+    per draw, shared by every method, and each is released before the next
+    is made. Seeds are keyed by (repetition, ``cluster.id``). A
+    ``ValueError`` is prefixed with the label, repetition, width and
+    method of its cell and re-raised bare, so it keeps its type and
+    attributes (``ConfigError.keys``, ``ParseError.row``).
     """
     grid, master = config.grid, config.master_seed
+    quant_range = (config.quant_lo_db, config.quant_hi_db)
+    widths = [(bits, QuantizerSpec(bits, *quant_range) if bits else None)
+              for bits in config.bits_list]
     where = []
     try:
         for rep in range(config.repetitions):
             for label, cluster in points:
                 where[:] = [label, f"repetition {rep}"]
                 seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
-                draw = draw_cluster(grid, config.scenario, cluster, seed,
-                                    (config.quant_lo_db, config.quant_hi_db))
+                draw = draw_cluster(grid, config.scenario, cluster, seed, quant_range)
                 solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
-                for bits in config.bits_list:
+                for bits, q in widths:
                     where[2:] = [f"{bits} bits"]
-                    rates = draw_rates(grid, draw, bits)
+                    rates = draw_rates(grid, draw, q)
                     for method in config.methods:
                         where[3:] = [f"method {method}"]
                         yield rep, cluster, run_cell(grid, draw, rates, bits,
@@ -55,11 +58,10 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
 
 @dataclass
 class EvalReport:
-    """Pooled per-vehicle rates of one (method, bits) series, in bits/s."""
+    """Statistics of one (method, bits) series' pooled rates, in bits/s."""
 
     method: str
     bits: int
-    samples: np.ndarray
     highest_bps: float
     average_bps: float
     worst_bps: float
@@ -92,7 +94,7 @@ def build_report(samples, grid_points: int = 30, method: str = "",
         xs = np.array([lo, np.nextafter(lo, np.inf)])
         probs = np.array([0.0, 1.0])
     cdf = list(zip(xs.tolist(), probs.tolist()))
-    return EvalReport(method, bits, s, hi, float(s.mean()), lo,
+    return EvalReport(method, bits, hi, float(s.mean()), lo,
                       float(s.std()), cdf)
 
 

@@ -56,12 +56,12 @@ def derive_seed(master_seed: int, *key) -> int:
 @dataclass(frozen=True)
 class Draw:
     """One channel realisation of a cluster, padded to one row per subframe:
-    rows 0..N-1 are its real vehicles and the rest dummies."""
+    rows 0..N-1 are its real vehicles and the rest dummies. ``fine`` is over
+    the run's quantizer range, the range of every width ``draw_rates`` takes."""
 
     cluster: Cluster
     truth: FineRates  # the padded SINR, rated where read
-    quant_range: tuple[float, float]  # (lo_db, hi_db) of every quantized width
-    fine: np.ndarray  # uint8 8-bit index of the padded SINR over quant_range
+    fine: np.ndarray  # uint8 8-bit index of the padded SINR over the range
 
 
 @dataclass
@@ -83,19 +83,19 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     and ``quant_range``."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
     padded = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    return Draw(cluster, FineRates(padded, grid.b_hz), quant_range,
+    return Draw(cluster, FineRates(padded, grid.b_hz),
                 _fine_index(*quant_range, padded))
 
 
-def draw_rates(grid: ResourceGrid, draw: Draw, bits: int
+def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None
                ) -> tuple[FineRates | QuantizedRates, ReducedProblem]:
-    """(decision, block table of decision) of a draw at ``bits``.
+    """(decision, block table of decision) of a draw at the width of ``q``.
 
-    ``bits=0`` decides on ``draw.truth``; every other width shifts the
-    draw's 8-bit index. The table is built from the decision's keys, and
-    only its L x L block maxima are rated.
+    ``q=None`` (ideal feedback) decides on ``draw.truth``; every other
+    width shifts the draw's 8-bit index, which is made over the range of
+    ``q``. The table is built from the decision's keys, and only its
+    L x L block maxima are rated.
     """
-    q = QuantizerSpec(bits, *draw.quant_range) if bits else None
     decision = build_rate_matrices(draw.truth, q, draw.fine)
     reduced = compress(decision.key.ravel(), grid.k, grid.l)
     return decision, replace(reduced, d=decision.rate(reduced.d))
@@ -110,20 +110,19 @@ def run_cell(grid: ResourceGrid, draw: Draw,
     is scored on the draw's truth rates.
     """
     decision, reduced = rates
-    cluster = draw.cluster
-    n_real = cluster.n_vehicles
+    n_real = draw.cluster.n_vehicles
 
     t0 = time.perf_counter()
     if method == "proposed":
         subframes = solve_proposed(reduced, n_real)
-        assn = expand_solution(subframes, reduced, cluster_id=cluster.id)
+        assn = expand_solution(subframes, reduced)
     elif method == "greedy":
-        assn = solve_greedy(reduced, n_real, cluster_id=cluster.id)
+        assn = solve_greedy(reduced, n_real)
     elif method == "random":
         rng = np.random.default_rng(solver_seed)
-        assn = solve_random(grid, n_real, rng, cluster_id=cluster.id)
+        assn = solve_random(grid, n_real, rng)
     elif method == "oracle":
-        assn = solve_oracle(decision, grid, n_real, cluster_id=cluster.id)
+        assn = solve_oracle(decision, grid, n_real)
     else:
         raise ValueError(f"unknown method {method!r}")
     runtime = time.perf_counter() - t0

@@ -3,12 +3,14 @@
 Every method returns an ``Assignment`` whose ``subchannel`` array holds
 the global subchannel of each of a cluster's N real vehicles, vehicle i
 at entry i, so every vehicle takes exactly one subchannel by
-construction. The other constraint, at most one vehicle per subframe, is
-checked in one place, ``verify_assignment``, which every cell runs on
-every method's assignment. The optimal route (``solve_proposed``) and
-greedy work on the compressed block table; the oracle rates the real
-rows of a decision and enumerates the feasible set, capped to small
-instances. ``evaluate`` reads the truth rates and the decision sum.
+construction. It names its method, not its cluster, whose id stays with
+the caller (``cli.write_assignment_csv`` takes it from there). The other
+constraint, at most one vehicle per subframe, is checked in one place,
+``verify_assignment``, which every cell runs on every method's
+assignment. The optimal route (``solve_proposed``) and greedy work on
+the compressed block table; the oracle rates the real rows of a
+decision and enumerates the feasible set, capped to small instances.
+``evaluate`` reads the truth rates and the decision sum.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ ORACLE_MAX_K = 4
 class Assignment:
     """Chosen subchannel per vehicle for one cluster."""
 
-    cluster_id: int
     subchannel: np.ndarray  # (N,) int64: global subchannel of vehicle i
     method: str
 
@@ -89,8 +90,7 @@ def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> np.ndarray:
     return cols[:n_vehicles]
 
 
-def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
-                 cluster_id: int = 0) -> Assignment:
+def solve_greedy(reduced: ReducedProblem, n_vehicles: int) -> Assignment:
     """First-come first-served baseline on the first ``n_vehicles`` rows.
 
     Vehicles in ascending index order take the best decision-rate
@@ -109,11 +109,10 @@ def solve_greedy(reduced: ReducedProblem, n_vehicles: int,
         frames[i] = dm[i].argmax()  # first hit = lowest subframe on ties
         dm[:, frames[i]] = -np.inf
     slots = reduced.argmax_slot[np.arange(n_vehicles), frames]
-    return Assignment(cluster_id, frames * k + slots, "greedy")
+    return Assignment(frames * k + slots, "greedy")
 
 
-def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
-                 cluster_id: int = 0) -> Assignment:
+def solve_random(grid: ResourceGrid, n_vehicles: int, rng) -> Assignment:
     """Feasible-random baseline: uniform subframe injection, uniform slot."""
     if n_vehicles < 1:
         raise ValueError("n_vehicles must be positive")
@@ -121,11 +120,11 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng,
         raise InfeasibleError(f"{n_vehicles} vehicles exceed {grid.l} subframes")
     frames = rng.permutation(grid.l)[:n_vehicles]
     slots = rng.integers(0, grid.k, size=n_vehicles)
-    return Assignment(cluster_id, frames * grid.k + slots, "random")
+    return Assignment(frames * grid.k + slots, "random")
 
 
 def solve_oracle(decision: FineRates | QuantizedRates, grid: ResourceGrid,
-                 n_vehicles: int, cluster_id: int = 0) -> Assignment:
+                 n_vehicles: int) -> Assignment:
     """Exhaustive optimum of the first ``n_vehicles`` rows over every
     subframe injection and slot choice.
 
@@ -158,7 +157,7 @@ def solve_oracle(decision: FineRates | QuantizedRates, grid: ResourceGrid,
             best_total, best_inj = total, inj
     frames = np.array(best_inj, np.int64)
     subchannel = frames * grid.k + slots[np.arange(n), frames]
-    return Assignment(cluster_id, subchannel, "oracle")
+    return Assignment(subchannel, "oracle")
 
 
 def evaluate(assignment: Assignment, decision: FineRates | QuantizedRates,

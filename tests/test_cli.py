@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sidesched
+from sidesched import config as config_module
 from sidesched import pipeline
 from sidesched.cli import (_manifest_json, _report_files, _run_json, main,
                            run_experiment, run_sweep, validate_assignment_file,
                            write_assignment_csv)
-from sidesched.config import config_from_dict, config_hash, load_config
+from sidesched.config import (SCHEMA, ExperimentConfig, config_from_dict,
+                              config_hash, load_config)
 from sidesched.errors import ConfigError, InfeasibleError, ParseError
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import EvalReport
@@ -94,6 +96,29 @@ class TestConfigParsing:
         assert cfg.bits_list == (0,)
         assert cfg.repetitions == 100
         assert cfg.master_seed is None
+        # every default is its field's: the reader holds none of its own
+        assert cfg == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", list(SCHEMA))
+    def test_ill_typed_key_is_named_and_keeps_its_default(self, key,
+                                                          monkeypatch):
+        built = []
+        real = config_module.ExperimentConfig
+
+        def recorded(**kwargs):
+            built.append(real(**kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(config_module, "ExperimentConfig", recorded)
+        *sections, leaf = key.split(".")
+        raw = node = {}
+        for part in sections:
+            node = node.setdefault(part, {})
+        node[leaf] = 1 if SCHEMA[key][1] == "string" else "x"
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == [key]
+        assert built == [ExperimentConfig()]
 
     def test_round_trip_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -457,8 +482,8 @@ FLOATS = st.one_of(st.sampled_from([0.0, 5e-324, 1e300, 3.0]),
 NUMBERS = st.one_of(FLOATS, FLOATS.map(np.float64))
 REPORTS = st.builds(
     EvalReport, method=st.sampled_from(METHODS), bits=st.integers(0, 8),
-    samples=st.just(np.zeros(1)), highest_bps=NUMBERS, average_bps=NUMBERS,
-    worst_bps=NUMBERS, std_dev_bps=NUMBERS,
+    highest_bps=NUMBERS, average_bps=NUMBERS, worst_bps=NUMBERS,
+    std_dev_bps=NUMBERS,
     cdf=st.lists(st.tuples(NUMBERS, NUMBERS), min_size=2, max_size=64))
 RUNS = st.lists(st.tuples(
     st.integers(0, 10**6), st.integers(0, 10**6),
@@ -527,8 +552,8 @@ class TestArtifactWriters:
 
     def test_assignment_csv_matches_csv(self, tmp_path):
         p = tmp_path / "assn.csv"
-        write_assignment_csv(p, [Assignment(0, np.array([0, 2]), "greedy"),
-                                 Assignment(1, np.array([5]), "greedy")],
+        write_assignment_csv(p, {0: Assignment(np.array([0, 2]), "greedy"),
+                                 1: Assignment(np.array([5]), "greedy")},
                              ResourceGrid(k=2, l=6))
         assert p.read_bytes() == csv_text(
             ["cluster", "vehicle", "subchannel", "subframe"],
@@ -536,7 +561,7 @@ class TestArtifactWriters:
 
     def test_numpy_floats_are_written_as_floats(self):
         # numpy 2 writes repr(np.float64(0.5)) as "np.float64(0.5)"
-        rep = EvalReport("greedy", 2, np.zeros(1), *[np.float64(0.5)] * 4,
+        rep = EvalReport("greedy", 2, *[np.float64(0.5)] * 4,
                          [(np.float64(1.5e6), np.float64(0.0))] * 2)
         cdf, criteria, summary = _report_files([rep])
         assert "np." not in cdf + criteria + summary
@@ -547,8 +572,8 @@ class TestValidateAssignments:
     def test_round_trip_of_written_assignments(self, tmp_path):
         g = ResourceGrid(k=2, l=6)
         p = tmp_path / "assn.csv"
-        write_assignment_csv(p, [Assignment(0, np.array([0, 2]), "greedy"),
-                                 Assignment(1, np.array([5]), "greedy")], g)
+        write_assignment_csv(p, {0: Assignment(np.array([0, 2]), "greedy"),
+                                 1: Assignment(np.array([5]), "greedy")}, g)
         rep = validate_assignment_file(p, k=2)
         assert rep.ok
         assert rep.n_rows == 3
@@ -679,6 +704,20 @@ class TestMainEntry:
             text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: sidesched")
+
+    def test_log_variable_takes_level_names_only(self, tmp_path):
+        # BASIC_FORMAT is an attribute of logging, but no level
+        p = tmp_path / "assn.csv"
+        p.write_text("cluster,vehicle,subchannel,subframe\n0,0,3,1\n")
+        src = str(Path(sidesched.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sidesched", "validate", str(p), "--k", "2"],
+            env={**os.environ, "PYTHONPATH": path,
+                 "SIDESCHED_LOG": "BASIC_FORMAT"},
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "ok: 1 rows, no violations\n"
 
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "missing.json"],

@@ -17,7 +17,7 @@ from sidesched.config import config_from_dict
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel
-from sidesched.sideinfo import _bin_index
+from sidesched.sideinfo import QuantizerSpec, _bin_index
 from sidesched.solvers import Assignment
 
 
@@ -30,14 +30,14 @@ from sidesched.solvers import Assignment
 def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     def clashing(*args, **kwargs):
         # subchannels 0 and 1 both lie in subframe 0 when k = 2
-        return Assignment(0, np.array([0, 1]), method)
+        return Assignment(np.array([0, 1]), method)
 
     monkeypatch.setattr(pipeline, stage, clashing)
     grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
                                  scenario_seed=1, quant_range=(-15.0, 35.0))
     with pytest.raises(ConstraintViolation):
-        rates = pipeline.draw_rates(grid, draw, 0)
+        rates = pipeline.draw_rates(grid, draw, None)
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
 
 
@@ -56,8 +56,8 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
     truth = draw.truth.key.copy()
-    for bits in (0, 2):
-        rates = pipeline.draw_rates(grid, draw, bits)
+    for bits, q in ((0, None), (2, QuantizerSpec(2, -15.0, 35.0))):
+        rates = pipeline.draw_rates(grid, draw, q)
         cell = pipeline.run_cell(grid, draw, rates, bits, method, solver_seed=5)
         subchannel = assignments[-1].subchannel
         assert isinstance(subchannel, np.ndarray)
@@ -121,12 +121,16 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     widths = len(config.bits_list)
     assert len(draws) == config.repetitions * len(points)
     assert len(rates) == len(draws) * widths
-    # every width of a draw reads one truth, made once
+    # every width of a draw reads one truth, made once, and every draw
+    # reads each width's quantizer, made once per run
     truths = [args[0] for args, _ in rate_calls]
     for d in range(len(draws)):
         per_draw = truths[d * widths:(d + 1) * widths]
         assert all(t is per_draw[0] for t in per_draw)
     assert len({id(t) for t in truths}) == len(draws)
+    quantizers = [args[1] for args, _ in rate_calls]
+    assert ([id(q) for q in quantizers]
+            == [id(q) for q in quantizers[:widths]] * len(draws))
     # and every width's block table once, read by proposed and greedy alike
     assert len(tables) == len(compressed) == len(rates)
     assert len({id(t) for t in tables}) == len(tables)
@@ -178,7 +182,7 @@ def test_an_ideal_cell_rates_its_chosen_entries_once(monkeypatch):
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
-    rates = pipeline.draw_rates(grid, draw, 0)
+    rates = pipeline.draw_rates(grid, draw, None)
     assignments = _record_calls(monkeypatch, "expand_solution")
     sizes = []
     real = sideinfo.rate_from_sinr

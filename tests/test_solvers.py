@@ -172,12 +172,11 @@ class TestOracle:
             a = oracle(vals, ResourceGrid(k=k, l=l))
             assert a.subchannel.tolist() == brute_full_optimum(vals, k, l)[0]
 
-    def test_reads_the_first_rows_and_stamps_the_cluster(self):
+    def test_reads_the_first_rows(self):
         # a high row past n_vehicles, as a padded decision's dummies, is not read
         vals = np.array([[1, 3, 2, 5], [9, 9, 9, 9]], dtype=float)
-        a = solve_oracle(Rates(vals), ResourceGrid(k=2, l=2), 1, cluster_id=4)
+        a = solve_oracle(Rates(vals), ResourceGrid(k=2, l=2), 1)
         assert a.subchannel.tolist() == [3]
-        assert a.cluster_id == 4
 
     def test_caps(self):
         with pytest.raises(CapacityError):
@@ -237,7 +236,7 @@ class TestVerifyAndEvaluate:
     def test_verify_flags_shared_subframe(self):
         g = ResourceGrid(k=7, l=100)
         from sidesched.solvers import Assignment
-        a = Assignment(0, np.array([3, 5]), "greedy")
+        a = Assignment(np.array([3, 5]), "greedy")
         with pytest.raises(ConstraintViolation) as exc:
             verify_assignment(a, g)
         assert "subframe 0" in str(exc.value)
@@ -245,7 +244,7 @@ class TestVerifyAndEvaluate:
     def test_evaluate_single_vehicle(self):
         a_vals = np.array([[1.0, 2.0]])
         from sidesched.solvers import Assignment
-        v, decision_sum = evaluate(Assignment(0, np.array([1]), "greedy"),
+        v, decision_sum = evaluate(Assignment(np.array([1]), "greedy"),
                                    Rates(a_vals), Rates(a_vals))
         assert decision_sum == 2.0
         assert v.sum() == 2.0
@@ -255,7 +254,7 @@ class TestVerifyAndEvaluate:
         from sidesched.solvers import Assignment
         dec = Rates([[5.0, 1.0]])
         tru = Rates([[2.0, 3.0]])
-        v, decision_sum = evaluate(Assignment(0, np.array([0]), "greedy"), dec, tru)
+        v, decision_sum = evaluate(Assignment(np.array([0]), "greedy"), dec, tru)
         assert decision_sum == 5.0
         assert v.sum() == 2.0
         np.testing.assert_array_equal(v, [2.0])
@@ -282,7 +281,7 @@ class TestVerifyFastPath:
     def test_first_clash_message(self):
         g = ResourceGrid(k=7, l=100)
         # subframe 1 clashes first in vehicle order, then subframe 0
-        a = Assignment(0, np.array([9, 5, 12, 699, 3]), "greedy")
+        a = Assignment(np.array([9, 5, 12, 699, 3]), "greedy")
         with pytest.raises(ConstraintViolation) as exc:
             verify_assignment(a, g)
         assert str(exc.value) == (
@@ -292,12 +291,12 @@ class TestVerifyFastPath:
     def test_out_of_range_raises_index_error(self, sc):
         g = ResourceGrid(k=7, l=100)
         with pytest.raises(IndexError, match=f"subchannel index {sc} outside"):
-            verify_assignment(Assignment(0, np.array([3, sc, 4]), "greedy"), g)
+            verify_assignment(Assignment(np.array([3, sc, 4]), "greedy"), g)
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 4), l=st.integers(1, 8),
            subchannels=st.lists(st.integers(-2, 34), max_size=10))
     def test_same_outcome_as_the_messages(self, k, l, subchannels):
         g = ResourceGrid(k=k, l=l)
-        a = Assignment(0, np.array(subchannels, dtype=np.int64), "greedy")
+        a = Assignment(np.array(subchannels, dtype=np.int64), "greedy")
         assert outcome(verify_assignment, a, g) == outcome(verify_by_messages, a, g)
