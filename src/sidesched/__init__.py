@@ -8,13 +8,12 @@ from .cli import (ValidationReport, run_experiment, run_sweep,
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import (CapacityError, ConfigError, ConstraintViolation,
                      InfeasibleError, ParseError, ShapeError)
-from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid, draw_t_sps, subframe_of
+from .grid import ResourceGrid
 from .metrics import EvalReport, SweepRow, build_report, sweep_density
 from .munkres import max_weight_assignment
 from .pipeline import (CellResult, Draw, derive_seed, draw_cluster, draw_rates,
                        run_cell)
-from .scenario import (Cluster, ScenarioModel, generate_sinr, make_clusters,
-                       pad_to_square)
+from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
                        build_rate_matrices, quantize, rate_from_sinr)
 from .solvers import (Assignment, METHODS, evaluate, solve_greedy, solve_oracle,

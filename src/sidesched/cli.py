@@ -28,10 +28,10 @@ import numpy as np
 
 from .config import ExperimentConfig, config_hash, load_config
 from .errors import ParseError
-from .grid import ResourceGrid, draw_t_sps
+from .grid import ResourceGrid
 from .metrics import build_report, iter_cells, sweep_density
 from .pipeline import TIMER_STREAM, derive_seed
-from .scenario import make_clusters
+from .scenario import Cluster
 from .solvers import shared_subframes
 # Not called here: perfbench/tracer.py WRAPS needs the name bound in this module.
 from .pipeline import run_cell  # noqa: F401
@@ -122,12 +122,14 @@ def _manifest_json(config: ExperimentConfig, runs: list[str],
 
 
 def _reservations(config: ExperimentConfig, clusters) -> list[dict]:
-    """Per-cluster reservation horizon the grants would persist for."""
+    """Per-cluster reservation horizon the grants would persist for: a
+    uniform draw from the pool, on a stream keyed by ``cluster.id``."""
+    pool = config.t_sps_pool_s
     out = []
-    for ci, cluster in enumerate(clusters):
+    for cluster in clusters:
         rng = np.random.default_rng(
-            derive_seed(config.master_seed, TIMER_STREAM, ci))
-        t_sps = draw_t_sps(rng, config.t_sps_pool_s)
+            derive_seed(config.master_seed, TIMER_STREAM, cluster.id))
+        t_sps = float(pool[int(rng.integers(0, len(pool)))])
         out.append({"cluster": cluster.id, "t_sps_s": t_sps,
                     "windows": math.ceil(t_sps * 1000 / config.grid.window_ms)})
     return out
@@ -139,7 +141,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     config = _resolve_seed(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    clusters = make_clusters(config.cluster_sizes)
+    clusters = [Cluster(j, n) for j, n in enumerate(config.cluster_sizes)]
     samples = {(m, b): [] for m in config.methods for b in config.bits_list}
     runs = []
     points = [(f"cluster {c.id}", c) for c in clusters]

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .grid import DEFAULT_T_SPS_POOL_S, ResourceGrid
+from .grid import ResourceGrid
 from .scenario import ScenarioModel
 from .sideinfo import QuantizerSpec, quantized_rates
 from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L
@@ -40,7 +40,7 @@ class ExperimentConfig:
     quant_lo_db: float = -15.0
     quant_hi_db: float = 35.0
     sweep_n_vehicles: tuple[int, ...] | None = None  # None: sweep_densities
-    t_sps_pool_s: tuple[float, ...] = DEFAULT_T_SPS_POOL_S
+    t_sps_pool_s: tuple[float, ...] = (1.0, 4.0, 8.0)  # Release-14 SPS periods
 
     @property
     def sweep_densities(self) -> tuple[int, ...]:
@@ -90,8 +90,9 @@ class ExperimentConfig:
             ("master_seed", self.master_seed is None or self.master_seed >= 0),
             ("out_dir", bool(self.out_dir)),
             ("cdf_grid_points", self.cdf_grid_points >= 2),
-            ("t_sps_pool_s", bool(self.t_sps_pool_s) and
-             all(0 < t < math.inf for t in self.t_sps_pool_s)),
+            ("t_sps_pool_s", bool(self.t_sps_pool_s) and all(
+                0 < t and math.isfinite(t * 1000 / self.grid.window_ms)
+                for t in self.t_sps_pool_s)),
         ) if not ok]
         if bad:
             raise ConfigError(sorted(set(bad)))

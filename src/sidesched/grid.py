@@ -1,4 +1,4 @@
-"""Sidelink time-frequency grid and semi-persistent reservation timing.
+"""Sidelink time-frequency grid.
 
 The allotable spectrum is a lattice of K subchannels per subframe over L
 subframes, repeating every scheduling window. Global subchannel indices
@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import require
-
-#: Reservation durations (seconds) a scheduler may grant, per Release 14.
-DEFAULT_T_SPS_POOL_S = (1.0, 4.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -38,22 +35,3 @@ class ResourceGrid:
     @property
     def window_ms(self) -> float:
         return self.t_ms * self.l
-
-
-def subframe_of(grid: ResourceGrid, k: int) -> int:
-    """Subframe owning global subchannel index ``k``.
-
-    Consecutive runs of ``grid.k`` indices share a subframe, which
-    partitions the index range into ``grid.l`` disjoint blocks.
-    """
-    if not 0 <= k < grid.n_subchannels:
-        raise IndexError(
-            f"subchannel index {k} outside [0, {grid.n_subchannels})")
-    return k // grid.k
-
-
-def draw_t_sps(rng, pool=DEFAULT_T_SPS_POOL_S) -> float:
-    """Uniform draw of a reservation duration from the pool."""
-    if not pool:
-        raise ValueError("t_sps pool must be non-empty")
-    return float(pool[int(rng.integers(0, len(pool)))])

@@ -94,8 +94,11 @@ def build_report(samples, grid_points: int = 30, method: str = "",
         xs = np.array([lo, np.nextafter(lo, np.inf)])
         probs = np.array([0.0, 1.0])
     cdf = list(zip(xs.tolist(), probs.tolist()))
-    return EvalReport(method, bits, hi, float(s.mean()), lo,
-                      float(s.std()), cdf)
+    with np.errstate(over="ignore"):  # finite samples may still overflow
+        mean, std = float(s.mean()), float(s.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"series {method}/{bits} bits: statistic overflows")
+    return EvalReport(method, bits, hi, mean, lo, std, cdf)
 
 
 @dataclass(frozen=True)

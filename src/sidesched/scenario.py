@@ -34,11 +34,6 @@ class Cluster:
             raise ValueError(f"cluster {self.id} needs at least one vehicle")
 
 
-def make_clusters(sizes) -> list[Cluster]:
-    """One cluster per size entry, numbered from 0 in order."""
-    return [Cluster(j, n) for j, n in enumerate(sizes)]
-
-
 @dataclass(frozen=True)
 class ScenarioModel:
     """Synthetic SINR generator parameters. All levels are in dB.

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, ConstraintViolation, InfeasibleError, ShapeError
-from .grid import ResourceGrid, subframe_of
+from .grid import ResourceGrid
 from .munkres import max_weight_assignment
 
 if TYPE_CHECKING:
@@ -62,21 +62,24 @@ def shared_subframes(vehicles, subchannels, subframes) -> list[str]:
 
 
 def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
-    """Raise ConstraintViolation when two vehicles share a subframe, and
-    IndexError on a subchannel outside the grid.
+    """Raise IndexError naming the first subchannel, in vehicle order,
+    outside the grid, and ConstraintViolation naming the first vehicle
+    that shares a subframe (``shared_subframes``).
 
     A feasible assignment takes one range check and one count per
-    subframe; the messages are built only when the count finds a clash.
+    subframe; a message is built only when its check fails.
     """
     sc = assignment.subchannel
-    if not sc.size or (sc.min() >= 0 and sc.max() < grid.n_subchannels
-                       and np.bincount(sc // grid.k).max() < 2):
+    if not sc.size:
         return
-    subchannels = sc.tolist()
-    clashes = shared_subframes(range(len(subchannels)), subchannels,
-                               [subframe_of(grid, s) for s in subchannels])
-    if clashes:
-        raise ConstraintViolation(clashes[0])
+    n = grid.n_subchannels
+    if sc.min() < 0 or sc.max() >= n:
+        bad = next(s for s in sc.tolist() if not 0 <= s < n)
+        raise IndexError(f"subchannel index {bad} outside [0, {n})")
+    frames = sc // grid.k
+    if np.bincount(frames).max() > 1:
+        raise ConstraintViolation(shared_subframes(
+            range(sc.size), sc.tolist(), frames.tolist())[0])
 
 
 def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> np.ndarray:

@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 import sidesched
 from sidesched import config as config_module
 from sidesched import pipeline
-from sidesched.cli import (_manifest_json, _report_files, _run_json, main,
-                           run_experiment, run_sweep, validate_assignment_file,
-                           write_assignment_csv)
+from sidesched.cli import (_manifest_json, _report_files, _reservations,
+                           _run_json, main, run_experiment, run_sweep,
+                           validate_assignment_file, write_assignment_csv)
 from sidesched.config import (SCHEMA, ExperimentConfig, config_from_dict,
                               config_hash, load_config)
 from sidesched.errors import ConfigError, InfeasibleError, ParseError
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import EvalReport
-from sidesched.pipeline import CellResult
+from sidesched.pipeline import TIMER_STREAM, CellResult, derive_seed
+from sidesched.scenario import Cluster
 from sidesched.solvers import METHODS, Assignment
 
 
@@ -73,6 +74,8 @@ LOADER_CASES = [
      ["sweep.n_vehicles[0]", "sweep.n_vehicles[1]"]),
     ({"t_sps_pool_s": [math.inf]}, ["t_sps_pool_s"]),
     ({"t_sps_pool_s": [0.0]}, ["t_sps_pool_s"]),
+    # 1e308 s is a finite float, but not a finite count of 6 ms windows
+    ({"t_sps_pool_s": [4.0, 1e308]}, ["t_sps_pool_s"]),
     ({"t_sps_pool_s": []}, ["t_sps_pool_s"]),
     ({"t_sps_pool_s": 4.0}, ["t_sps_pool_s"]),
     ({"out_dir": ""}, ["out_dir"]),
@@ -96,6 +99,7 @@ class TestConfigParsing:
         assert cfg.bits_list == (0,)
         assert cfg.repetitions == 100
         assert cfg.master_seed is None
+        assert cfg.t_sps_pool_s == (1.0, 4.0, 8.0)
         # every default is its field's: the reader holds none of its own
         assert cfg == ExperimentConfig()
 
@@ -196,6 +200,7 @@ class TestConfigParsing:
         ("cdf_grid_points", 1, "cdf_grid_points"),
         ("master_seed", -3, "master_seed"),
         ("sweep_n_vehicles", (), "sweep.n_vehicles"),
+        ("t_sps_pool_s", (1e308,), "t_sps_pool_s"),
     ])
     def test_direct_config_fails_before_any_output(self, tmp_path, field,
                                                    value, key):
@@ -388,6 +393,35 @@ class TestRunExperiment:
         for res in doc["reservations"]:
             assert res["windows"] == math.ceil(
                 res["t_sps_s"] * 1000 / cfg.grid.window_ms)
+
+    def test_clusters_are_numbered_from_0_in_order(self, tmp_path):
+        raw = tiny_raw(clusters=[3, 2], methods=["greedy"], repetitions=1,
+                       out_dir=str(tmp_path / "out"))
+        doc = json.loads(run_experiment(config_from_dict(raw))["manifest"]
+                         .read_text())
+        assert [r["cluster"] for r in doc["reservations"]] == [0, 1]
+        assert [r["cluster"] for r in doc["runs"]] == [0, 0, 1, 1]  # 2 widths
+
+    def test_reservations_reproduce_and_reach_every_period(self):
+        cfg = config_from_dict(tiny_raw())
+        clusters = [Cluster(j, 1) for j in range(100)]
+        res = _reservations(cfg, clusters)
+        assert res == _reservations(cfg, clusters)
+        assert {r["t_sps_s"] for r in res} == set(cfg.t_sps_pool_s)
+
+    def test_reservation_stream_is_keyed_by_cluster_id(self):
+        cfg = config_from_dict(tiny_raw())
+        res = _reservations(cfg, [Cluster(5, 3), Cluster(2, 4)])
+        assert [r["cluster"] for r in res] == [5, 2]
+        pool = cfg.t_sps_pool_s
+        for r in res:
+            rng = np.random.default_rng(
+                derive_seed(cfg.master_seed, TIMER_STREAM, r["cluster"]))
+            assert r["t_sps_s"] == pool[rng.integers(0, len(pool))]
+        # an id draws the same period wherever its cluster stands
+        forward = _reservations(cfg, [Cluster(j, 1) for j in range(30)])
+        backward = _reservations(cfg, [Cluster(j, 1) for j in range(29, -1, -1)])
+        assert forward == backward[::-1]
 
     def test_seed_drawn_when_missing(self, tmp_path):
         raw = tiny_raw(out_dir=str(tmp_path / "out"))
@@ -738,6 +772,21 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(tiny_raw(repetitions=-1)))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "repetitions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over, named", [
+        ({"t_sps_pool_s": [1e308]}, "t_sps_pool_s"),
+        ({"grid": {"k_subchannels": 2, "l_subframes": 6, "b_hz": 1e300},
+          "methods": ["greedy"]}, "series greedy/0 bits"),
+    ], ids=["period-of-overflowing-window-count", "overflowing-statistic"])
+    def test_overflow_fails_before_any_artifact(self, tmp_path, capsys, over,
+                                                named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(**over)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert list(out.glob("*")) == []
 
     def test_sweep_subcommand(self, tmp_path):
         raw = tiny_raw(sweep={"n_vehicles": [2]})

@@ -87,6 +87,13 @@ class TestBuildReport:
         with pytest.raises(ValueError):
             build_report([np.nan])
 
+    @pytest.mark.parametrize("samples", [[0.0, 1e300], [1.7e308, 1.7e308]],
+                             ids=["std-overflows", "mean-overflows"])
+    def test_overflowing_statistic_names_its_series(self, samples):
+        # finite samples whose square or sum leaves the float range
+        with pytest.raises(ValueError, match="^series greedy/2 bits: "):
+            build_report(samples, method="greedy", bits=2)
+
     @given(st.lists(st.floats(0, 1e9), max_size=20),
            st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
     def test_non_finite_sample_anywhere_raises(self, finite, bad, data):

@@ -5,8 +5,7 @@ import pytest
 
 from sidesched.errors import ConfigError, InfeasibleError, ShapeError
 from sidesched.grid import ResourceGrid
-from sidesched.scenario import (Cluster, ScenarioModel, generate_sinr,
-                                make_clusters, pad_to_square)
+from sidesched.scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from util import clamped_normal_mean
 
 
@@ -14,10 +13,6 @@ class TestCluster:
     def test_needs_vehicles(self):
         with pytest.raises(ValueError):
             Cluster(0, 0)
-
-    def test_make_clusters_numbers_in_order(self):
-        cs = make_clusters([3, 2])
-        assert [(c.id, c.n_vehicles) for c in cs] == [(0, 3), (1, 2)]
 
 
 class TestGenerateSinr:

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress, expand_solution
 from sidesched.errors import CapacityError, ConstraintViolation, InfeasibleError
-from sidesched.grid import ResourceGrid, subframe_of
+from sidesched.grid import ResourceGrid
 from sidesched.solvers import (Assignment, evaluate, shared_subframes,
                                solve_greedy, solve_oracle, solve_proposed,
                                solve_random, verify_assignment)
@@ -261,10 +261,16 @@ class TestVerifyAndEvaluate:
 
 
 def verify_by_messages(assignment, grid):
-    """``verify_assignment`` without its counting fast path."""
+    """``verify_assignment`` without its counting fast path, on a scalar
+    subframe map of its own."""
     subchannels = assignment.subchannel.tolist()
-    clashes = shared_subframes(range(len(subchannels)), subchannels,
-                               [subframe_of(grid, sc) for sc in subchannels])
+    subframes = []
+    for sc in subchannels:
+        if not 0 <= sc < grid.n_subchannels:
+            raise IndexError(
+                f"subchannel index {sc} outside [0, {grid.n_subchannels})")
+        subframes.append(sc // grid.k)
+    clashes = shared_subframes(range(len(subchannels)), subchannels, subframes)
     if clashes:
         raise ConstraintViolation(clashes[0])
 
@@ -292,6 +298,30 @@ class TestVerifyFastPath:
         g = ResourceGrid(k=7, l=100)
         with pytest.raises(IndexError, match=f"subchannel index {sc} outside"):
             verify_assignment(Assignment(np.array([3, sc, 4]), "greedy"), g)
+
+    @pytest.mark.parametrize("subchannels, first", [
+        ([3, 700, -1, 4], 700), ([3, -1, 700, 4], -1), ([699, 0, 10**6], 10**6)],
+        ids=["above-first", "below-first", "after-the-last-index"])
+    def test_first_out_of_range_entry_is_named(self, subchannels, first):
+        g = ResourceGrid(k=7, l=100)
+        with pytest.raises(IndexError) as exc:
+            verify_assignment(Assignment(np.array(subchannels), "greedy"), g)
+        assert str(exc.value) == f"subchannel index {first} outside [0, 700)"
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (7, 100), (3, 5), (32, 256)],
+                             ids=["k1-l1", "k7-l100", "k3-l5", "k32-l256"])
+    def test_each_subframe_owns_k_consecutive_subchannels(self, k, l):
+        g = ResourceGrid(k=k, l=l)
+        # the first and last slot of one subframe clash ...
+        for j in (0, l - 1):
+            with pytest.raises(ConstraintViolation,
+                               match=f"share subframe {j} "):
+                verify_assignment(Assignment(
+                    np.array([j * k, j * k + k - 1]), "greedy"), g)
+        # ... while the last slot of each subframe and the first of the
+        # next lie in different ones, up to the last index of the grid
+        verify_assignment(Assignment(np.arange(k - 1, k * l, k), "greedy"), g)
+        verify_assignment(Assignment(np.arange(0, k * l, k), "greedy"), g)
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 4), l=st.integers(1, 8),
