@@ -402,13 +402,6 @@ class TestRunExperiment:
         assert [r["cluster"] for r in doc["reservations"]] == [0, 1]
         assert [r["cluster"] for r in doc["runs"]] == [0, 0, 1, 1]  # 2 widths
 
-    def test_reservations_reproduce_and_reach_every_period(self):
-        cfg = config_from_dict(tiny_raw())
-        clusters = [Cluster(j, 1) for j in range(100)]
-        res = _reservations(cfg, clusters)
-        assert res == _reservations(cfg, clusters)
-        assert {r["t_sps_s"] for r in res} == set(cfg.t_sps_pool_s)
-
     def test_reservation_stream_is_keyed_by_cluster_id(self):
         cfg = config_from_dict(tiny_raw())
         res = _reservations(cfg, [Cluster(5, 3), Cluster(2, 4)])
