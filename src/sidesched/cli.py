@@ -5,11 +5,13 @@ internal stays in bits/s. Artifacts (cdf.csv, criteria.csv, sweep.csv,
 summary.json) are byte-reproducible for a given config and master seed;
 manifest.json additionally records wall-clock runtimes, which are not.
 
-Each artifact is one string written at once, in fixed bytes: CSV rows
-end in \\r\\n (the csv module's default dialect), every float is written
-as ``float.__repr__``, and JSON has indent 2 and sorted keys.
+Each artifact is one string in fixed bytes: CSV rows end in \\r\\n (the
+csv module's default dialect), every float is written as
+``float.__repr__``, and JSON has indent 2 and sorted keys.
 ``tests/test_cli.py::TestArtifactWriters`` pins all three against the
-csv and json modules on generated reports and run records.
+csv and json modules on generated reports and run records. One writer,
+``_write``, makes the output directory and writes every artifact, once
+all their text is built, so a run that fails leaves nothing on disk.
 """
 
 from __future__ import annotations
@@ -62,9 +64,15 @@ def _csv(header: list[str], rows) -> str:
     return ",".join(header) + "\r\n" + "".join(rows)
 
 
-def _write_csv(path, text: str):
-    # newline="" keeps each row's \r\n as written on every platform
-    Path(path).write_text(text, newline="")
+def _write(out_dir: str, files: dict[str, str]) -> dict[str, Path]:
+    """Make ``out_dir``, write each ``{file name: text}`` into it with
+    newline="" (the bytes as built, on every platform) and return
+    ``{file stem: path}``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
+    return {Path(name).stem: out / name for name in files}
 
 
 def _report_files(reports) -> tuple[str, str, str]:
@@ -139,8 +147,6 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Full Monte-Carlo pass; writes cdf.csv, criteria.csv, summary.json,
     manifest.json into the configured output directory."""
     config = _resolve_seed(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     clusters = [Cluster(j, n) for j, n in enumerate(config.cluster_sizes)]
     samples = {(m, b): [] for m in config.methods for b in config.bits_list}
     runs = []
@@ -153,34 +159,21 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         pooled = np.concatenate(series)
         reports.append(build_report(pooled, config.cdf_grid_points, method, bits))
         log.info("series %s/%d bits done (%d samples)", method, bits, pooled.size)
-    paths = {
-        "cdf": out / "cdf.csv",
-        "criteria": out / "criteria.csv",
-        "summary": out / "summary.json",
-        "manifest": out / "manifest.json",
-    }
     cdf, criteria, summary = _report_files(reports)
-    _write_csv(paths["cdf"], cdf)
-    _write_csv(paths["criteria"], criteria)
-    paths["summary"].write_text(summary)
-    paths["manifest"].write_text(_manifest_json(
-        config, runs, _reservations(config, clusters)))
-    return paths
+    manifest = _manifest_json(config, runs, _reservations(config, clusters))
+    return _write(config.out_dir, {"cdf.csv": cdf, "criteria.csv": criteria,
+                                   "summary.json": summary, "manifest.json": manifest})
 
 
 def run_sweep(config: ExperimentConfig) -> dict[str, Path]:
     """Vehicle-density sweep; writes sweep.csv and manifest.json."""
     config = _resolve_seed(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_density(config)
-    paths = {"sweep": out / "sweep.csv", "manifest": out / "manifest.json"}
-    _write_csv(paths["sweep"], _csv(
-        ["method", "bits", "n_vehicles", "worst_rate_mbps"],
-        [f"{row.method},{row.bits},{row.n_vehicles},"
-         f"{_num(_mbps(row.worst_rate_mean_bps))}\r\n" for row in rows]))
-    paths["manifest"].write_text(_manifest_json(config, []))
-    return paths
+    sweep = _csv(["method", "bits", "n_vehicles", "worst_rate_mbps"],
+                 [f"{row.method},{row.bits},{row.n_vehicles},"
+                  f"{_num(_mbps(row.worst_rate_mean_bps))}\r\n"
+                  for row in sweep_density(config)])
+    return _write(config.out_dir, {"sweep.csv": sweep,
+                                   "manifest.json": _manifest_json(config, [])})
 
 
 ASSIGNMENT_HEADER = ["cluster", "vehicle", "subchannel", "subframe"]
@@ -188,10 +181,10 @@ ASSIGNMENT_HEADER = ["cluster", "vehicle", "subchannel", "subframe"]
 
 def write_assignment_csv(path, assignments, grid: ResourceGrid):
     """Persist {cluster id: assignment} in the four-column exchange format."""
-    _write_csv(path, _csv(ASSIGNMENT_HEADER, [
+    Path(path).write_text(_csv(ASSIGNMENT_HEADER, [
         f"{cluster},{i},{sc},{sc // grid.k}\r\n"
         for cluster, assn in assignments.items()
-        for i, sc in enumerate(assn.subchannel.tolist())]))
+        for i, sc in enumerate(assn.subchannel.tolist())]), newline="")
 
 
 @dataclass

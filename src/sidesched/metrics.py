@@ -124,4 +124,11 @@ def sweep_density(config: ExperimentConfig) -> list[SweepRow]:
     for _, cluster, cell in iter_cells(config, points):
         worst[cell.method, cell.bits, cluster.n_vehicles].append(
             cell.vehicle_rates_bps.min())
-    return [SweepRow(m, b, n, float(np.mean(w))) for (m, b, n), w in worst.items()]
+    rows = []
+    for (m, b, n), w in worst.items():
+        with np.errstate(over="ignore"):  # finite minima may still overflow
+            mean = float(np.mean(w))
+        if not math.isfinite(mean):
+            raise ValueError(f"series {m}/{b} bits, N={n}: mean worst rate overflows")
+        rows.append(SweepRow(m, b, n, mean))
+    return rows

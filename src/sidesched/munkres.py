@@ -82,6 +82,8 @@ receives one of its row-maximum columns.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -93,21 +95,39 @@ def max_weight_assignment(weights):
     Returns ``(col_of_row, total)`` where ``col_of_row[i]`` is the column
     matched to row ``i`` and ``total`` is the matching weight, summed in
     row order.
+
+    Precondition, else a ValueError: every weight is finite and at most
+    W = MAX / (max(n, 10) + 1) in magnitude, MAX being the largest float.
+    Then neither the total nor any step overflows. The costs lie in
+    [0, C], C <= 2W. Between insertions every dual lies in [-C, C]: a
+    matched row's u is at most its cost to a free column, whose v is
+    never lowered, so >= 0, and its column's v is its cost less that u.
+    Row reduction lowers no v below -2C, and within an insertion a
+    distance is at most 2C and a reduced cost at most 5C. So in exact
+    arithmetic every value is at most 10W and the total at most nW, both
+    at most MAX - W, and rounding, a relative error near n * 2**-53,
+    stays far inside that margin.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     if w.size == 0:
         raise ValueError("matrix must be non-empty")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
     n = w.shape[0]
+    row_min, row_max = w.min(axis=1), w.max(axis=1)
+    lo, hi = float(row_min.min()), float(row_max.max())
+    bound = sys.float_info.max / (max(n, 10) + 1)
+    if not -bound <= lo <= hi <= bound:  # NaN fails this too
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("weights must be finite")
+        raise ValueError(f"weights must lie within +-{bound:.6g} so that no "
+                         f"step overflows, got [{lo!r}, {hi!r}]")
 
     # step 0: a constant row weighs the same on every column
-    constant = w.min(axis=1) == w.max(axis=1)
+    constant = row_min == row_max
     varied = np.flatnonzero(~constant)
     col_of_row = np.empty(n, dtype=np.int64)
-    col_of_row[varied] = _solve(w.max() - w[varied])
+    col_of_row[varied] = _solve(hi - w[varied])
     left = np.ones(n, dtype=bool)
     left[col_of_row[varied]] = False
     col_of_row[constant] = np.flatnonzero(left)  # step 5

@@ -85,11 +85,13 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
     else:  # two-state
         # state is a property of the vehicle, not of the subchannel
         bad_row = rng.random((cluster.n_vehicles, 1)) < model.p_bad
-        centers = np.where(bad_row, model.bad_mean_db, model.mean_db) + shift
-        # rng.normal(centers, std_db, shape) bit for bit, minus its slow broadcast
+        # rng.normal(centers, std_db, shape) bit for bit, minus its slow
+        # broadcast, and like it silent where a level overflows to +-inf
         vals = rng.standard_normal(shape)
-        vals *= model.std_db
-        vals += centers
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = np.where(bad_row, model.bad_mean_db, model.mean_db) + shift
+            vals *= model.std_db
+            vals += centers
     return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db)
 
 

@@ -16,6 +16,7 @@ decision and enumerates the feasible set, capped to small instances.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -163,14 +164,36 @@ def solve_oracle(decision: FineRates | QuantizedRates, grid: ResourceGrid,
     return Assignment(subchannel, "oracle")
 
 
+def _check_sum(rates: np.ndarray, name: str) -> None:
+    """Raise a ValueError naming ``name`` if the sum of the non-negative
+    ``rates`` overflows.
+
+    With n * max <= MAX / 2 it cannot: every partial sum is at most
+    n * max before rounding, which adds a relative n * 2**-53 at most.
+    Only above that bound is the sum taken, overflow ignored, to see
+    whether it is finite; a usual cell pays one ``max``.
+    """
+    if rates.max() > sys.float_info.max / (2 * rates.size):
+        with np.errstate(over="ignore"):
+            if not np.isfinite(rates.sum()):
+                raise ValueError(f"{name} overflows")
+
+
 def evaluate(assignment: Assignment, decision: FineRates | QuantizedRates,
              truth: FineRates | QuantizedRates) -> tuple[np.ndarray, float]:
     """(truth rate of every vehicle of ``assignment``, decision sum rate).
 
     Rates come back in ascending vehicle order, and each side is rated
     only at the chosen entries, once when the decision is the truth.
+    Both sums (the truth one is ``CellResult.sum_rate_truth_bps``) are
+    finite, or a ValueError names the one that overflows.
     """
     cols = assignment.subchannel
     rows = np.arange(cols.size)
     rates = truth.at(rows, cols)
-    return rates, float((rates if decision is truth else decision.at(rows, cols)).sum())
+    _check_sum(rates, "truth sum rate")
+    if decision is truth:
+        return rates, float(rates.sum())
+    decided = decision.at(rows, cols)
+    _check_sum(decided, "decision sum rate")
+    return rates, float(decided.sum())

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import sidesched
 from sidesched import config as config_module
-from sidesched import pipeline
+from sidesched import metrics, pipeline
 from sidesched.cli import (_manifest_json, _report_files, _reservations,
                            _run_json, main, run_experiment, run_sweep,
                            validate_assignment_file, write_assignment_csv)
@@ -779,7 +780,81 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
-        assert list(out.glob("*")) == []
+        assert not out.exists()
+
+    # Smoke configs that got past load and then overflowed a sum: each
+    # warned and exited 0 (sweep) or 2 with its directory made (run).
+    # The two-state draw's scale overflows to +-inf and is clipped, as a
+    # gaussian draw's is, so that one runs clean.
+    OVERFLOW_REPROS = {
+        "sweep-mean": {"grid": {"b_hz": 1e307}, "scenario": {"kind": "uniform"},
+                       "methods": ["greedy"], "quant": {"bits": [0]},
+                       "sweep": {"n_vehicles": [1]}, "repetitions": 8},
+        "evaluate-sum": {"grid": {"b_hz": 1e307}, "methods": ["greedy"]},
+        "kernel-total": {"grid": {"b_hz": 1e307}, "methods": ["proposed"],
+                         "quant": {"bits": [2]}},
+        "two-state-scale": {"scenario": {"kind": "two-state", "std_db": 1.7e308}},
+    }
+
+    OVERFLOW_CASES = [
+        ("sweep-mean", "run",
+         "cluster 0, repetition 0, 0 bits, method greedy: truth sum rate overflows"),
+        ("sweep-mean", "sweep",
+         "series greedy/0 bits, N=1: mean worst rate overflows"),
+        ("evaluate-sum", "run",
+         "cluster 0, repetition 0, 0 bits, method greedy: truth sum rate overflows"),
+        ("evaluate-sum", "sweep",
+         "N=4, repetition 0, 2 bits, method greedy: decision sum rate overflows"),
+        ("kernel-total", "run",
+         "cluster 0, repetition 0, 2 bits, method proposed: weights must lie within"),
+        ("kernel-total", "sweep",
+         "N=2, repetition 0, 2 bits, method proposed: weights must lie within"),
+        ("two-state-scale", "run", None),
+        ("two-state-scale", "sweep", None),
+    ]
+
+    @pytest.mark.parametrize("repro, command, named", OVERFLOW_CASES,
+                             ids=[f"{r}-{c}" for r, c, _ in OVERFLOW_CASES])
+    def test_overflow_past_load_fails_clean_or_runs_clean(
+            self, tmp_path, capsys, repro, command, named):
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "smoke.json")
+                         .read_text())
+        for key, value in self.OVERFLOW_REPROS[repro].items():
+            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if named is None:
+            assert (code, err) == (0, "")
+            assert out.is_dir()
+        else:
+            assert code == 2
+            assert err.startswith("error: ") and named in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_failed_cell_leaves_no_output(self, tmp_path, capsys, monkeypatch,
+                                            command):
+        cells = []
+
+        def fail_fifth(*args):
+            cells.append(args)
+            if len(cells) == 5:
+                raise ValueError("fifth cell fails")
+            return pipeline.run_cell(*args)
+
+        monkeypatch.setattr(metrics, "run_cell", fail_fifth)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(sweep={"n_vehicles": [2, 4]})))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "fifth cell fails" in capsys.readouterr().err
+        assert len(cells) == 5 and not out.exists()
 
     def test_sweep_subcommand(self, tmp_path):
         raw = tiny_raw(sweep={"n_vehicles": [2]})

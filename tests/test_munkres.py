@@ -127,6 +127,29 @@ class TestInvariants:
         with pytest.raises(ValueError):
             max_weight_assignment(np.zeros((0, 0)))
 
+    def test_rejects_weights_past_the_overflow_bound(self):
+        # past MAX / 11 on 2 rows, though this total would still be finite
+        with pytest.raises(ValueError, match="^weights must lie within"):
+            max_weight_assignment([[1e308, 0.0], [0.0, -1e307]])
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 30])
+    def test_weights_at_the_bound_overflow_nowhere(self, n):
+        # the docstring's bound: at it no step overflows, and since every
+        # step is a sum, difference or comparison, a power-of-two scale
+        # changes neither the matching nor the total's bits
+        bound = np.finfo(float).max / (max(n, 10) + 1)
+        rng = np.random.default_rng(n)
+        ties = rng.integers(1, 4, (n, n)).astype(float)
+        ties[: n // 3] = 2.0  # constant rows, set aside in step 0
+        for w in (rng.uniform(-1, 1, (n, n)), ties):
+            w = w / np.abs(w).max() * bound
+            assert np.abs(w).max() <= bound
+            with np.errstate(all="raise"):
+                cols, total = max_weight_assignment(w)
+            small_cols, small_total = max_weight_assignment(w * 2.0 ** -1000)
+            np.testing.assert_array_equal(cols, small_cols)
+            assert total == small_total * 2.0 ** 1000
+
 
 class TestTieHeavyAgainstScipy:
     @settings(max_examples=60, deadline=None)

@@ -96,6 +96,19 @@ class TestGenerateSinr:
             got = generate_sinr(m, Cluster(3, n), g)
             assert got.tobytes() == ref.tobytes()
 
+    def test_two_state_scale_overflow_is_clipped_silently(self):
+        # a scale that overflows to +-inf clips to the range, as the
+        # broadcast normal's does, bit for bit and with no warning
+        g = ResourceGrid(k=3, l=8)
+        m = ScenarioModel(kind="two-state", std_db=1.7e308, seed=4)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(1,)))
+        centers = np.where(rng.random((5, 1)) < m.p_bad, m.bad_mean_db, m.mean_db)
+        ref = np.clip(rng.normal(centers, m.std_db, (5, g.n_subchannels)),
+                      m.sinr_floor_db, m.sinr_ceil_db)
+        got = generate_sinr(m, Cluster(1, 5), g)
+        assert got.tobytes() == ref.tobytes()
+        assert {m.sinr_floor_db, m.sinr_ceil_db} == set(got.ravel().tolist())
+
     def test_power_shift_moves_gaussian(self):
         g = ResourceGrid(k=10, l=20)
         c = Cluster(0, 30)

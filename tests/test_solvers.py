@@ -250,6 +250,19 @@ class TestVerifyAndEvaluate:
         assert v.sum() == 2.0
         np.testing.assert_array_equal(v, [2.0])
 
+    def test_evaluate_names_the_sum_that_overflows(self):
+        both = Assignment(np.array([0, 1]), "greedy")
+        huge = Rates([[1e308, 0.0], [0.0, 1e308]])
+        ones = Rates([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^truth sum rate overflows$"):
+            evaluate(both, huge, huge)
+        with pytest.raises(ValueError, match="^decision sum rate overflows$"):
+            evaluate(both, huge, ones)
+        # past the unchecked bound n * max <= MAX / 2, but a finite sum
+        near = Rates([[1e308, 0.0], [0.0, 1e307]])
+        v, decision_sum = evaluate(both, near, near)
+        assert decision_sum == 1e308 + 1e307 == float(v.sum())
+
     def test_evaluate_splits_decision_and_truth(self):
         from sidesched.solvers import Assignment
         dec = Rates([[5.0, 1.0]])
