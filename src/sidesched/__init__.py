@@ -1,5 +1,5 @@
 """Subchannel scheduling for cellular V2X sidelinks under quantized SINR
-feedback: square-reduced optimal matching, baselines, and a deterministic
+feedback: block-reduced optimal matching, baselines, and a deterministic
 Monte-Carlo evaluation harness."""
 
 from .assignment import ReducedProblem, compress, expand_solution

@@ -96,7 +96,10 @@ def build_report(samples, grid_points: int = 30, method: str = "",
     cdf = list(zip(xs.tolist(), probs.tolist()))
     with np.errstate(over="ignore"):  # finite samples may still overflow
         mean, std = float(s.mean()), float(s.std())
-    if not (math.isfinite(mean) and math.isfinite(std)):
+        if not math.isfinite(std):  # squared deviations overflow: scale first
+            top = max(-lo, hi)
+            std = top * float((s / top).std())  # at most top, so finite
+    if not math.isfinite(mean):
         raise ValueError(f"series {method}/{bits} bits: statistic overflows")
     return EvalReport(method, bits, hi, mean, lo, std, cdf)
 

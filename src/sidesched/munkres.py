@@ -11,12 +11,13 @@ IEEE TAES 2016) where they run out, as with ideal feedback:
 
 0. Every row that is constant across all columns is set aside: it adds
    the same weight to every perfect matching, so it cannot change which
-   one is optimal. The padding rows of a cluster with fewer vehicles
-   than subframes are such rows, and so is a real vehicle whose row is
-   constant. The m <= n rows left are solved as a rectangular problem
-   (Crouse, §IV) by the steps below. Its duals must keep v_j <= 0 on
-   every column and v_j = 0 on every column left unmatched; v starts at
-   0, and steps 3 and 4 only lower v_j, and only on a column they match.
+   one is optimal. The zero rows that pad the table of a cluster with
+   fewer vehicles than subframes (``scenario.pad_to_square``) are such
+   rows, and so is a vehicle whose row is constant. The m <= n rows
+   left are solved as a rectangular problem (Crouse, §IV) by the steps
+   below. Its duals must keep v_j <= 0 on every column and v_j = 0 on
+   every column left unmatched; v starts at 0, and steps 3 and 4 only
+   lower v_j, and only on a column they match.
 1. Duals start at u_i = min_j cost[i, j] and v = 0. Every reduced cost
    cost[i, j] - u_i - v_j is then non-negative, and the tight (zero)
    edges are exactly the row-maximum entries of the weights.

@@ -1,18 +1,19 @@
 """The three stages of a cell: draw, rates, and the cell itself.
 
-A *draw* (``draw_cluster``) is one channel realisation of a cluster,
-padded with dummy vehicles to a square: its SINR in dB, the truth, rated
-only where read (``FineRates``), and its 8-bit quantizer index over the
-configured dB range; both serve every width. Its *rates* at one feedback
-width (``draw_rates``) are the decision a scheduler decides on and the
-block table (``compress``) that proposed and greedy read. The ideal
-decision is the truth, keyed by SINR; a quantized decision is keyed by
-the level index of every entry, the draw's 8-bit index shifted right by
-8 - b, which equals the b-bit quantizer bit for bit (``sideinfo``).
-Every width builds its table one way, as the block maxima of the keys
-mapped to their rates, so only the L x L maxima are rated. A *cell*
-(``run_cell``) runs one method on those rates. It solves, checks the
-assignment (one subchannel per real vehicle) for one vehicle per
+A *draw* (``draw_cluster``) is one channel realisation of a cluster's N
+vehicles: its SINR in dB, the truth, rated only where read
+(``FineRates``), and its 8-bit quantizer index over the configured dB
+range; both serve every width. Its *rates* at one feedback width
+(``draw_rates``) are the decision a scheduler decides on and the block
+table (``compress``) that proposed and greedy read. The ideal decision
+is the truth, keyed by SINR; a quantized decision is keyed by the level
+index of every entry, the draw's 8-bit index shifted right by 8 - b,
+which equals the b-bit quantizer bit for bit (``sideinfo``). Every
+width builds its table one way, as the block maxima of the keys mapped
+to their rates, so only the N x L maxima are rated, then pads it with
+zero rows to the L x L square of the matching kernel (``pad_to_square``).
+A *cell* (``run_cell``) runs one method on those rates. It solves,
+checks the assignment (one subchannel per vehicle) for one vehicle per
 subframe (``verify_assignment``, for every method), and scores it on the
 truth rates. The one cell loop, ``metrics.iter_cells``, nests repetition
 x cluster, then width, then method, so each draw is computed once and
@@ -55,20 +56,20 @@ def derive_seed(master_seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class Draw:
-    """One channel realisation of a cluster, padded to one row per subframe:
-    rows 0..N-1 are its real vehicles and the rest dummies. ``fine`` is over
-    the run's quantizer range, the range of every width ``draw_rates`` takes."""
+    """One channel realisation of a cluster, one row per vehicle. ``fine``
+    is over the run's quantizer range, the range of every width
+    ``draw_rates`` takes."""
 
     cluster: Cluster
-    truth: FineRates  # the padded SINR, rated where read
-    fine: np.ndarray  # uint8 8-bit index of the padded SINR over the range
+    truth: FineRates  # the (N, K*L) SINR, rated where read
+    fine: np.ndarray  # uint8 8-bit index of the SINR over the range
 
 
 @dataclass
 class CellResult:
     method: str
     bits: int  # 0 = ideal fine-grained feedback
-    vehicle_rates_bps: np.ndarray  # truth rates of real vehicles, ascending index
+    vehicle_rates_bps: np.ndarray  # truth rate of each vehicle, ascending index
     sum_rate_decision_bps: float  # what the scheduler believed
     runtime_s: float  # solve time, checks and scoring excluded
 
@@ -82,9 +83,7 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     """The cluster's channel draw; depends only on the seed, the cluster
     and ``quant_range``."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
-    padded = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    return Draw(cluster, FineRates(padded, grid.b_hz),
-                _fine_index(*quant_range, padded))
+    return Draw(cluster, FineRates(sinr, grid.b_hz), _fine_index(*quant_range, sinr))
 
 
 def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None
@@ -93,12 +92,13 @@ def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None
 
     ``q=None`` (ideal feedback) decides on ``draw.truth``; every other
     width shifts the draw's 8-bit index, which is made over the range of
-    ``q``. The table is built from the decision's keys, and only its
-    L x L block maxima are rated.
+    ``q``. The table is built from the decision's keys, only its N x L
+    block maxima are rated, and the rated table is padded to L x L.
     """
     decision = build_rate_matrices(draw.truth, q, draw.fine)
     reduced = compress(decision.key.ravel(), grid.k, grid.l)
-    return decision, replace(reduced, d=decision.rate(reduced.d))
+    square = pad_to_square(decision.rate(reduced.d), grid)
+    return decision, replace(reduced, d=square)
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,
@@ -110,19 +110,17 @@ def run_cell(grid: ResourceGrid, draw: Draw,
     is scored on the draw's truth rates.
     """
     decision, reduced = rates
-    n_real = draw.cluster.n_vehicles
 
     t0 = time.perf_counter()
     if method == "proposed":
-        subframes = solve_proposed(reduced, n_real)
-        assn = expand_solution(subframes, reduced)
+        assn = expand_solution(solve_proposed(reduced), reduced)
     elif method == "greedy":
-        assn = solve_greedy(reduced, n_real)
+        assn = solve_greedy(reduced)
     elif method == "random":
         rng = np.random.default_rng(solver_seed)
-        assn = solve_random(grid, n_real, rng)
+        assn = solve_random(grid, draw.cluster.n_vehicles, rng)
     elif method == "oracle":
-        assn = solve_oracle(decision, grid, n_real)
+        assn = solve_oracle(decision, grid)
     else:
         raise ValueError(f"unknown method {method!r}")
     runtime = time.perf_counter() - t0

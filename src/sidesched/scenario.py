@@ -1,4 +1,4 @@
-"""Per-cluster SINR side information: synthetic models and dummy padding.
+"""Per-cluster SINR side information from synthetic models; table padding.
 
 A cluster's side information is an N x (K*L) array of fine-grained SINR
 in dB, one row per vehicle and one column per subchannel of the window.
@@ -95,22 +95,19 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
     return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db)
 
 
-def pad_to_square(sinr_db: np.ndarray, grid: ResourceGrid,
-                  floor_db: float = -15.0) -> np.ndarray:
-    """Append dummy vehicles at the floor SINR until there are L rows.
+def pad_to_square(table: np.ndarray, grid: ResourceGrid) -> np.ndarray:
+    """Append zero rows to an (N, L) table of rates until it is (L, L).
 
-    Dummies make the matching square so one vehicle can sit in every
-    subframe. A dummy row is constant across subchannels, hence it never
-    displaces a real vehicle from its optimum. The real vehicles keep
-    rows 0..N-1, so the dummies are the rows from N on.
+    The matching kernel takes a square table. Rates are non-negative, so
+    a zero row moves neither the row maxima nor the weights of the real
+    rows; being constant, it is set aside by the kernel (its step 0) and
+    takes a column left over by the real rows 0..N-1.
     """
-    n, cols = sinr_db.shape
-    if cols != grid.n_subchannels:
-        raise ShapeError(
-            f"matrix has {cols} subchannel columns, grid has {grid.n_subchannels}")
+    n, cols = table.shape
+    if cols != grid.l:
+        raise ShapeError(f"table has {cols} subframe columns, grid has {grid.l}")
     if n > grid.l:
         raise InfeasibleError(
             f"{n} vehicles exceed {grid.l} subframes; a subframe holds one "
             "vehicle per cluster")
-    pad = np.full((grid.l - n, grid.n_subchannels), float(floor_db))
-    return np.vstack([sinr_db, pad])
+    return np.vstack([table, np.zeros((grid.l - n, grid.l))])

@@ -102,7 +102,7 @@ class _KeyedRates:
         return self.rate(self.key)
 
     def at(self, rows, cols) -> np.ndarray:
-        """Rates of the (rows[i], cols[i]) entries, or of a block of slices."""
+        """Rates of the (rows[i], cols[i]) entries."""
         return self.rate(self.key[rows, cols])
 
 

@@ -1,15 +1,15 @@
 """Assignment methods: optimal matching, greedy, feasible-random, brute force.
 
 Every method returns an ``Assignment`` whose ``subchannel`` array holds
-the global subchannel of each of a cluster's N real vehicles, vehicle i
+the global subchannel of each of a cluster's N vehicles, vehicle i
 at entry i, so every vehicle takes exactly one subchannel by
 construction. It names its method, not its cluster, whose id stays with
 the caller (``cli.write_assignment_csv`` takes it from there). The other
 constraint, at most one vehicle per subframe, is checked in one place,
 ``verify_assignment``, which every cell runs on every method's
 assignment. The optimal route (``solve_proposed``) and greedy work on
-the compressed block table; the oracle rates the real rows of a
-decision and enumerates the feasible set, capped to small instances.
+the compressed block table; the oracle rates every row of a decision
+and enumerates the feasible set, capped to small instances.
 ``evaluate`` reads the truth rates and the decision sum.
 """
 
@@ -83,19 +83,19 @@ def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
             range(sc.size), sc.tolist(), frames.tolist())[0])
 
 
-def solve_proposed(reduced: ReducedProblem, n_vehicles: int) -> np.ndarray:
-    """Optimal subframe of each of the first ``n_vehicles`` rows, on the
-    compressed weights. The rows past them are the constant dummy rows,
-    which the kernel sets aside before it solves the square table.
+def solve_proposed(reduced: ReducedProblem) -> np.ndarray:
+    """Optimal subframe of each vehicle, one per row of ``argmax_slot``, on
+    the compressed weights ``d``, padded to L x L (``pad_to_square``).
     """
-    if n_vehicles > reduced.l:
-        raise InfeasibleError(f"{n_vehicles} vehicles exceed {reduced.l} subframes")
+    n = reduced.argmax_slot.shape[0]
+    if n > reduced.l:
+        raise InfeasibleError(f"{n} vehicles exceed {reduced.l} subframes")
     cols, _ = max_weight_assignment(np.asarray(reduced.d, dtype=float))
-    return cols[:n_vehicles]
+    return cols[:n]
 
 
-def solve_greedy(reduced: ReducedProblem, n_vehicles: int) -> Assignment:
-    """First-come first-served baseline on the first ``n_vehicles`` rows.
+def solve_greedy(reduced: ReducedProblem) -> Assignment:
+    """First-come first-served baseline, one vehicle per row of ``argmax_slot``.
 
     Vehicles in ascending index order take the best decision-rate
     subchannel among subframes nobody claimed yet; ties go to the lowest
@@ -103,16 +103,16 @@ def solve_greedy(reduced: ReducedProblem, n_vehicles: int) -> Assignment:
     highest block maximum, at its stored slot, so only the block table
     is scanned.
     """
-    k, l = reduced.k, reduced.l
-    if n_vehicles > l:
-        raise InfeasibleError(f"{n_vehicles} vehicles exceed {l} subframes")
+    k, l, n = reduced.k, reduced.l, reduced.argmax_slot.shape[0]
+    if n > l:
+        raise InfeasibleError(f"{n} vehicles exceed {l} subframes")
     # a claimed subframe's column reads -inf in every row still to come
-    dm = np.array(reduced.d[:n_vehicles], dtype=float)
-    frames = np.empty(n_vehicles, np.int64)
-    for i in range(n_vehicles):
+    dm = np.array(reduced.d[:n], dtype=float)
+    frames = np.empty(n, np.int64)
+    for i in range(n):
         frames[i] = dm[i].argmax()  # first hit = lowest subframe on ties
         dm[:, frames[i]] = -np.inf
-    slots = reduced.argmax_slot[np.arange(n_vehicles), frames]
+    slots = reduced.argmax_slot[np.arange(n), frames]
     return Assignment(frames * k + slots, "greedy")
 
 
@@ -127,10 +127,10 @@ def solve_random(grid: ResourceGrid, n_vehicles: int, rng) -> Assignment:
     return Assignment(frames * grid.k + slots, "random")
 
 
-def solve_oracle(decision: FineRates | QuantizedRates, grid: ResourceGrid,
-                 n_vehicles: int) -> Assignment:
-    """Exhaustive optimum of the first ``n_vehicles`` rows over every
-    subframe injection and slot choice.
+def solve_oracle(decision: FineRates | QuantizedRates,
+                 grid: ResourceGrid) -> Assignment:
+    """Exhaustive optimum of every row of ``decision`` over every subframe
+    injection and slot choice.
 
     Slot choices factor per vehicle (one vehicle per subframe), so each
     injection is scored from the block maxima over each subframe's K
@@ -141,11 +141,10 @@ def solve_oracle(decision: FineRates | QuantizedRates, grid: ResourceGrid,
         raise CapacityError(
             f"oracle capped at l <= {ORACLE_MAX_L} and k <= {ORACLE_MAX_K}, "
             f"got l={grid.l}, k={grid.k}")
-    n = n_vehicles
-    vals = decision.at(np.s_[:n], np.s_[:])  # only the rows it enumerates
-    if vals.shape[1] != grid.n_subchannels:
-        raise ShapeError(
-            f"rate matrix has {vals.shape[1]} columns, grid has {grid.n_subchannels}")
+    vals = decision.values
+    n, cols = vals.shape
+    if cols != grid.n_subchannels:
+        raise ShapeError(f"rates have {cols} columns, grid has {grid.n_subchannels}")
     if n > grid.l:
         raise InfeasibleError(f"{n} vehicles exceed {grid.l} subframes")
     blocks = vals.reshape(n, grid.l, grid.k)  # (vehicle, subframe, slot)

@@ -8,6 +8,7 @@ doubles as the acceptance report.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,14 +102,12 @@ class TestAcceptanceGate:
             bits = int(rng.integers(0, 4))
             q = QuantizerSpec(bits=bits) if bits else None
 
-            padded = pad_to_square(sinr, grid)
-            decision = decision_of(padded, q, grid.b_hz)
+            decision = decision_of(sinr, q, grid.b_hz)
             reduced = compress(decision.values.ravel(), grid.k, grid.l)
-            asg = expand_solution(solve_proposed(reduced, n), reduced)
+            reduced = replace(reduced, d=pad_to_square(reduced.d, grid))
+            asg = expand_solution(solve_proposed(reduced), reduced)
             _, a = evaluate(asg, decision, decision)
-
-            dec_real = decision_of(sinr, q, grid.b_hz)
-            _, b = evaluate(solve_oracle(dec_real, grid, n), dec_real, dec_real)
+            _, b = evaluate(solve_oracle(decision, grid), decision, decision)
 
             worst_rel = max(worst_rel, abs(a - b) / max(abs(b), 1e-300))
         elapsed = time.perf_counter() - t0
@@ -129,10 +128,10 @@ class TestAcceptanceGate:
                 decision = decision_of(sinr, None, grid.b_hz)
                 reduced = compress(decision.values.ravel(), grid.k, grid.l)
                 by_solver = {
-                    "proposed": expand_solution(solve_proposed(reduced, l),
+                    "proposed": expand_solution(solve_proposed(reduced),
                                                 reduced),
-                    "greedy": solve_greedy(reduced, l),
-                    "oracle": solve_oracle(decision, grid, l),
+                    "greedy": solve_greedy(reduced),
+                    "oracle": solve_oracle(decision, grid),
                     "random": solve_random(grid, l, np.random.default_rng(7)),
                 }
                 for name, assn in by_solver.items():

@@ -130,6 +130,15 @@ class TestCompress:
         with pytest.raises(ShapeError):
             compress([1.0, 2.0, 3.0], 2, 2)
 
+    def test_one_row_per_vehicle(self):
+        # N < L vehicles give an N x L table, on the float and integer routes
+        for c in ([1.0, 3.0, 2.0, 5.0], np.array([1, 3, 2, 5], np.uint8)):
+            r = compress(c, 2, 2)
+            np.testing.assert_array_equal(r.d, [[3, 5]])
+            np.testing.assert_array_equal(r.argmax_slot, [[1, 1]])
+        with pytest.raises(ShapeError):
+            compress([], 2, 2)
+
 
 @st.composite
 def keyed_decisions(draw):

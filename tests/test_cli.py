@@ -24,7 +24,7 @@ from sidesched.cli import (_manifest_json, _report_files, _reservations,
                            validate_assignment_file, write_assignment_csv)
 from sidesched.config import (SCHEMA, ExperimentConfig, config_from_dict,
                               config_hash, load_config)
-from sidesched.errors import ConfigError, InfeasibleError, ParseError
+from sidesched.errors import ConfigError, ParseError, ShapeError
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import EvalReport
 from sidesched.pipeline import TIMER_STREAM, CellResult, derive_seed
@@ -455,13 +455,13 @@ class TestRunExperiment:
         assert exc.value.keys == ["quant.bits"]
 
     def test_draw_error_names_cluster(self, tmp_path, monkeypatch):
+        # the draw fails before any width or method is chosen
         def failing(*args, **kwargs):
-            raise InfeasibleError("too many vehicles")
+            raise ShapeError("no draw")
 
-        monkeypatch.setattr(pipeline, "pad_to_square", failing)
+        monkeypatch.setattr(pipeline, "generate_sinr", failing)
         raw = tiny_raw(out_dir=str(tmp_path / "out"))
-        with pytest.raises(InfeasibleError,
-                           match="^cluster 0, repetition 0: too many"):
+        with pytest.raises(ShapeError, match="^cluster 0, repetition 0: no draw$"):
             run_experiment(config_from_dict(raw))
 
     def test_oracle_within_caps_runs(self, tmp_path):
@@ -769,8 +769,10 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("over, named", [
         ({"t_sps_pool_s": [1e308]}, "t_sps_pool_s"),
-        ({"grid": {"k_subchannels": 2, "l_subframes": 6, "b_hz": 1e300},
-          "methods": ["greedy"]}, "series greedy/0 bits"),
+        # one vehicle's rate is finite, its mean over 8 repetitions is not
+        ({"grid": {"k_subchannels": 2, "l_subframes": 6, "b_hz": 1e307},
+          "methods": ["greedy"], "clusters": [1], "repetitions": 8},
+         "series greedy/0 bits: statistic overflows"),
     ], ids=["period-of-overflowing-window-count", "overflowing-statistic"])
     def test_overflow_fails_before_any_artifact(self, tmp_path, capsys, over,
                                                 named):

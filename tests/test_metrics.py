@@ -87,10 +87,15 @@ class TestBuildReport:
         with pytest.raises(ValueError):
             build_report([np.nan])
 
-    @pytest.mark.parametrize("samples", [[0.0, 1e300], [1.7e308, 1.7e308]],
+    @pytest.mark.parametrize("samples, std", [([0.0, 1e300], 5e299),
+                                              ([1.7e308, 1.7e308], None)],
                              ids=["std-overflows", "mean-overflows"])
-    def test_overflowing_statistic_names_its_series(self, samples):
-        # finite samples whose square or sum leaves the float range
+    def test_overflowing_statistic_names_its_series(self, samples, std):
+        # finite samples whose squared deviations leave the float range
+        # still have their finite std; a sum that leaves it names its series
+        if std is not None:
+            assert build_report(samples, method="greedy", bits=2).std_dev_bps == std
+            return
         with pytest.raises(ValueError, match="^series greedy/2 bits: "):
             build_report(samples, method="greedy", bits=2)
 

@@ -14,7 +14,7 @@ from sidesched import munkres
 from sidesched.assignment import compress
 from sidesched.grid import ResourceGrid
 from sidesched.munkres import max_weight_assignment
-from sidesched.scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
+from sidesched.scenario import Cluster, ScenarioModel, generate_sinr
 from sidesched.sideinfo import QuantizerSpec
 from util import brute_max_matching, decision_of, hopcroft_karp_first_phase
 
@@ -33,8 +33,7 @@ def full_load_block_maxima(model, bits):
     """Decision block maxima of one 100-vehicle draw on a 7 x 100 grid."""
     grid = ResourceGrid(k=7, l=100)
     sinr = generate_sinr(model, Cluster(id=0, n_vehicles=100), grid)
-    padded = pad_to_square(sinr, grid, floor_db=model.sinr_floor_db)
-    decision = decision_of(padded, QuantizerSpec(bits=bits), grid.b_hz)
+    decision = decision_of(sinr, QuantizerSpec(bits=bits), grid.b_hz)
     return compress(decision.values.ravel(), grid.k, grid.l).d
 
 

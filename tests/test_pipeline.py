@@ -16,7 +16,7 @@ from sidesched.cli import load_config, run_experiment, run_sweep
 from sidesched.config import config_from_dict
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
-from sidesched.scenario import Cluster, ScenarioModel
+from sidesched.scenario import Cluster, ScenarioModel, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, _bin_index
 from sidesched.solvers import Assignment
 
@@ -48,13 +48,14 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     ("oracle", "solve_oracle"),
 ])
 def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
-    # 3 vehicles on 5 subframes: rows 3 and 4 of the draw are dummies. At
-    # ideal feedback the decision is the draw's truth itself, whose SINR
-    # no cell may write to.
+    # 3 vehicles on 5 subframes: the draw has 3 rows, and only the block
+    # table the kernel reads is padded to 5. At ideal feedback the decision
+    # is the draw's truth itself, whose SINR no cell may write to.
     assignments = _record_calls(monkeypatch, stage)
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
+    assert draw.truth.key.shape == draw.fine.shape == (3, 10)
     truth = draw.truth.key.copy()
     for bits, q in ((0, None), (2, QuantizerSpec(2, -15.0, 35.0))):
         rates = pipeline.draw_rates(grid, draw, q)
@@ -131,15 +132,19 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     quantizers = [args[1] for args, _ in rate_calls]
     assert ([id(q) for q in quantizers]
             == [id(q) for q in quantizers[:widths]] * len(draws))
-    # and every width's block table once, read by proposed and greedy alike
-    assert len(tables) == len(compressed) == len(rates)
+    # and every width's block table once, padded once, read by proposed and
+    # greedy alike
+    assert len(tables) == len(compressed) == len(padded) == len(rates)
+    assert [id(t.d) for t in tables] == [id(p) for p in padded]
     assert len({id(t) for t in tables}) == len(tables)
     assert [id(t) for t in proposed_in] == [id(t) for t in tables]
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
-    # the 8-bit index once per draw, read by every width of that draw, and
-    # each width's indices those of its own quantizer from scratch
-    assert len(fines) == len(padded) == len(draws)
-    sinrs = [s for s in padded for _ in range(widths)]
+    # the 8-bit index once per draw, of its real vehicles only, read by
+    # every width of that draw, and each width's indices those of its own
+    # quantizer from scratch
+    assert len(fines) == len(draws)
+    assert [f.shape for f in fines] == [s.shape for s in draws]
+    sinrs = [s for s in draws for _ in range(widths)]
     for (args, _), decision, sinr in zip(rate_calls, rates, sinrs):
         q = args[1]
         if q is not None:
@@ -149,31 +154,35 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     fine_of = [id(args[2]) for args, _ in rate_calls]
     assert fine_of == [id(f) for f in fines for _ in range(widths)]
     # an ideal width decides on the truth itself, and its table of rated
-    # SINR block maxima is the table of the full rate matrix
+    # SINR block maxima is the table of the full rate matrix, padded
     for (args, _), decision, table in zip(rate_calls, rates, tables):
         if args[1] is None:
             assert decision is args[0]
             ref = compress(decision.values.ravel(), table.k, table.l)
-            assert table.d.tobytes() == ref.d.tobytes()
+            assert table.d.tobytes() == pad_to_square(ref.d, config.grid).tobytes()
             np.testing.assert_array_equal(table.argmax_slot, ref.argmax_slot)
 
 
 @pytest.mark.parametrize("runner", [run_experiment, run_sweep])
 def test_no_rating_beyond_the_block_table(monkeypatch, tmp_path, runner):
-    # the oracle rates its own rows; every other method reads the L x L
-    # block table, N chosen entries and the 2**bits level rates
+    # the oracle rates its own rows; every other method reads the N x L
+    # block table of its draw, N chosen entries and the 2**bits level rates
     config = replace(load_config(SMOKE), out_dir=str(tmp_path),
                      methods=("proposed", "greedy", "random"))
-    sizes = []
+    draws = _record_calls(monkeypatch, "generate_sinr")
+    sizes = []  # (vehicles of the latest draw, 0 before the first; entries rated)
     real = sideinfo.rate_from_sinr
 
     def sized(b_hz, sinr_db):
-        sizes.append(np.size(sinr_db))
+        sizes.append((len(draws[-1]) if draws else 0, np.size(sinr_db)))
         return real(b_hz, sinr_db)
 
     monkeypatch.setattr(sideinfo, "rate_from_sinr", sized)
     runner(config)
-    assert sizes and max(sizes) <= config.grid.l ** 2
+    # before the first draw the config rates each width's levels, no more
+    levels = 2 ** max(config.bits_list)
+    assert all(size <= levels for n, size in sizes if not n)
+    assert len(draws) and all(size <= n * config.grid.l for n, size in sizes if n)
 
 
 def test_an_ideal_cell_rates_its_chosen_entries_once(monkeypatch):

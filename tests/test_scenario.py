@@ -143,29 +143,30 @@ class TestScenarioModelLevels:
 class TestPadToSquare:
     def test_identity_when_full(self):
         g = ResourceGrid(k=2, l=3)
-        m = np.arange(18, dtype=float).reshape(3, 6)
+        m = np.arange(9, dtype=float).reshape(3, 3)
         np.testing.assert_array_equal(pad_to_square(m, g), m)
 
-    def test_appends_floor_rows(self):
+    def test_appends_zero_rows(self):
         g = ResourceGrid(k=2, l=5)
-        m = np.ones((3, 10))
-        padded = pad_to_square(m, g, floor_db=-15.0)
-        assert padded.shape == (5, 10)
+        m = np.ones((3, 5))
+        padded = pad_to_square(m, g)
+        assert padded.shape == (5, 5)
         np.testing.assert_array_equal(padded[:3], m)
-        assert np.all(padded[3:] == -15.0)
+        assert np.all(padded[3:] == 0.0)
 
     def test_original_rows_bitwise_equal(self):
         g = ResourceGrid(k=3, l=6)
         rng = np.random.default_rng(2)
-        vals = rng.uniform(-15, 35, (4, 18))
+        vals = rng.uniform(0.0, 1e7, (4, 6))
         assert np.array_equal(pad_to_square(vals, g)[:4], vals)
 
     def test_too_many_vehicles(self):
         g = ResourceGrid(k=2, l=3)
         with pytest.raises(InfeasibleError):
-            pad_to_square(np.zeros((4, 6)), g)
+            pad_to_square(np.zeros((4, 3)), g)
 
     def test_wrong_width(self):
+        # a table has one column per subframe, not one per subchannel
         g = ResourceGrid(k=2, l=3)
         with pytest.raises(ShapeError):
-            pad_to_square(np.zeros((2, 5)), g)
+            pad_to_square(np.zeros((2, 6)), g)

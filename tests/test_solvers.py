@@ -19,7 +19,7 @@ from util import brute_full_optimum, greedy_full_matrix
 
 class Rates:
     """Given rates read as ``sideinfo.FineRates`` and ``QuantizedRates``
-    are read: at entries or at a block of slices."""
+    are read: at entries, or whole as ``values``."""
 
     def __init__(self, vals):
         self.values = np.asarray(vals, dtype=float)
@@ -30,15 +30,12 @@ class Rates:
 
 def oracle(vals, g):
     """The oracle on every row of ``vals``."""
-    return solve_oracle(Rates(vals), g, len(vals))
+    return solve_oracle(Rates(vals), g)
 
 
 def greedy(vals, g):
-    """Greedy on the block table of ``vals``, padded to L rows with zeros."""
-    vals = np.asarray(vals, dtype=float)
-    padded = np.zeros((g.l, g.n_subchannels))
-    padded[:len(vals)] = vals
-    return solve_greedy(compress(padded.ravel(), g.k, g.l), len(vals))
+    """Greedy on the block table of ``vals``, one row per vehicle."""
+    return solve_greedy(compress(np.asarray(vals, dtype=float).ravel(), g.k, g.l))
 
 
 class TestGreedy:
@@ -69,7 +66,7 @@ class TestGreedy:
     def test_too_many_vehicles(self):
         g = ResourceGrid(k=2, l=2)
         with pytest.raises(InfeasibleError):
-            solve_greedy(compress(np.ones(8), g.k, g.l), 3)
+            solve_greedy(compress(np.ones(12), g.k, g.l))
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(1, 4), l=st.integers(1, 8), data=st.data())
@@ -172,11 +169,11 @@ class TestOracle:
             a = oracle(vals, ResourceGrid(k=k, l=l))
             assert a.subchannel.tolist() == brute_full_optimum(vals, k, l)[0]
 
-    def test_reads_the_first_rows(self):
-        # a high row past n_vehicles, as a padded decision's dummies, is not read
+    def test_reads_every_row(self):
+        # one vehicle per row: the constant second row is a vehicle too
         vals = np.array([[1, 3, 2, 5], [9, 9, 9, 9]], dtype=float)
-        a = solve_oracle(Rates(vals), ResourceGrid(k=2, l=2), 1)
-        assert a.subchannel.tolist() == [3]
+        a = solve_oracle(Rates(vals), ResourceGrid(k=2, l=2))
+        assert a.subchannel.tolist() == [3, 0]
 
     def test_caps(self):
         with pytest.raises(CapacityError):
@@ -194,7 +191,7 @@ class TestProposed:
             g = ResourceGrid(k=k, l=l)
             vals = rng.uniform(0, 9, (l, k * l))
             r = compress(vals.ravel(), k, l)
-            a = expand_solution(solve_proposed(r, l), r)
+            a = expand_solution(solve_proposed(r), r)
             got = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
             b = oracle(vals, g)
             ref = sum(vals[i, sc] for i, sc in enumerate(b.subchannel))
@@ -209,15 +206,15 @@ class TestProposed:
             g = ResourceGrid(k=k, l=l)
             vals = rng.uniform(0, 9, (l, k * l))
             r = compress(vals.ravel(), k, l)
-            a = expand_solution(solve_proposed(r, l), r)
+            a = expand_solution(solve_proposed(r), r)
             opt = sum(vals[i, sc] for i, sc in enumerate(a.subchannel))
-            gr = solve_greedy(r, l)
+            gr = solve_greedy(r)
             grd = sum(vals[i, sc] for i, sc in enumerate(gr.subchannel))
             assert opt >= grd - 1e-9
 
     def test_too_many_vehicles(self):
         with pytest.raises(InfeasibleError):
-            solve_proposed(compress(np.zeros(8), 2, 2), 3)
+            solve_proposed(compress(np.zeros(12), 2, 2))
 
     def test_greedy_beats_random_on_average(self):
         rng = np.random.default_rng(14)
