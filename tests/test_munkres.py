@@ -1,5 +1,6 @@
 """Matching kernel against enumeration, scipy, and its own invariants."""
 
+import hashlib
 import signal
 import sys
 from contextlib import contextmanager
@@ -14,6 +15,7 @@ from sidesched import munkres
 from sidesched.assignment import compress
 from sidesched.grid import ResourceGrid
 from sidesched.munkres import max_weight_assignment
+from sidesched.pipeline import draw_cluster, draw_rates
 from sidesched.scenario import Cluster, ScenarioModel, generate_sinr
 from sidesched.sideinfo import QuantizerSpec
 from util import brute_max_matching, decision_of, hopcroft_karp_first_phase
@@ -480,3 +482,30 @@ class TestConstantRows:
                                              [0.0, 3.0, 3.0]])
         assert list(cols) == [2, 0, 1]
         assert total == 6.0
+
+
+def test_pipeline_matchings_are_pinned():
+    """The exact matching and total on 128 pipeline tables, as one digest.
+
+    Uniform and the acceptance bank's two-state model, N = 10/40/70/100,
+    4 draws each, at 0/2/3/4 bits. An optimal total alone would not see
+    a tie pick move; the digest does, and a change to the kernel that
+    moves one on purpose restates it here.
+    """
+    from test_acceptance import GRID, MIXED, UNIFORM
+
+    digest = hashlib.sha256()
+    for model in (UNIFORM, MIXED):
+        quant_range = (model.sinr_floor_db, model.sinr_ceil_db)
+        for n in (10, 40, 70, 100):
+            for seed in range(4):
+                draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
+                                    seed, quant_range)
+                for bits in (0, 2, 3, 4):
+                    q = QuantizerSpec(bits, *quant_range) if bits else None
+                    _, reduced = draw_rates(GRID, draw, q)
+                    cols, total = max_weight_assignment(reduced.d)
+                    digest.update(cols.tobytes())
+                    digest.update(float.hex(total).encode())
+    assert digest.hexdigest() == (
+        "5f122ceadb0cc55af40829ce25655f5ccb83104dfba507311e80c1a0cc7fdfe0")
