@@ -61,22 +61,26 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     exact maximum from above within (ln K) / beta. The stored argmax is
     the exact one either way, ties resolved to the lowest slot.
 
-    Floats take an argmax along the slot axis. Non-negative integers (the
-    level indices of a quantized decision) become c * k + (k - 1 - slot),
-    in the narrowest type that holds the largest, one slot per row: a
-    block's maximum over k contiguous rows, faster than an argmax along
-    the short slot axis, is its maximal entry at the lowest slot.
+    Floats are viewed as one row of k slots per (vehicle, subframe): one
+    argmax per row, then one gather of the entry it picks, so a block's
+    value keeps that entry's sign bit (-0.0 ahead of 0.0 gives -0.0).
+    Non-negative integers (the level indices of a quantized decision)
+    become c * k + (k - 1 - slot), in the narrowest type that holds the
+    largest, one slot per row: a block's maximum over k contiguous rows,
+    faster than an argmax along the short slot axis, is its maximal entry
+    at the lowest slot.
     """
     c = _check_cost(cost_vector, k, l)
     n = c.size // (k * l)
-    blocks = c.reshape(n, l, k)  # (vehicle, subframe, slot)
+    blocks = c.reshape(n * l, k)  # one row of k slots per (vehicle, subframe)
     if c.dtype.kind == "f":
-        argmax_slot = blocks.argmax(axis=2).astype(np.int64)
+        slot = blocks.argmax(axis=1)
         # the entry at the argmax is the maximum itself, since c is finite
-        exact = np.take_along_axis(blocks, argmax_slot[..., None], axis=2)[..., 0]
+        exact = blocks[np.arange(n * l), slot].reshape(n, l)
+        argmax_slot = slot.reshape(n, l)
     else:
         key_type = np.min_scalar_type(int(c.max()) * k + k - 1)
-        key = c.reshape(n * l, k).T.astype(key_type, order="C")
+        key = blocks.T.astype(key_type, order="C")
         key *= k
         key += np.arange(k - 1, -1, -1, dtype=key_type)[:, None]
         top = np.maximum.reduce(key).reshape(n, l)
@@ -87,7 +91,7 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     else:
         if beta <= 0:
             raise ValueError("beta must be positive")
-        gap = np.subtract(blocks, exact[:, :, None], dtype=float)
+        gap = np.subtract(blocks.reshape(n, l, k), exact[:, :, None], dtype=float)
         d = exact + np.log(np.exp(beta * gap).sum(axis=2)) / beta
     return ReducedProblem(d, argmax_slot, k, l)
 

@@ -94,14 +94,24 @@ def build_report(samples, grid_points: int = 30, method: str = "",
         xs = np.array([lo, np.nextafter(lo, np.inf)])
         probs = np.array([0.0, 1.0])
     cdf = list(zip(xs.tolist(), probs.tolist()))
-    with np.errstate(over="ignore"):  # finite samples may still overflow
-        mean, std = float(s.mean()), float(s.std())
-        if not math.isfinite(std):  # squared deviations overflow: scale first
-            top = max(-lo, hi)
-            std = top * float((s / top).std())  # at most top, so finite
-    if not math.isfinite(mean):
-        raise ValueError(f"series {method}/{bits} bits: statistic overflows")
-    return EvalReport(method, bits, hi, mean, lo, std, cdf)
+    return EvalReport(method, bits, hi, _finite_stat(np.mean, s), lo,
+                      _finite_stat(np.std, s), cdf)
+
+
+def _finite_stat(stat, s: np.ndarray) -> float:
+    """``stat`` (``np.mean`` or ``np.std``) of the finite samples ``s``.
+
+    numpy sums before it divides and squares deviations before it sums, so
+    a finite statistic can overflow on the way. Only then is it taken on
+    ``s`` scaled by its largest magnitude, then scaled back: on samples in
+    [-1, 1] either statistic lies in [-1, 1], so the result is finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(s))
+    if math.isfinite(value):
+        return value
+    top = float(np.abs(s).max())
+    return top * float(stat(s / top))
 
 
 @dataclass(frozen=True)
@@ -129,9 +139,5 @@ def sweep_density(config: ExperimentConfig) -> list[SweepRow]:
             cell.vehicle_rates_bps.min())
     rows = []
     for (m, b, n), w in worst.items():
-        with np.errstate(over="ignore"):  # finite minima may still overflow
-            mean = float(np.mean(w))
-        if not math.isfinite(mean):
-            raise ValueError(f"series {m}/{b} bits, N={n}: mean worst rate overflows")
-        rows.append(SweepRow(m, b, n, mean))
+        rows.append(SweepRow(m, b, n, _finite_stat(np.mean, np.asarray(w))))
     return rows

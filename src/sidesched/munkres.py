@@ -176,19 +176,25 @@ def _scan_rows(tight):
 
     Every augmenting path of that phase has one edge, and the phase
     tries the rows in ascending order, so each row takes its
-    lowest-index free tight column. Returns ``(row_col, col_row)``
+    lowest-index free tight column. Every row must have a tight column,
+    as it does when u is the row minimum. One argmax over the whole
+    table gives each row's lowest tight column; a row takes it when it
+    is still free, and only a row whose column is taken searches its
+    tight columns against the free ones. Returns ``(row_col, col_row)``
     lists, -1 for free entries.
     """
     m, n = tight.shape
     row_col, col_row = [-1] * m, [-1] * n
     free = np.ones(n, dtype=bool)
     cand = np.empty(n, dtype=bool)
-    for i in range(m):
-        np.logical_and(tight[i], free, out=cand)
-        j = int(cand.argmax())
-        if cand[j]:
-            row_col[i], col_row[j] = j, i
-            free[j] = False
+    for i, j in enumerate(tight.argmax(axis=1).tolist()):
+        if col_row[j] >= 0:
+            np.logical_and(tight[i], free, out=cand)
+            j = int(cand.argmax())
+            if not cand[j]:
+                continue
+        row_col[i], col_row[j] = j, i
+        free[j] = False
     return row_col, col_row
 
 
@@ -287,11 +293,11 @@ def _reduce_rows(cost, v, row_col, col_row):
             return
         i = free.popleft()
         row = cost[i] - v
-        j1 = int(np.argmin(row))
-        u1 = row[j1]
+        j1 = int(row.argmin())
+        u1 = float(row[j1])
         row[j1] = np.inf
-        j2 = int(np.argmin(row))
-        u2 = row[j2]
+        j2 = int(row.argmin())
+        u2 = float(row[j2])
         i0 = col_row[j1]
         if u1 < u2:
             v[j1] -= u2 - u1

@@ -92,7 +92,7 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
             centers = np.where(bad_row, model.bad_mean_db, model.mean_db) + shift
             vals *= model.std_db
             vals += centers
-    return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db)
+    return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db, out=vals)
 
 
 def pad_to_square(table: np.ndarray, grid: ResourceGrid) -> np.ndarray:

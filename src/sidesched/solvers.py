@@ -108,10 +108,12 @@ def solve_greedy(reduced: ReducedProblem) -> Assignment:
         raise InfeasibleError(f"{n} vehicles exceed {l} subframes")
     # a claimed subframe's column reads -inf in every row still to come
     dm = np.array(reduced.d[:n], dtype=float)
-    frames = np.empty(n, np.int64)
-    for i in range(n):
-        frames[i] = dm[i].argmax()  # first hit = lowest subframe on ties
-        dm[:, frames[i]] = -np.inf
+    picks = []
+    for row in dm:
+        f = int(row.argmax())  # first hit = lowest subframe on ties
+        picks.append(f)
+        dm[:, f] = -np.inf
+    frames = np.array(picks, np.int64)
     slots = reduced.argmax_slot[np.arange(n), frames]
     return Assignment(frames * k + slots, "greedy")
 

@@ -94,6 +94,23 @@ class TestCompress:
         r = compress([2.0, 5.0, 5.0], 3, 1)
         assert (r.d[0, 0], r.argmax_slot[0, 0]) == (5.0, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3), k=st.integers(1, 5), l=st.integers(1, 4),
+           data=st.data())
+    def test_float_blocks_take_the_first_maximal_slot_bit_for_bit(
+            self, n, k, l, data):
+        # -0.0 == 0.0, so a block's value is the first maximal entry with
+        # its own sign bit, against a per-block Python reference
+        c = data.draw(arrays(float, n * l * k, elements=st.sampled_from(
+            [-1.5, -0.0, 0.0, 2.0])))
+        r = compress(c, k, l)
+        blocks = c.reshape(n * l, k).tolist()
+        slots = [b.index(max(b)) for b in blocks]  # max keeps the first of equals
+        values = np.array([b[s] for b, s in zip(blocks, slots)])
+        assert r.argmax_slot.dtype == np.int64
+        assert r.argmax_slot.ravel().tolist() == slots
+        assert r.d.tobytes() == values.tobytes()
+
     def test_k1_is_identity(self):
         c = np.arange(9, dtype=float)
         r = compress(c, 1, 3)
