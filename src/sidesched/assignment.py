@@ -5,9 +5,10 @@ window under two constraint families: every vehicle takes exactly one
 subchannel, and every subframe serves at most one vehicle. Since a
 subframe admits a single vehicle, only that vehicle's best in-subframe
 slot can appear in an optimum, so each K-wide block collapses to one
-macro choice. That leaves an N x L table of block maxima plus the slot
-attaining each maximum; matching on the table and re-expanding the
-stored slots (``expand_solution``) loses nothing of the sum rate. The
+macro choice. That leaves an N x L table of block maxima; matching on
+the table and expanding each vehicle's picked block to a slot attaining
+its maximum (``expand_solution``) loses nothing of the sum rate. A slot
+is looked up only for the N picked blocks (``ReducedProblem.slots``). The
 expansion is an ``Assignment`` array of subchannels, checked like every
 other method's assignment, by ``solvers.verify_assignment``.
 
@@ -32,10 +33,16 @@ class ReducedProblem:
     """Block table after per-subframe compression, one row per vehicle;
     ``pipeline.draw_rates`` pads ``d`` to (L, L) for the matching kernel."""
 
-    d: np.ndarray            # (N, L) block maxima, or softened values
-    argmax_slot: np.ndarray  # (N, L) in-subframe slot attaining each maximum
+    d: np.ndarray     # (N, L) block maxima, or softened values
+    keys: np.ndarray  # (N, K*L) entries the maxima were taken of
     k: int
     l: int
+
+    def slots(self, frames: np.ndarray) -> np.ndarray:
+        """Lowest maximal slot of block ``frames[i]`` of each vehicle
+        i < frames.size: one gather of K keys per vehicle, one argmax."""
+        blocks = self.keys.reshape(len(self.keys), self.l, self.k)
+        return blocks[np.arange(frames.size), frames].argmax(axis=1)
 
 
 def _check_cost(cost_vector, k: int, l: int) -> np.ndarray:
@@ -58,34 +65,28 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
 
     ``beta`` switches the values to the log-sum-exp softening
     (1/beta) * log(sum(exp(beta * c))) per block, which approaches the
-    exact maximum from above within (ln K) / beta. The stored argmax is
-    the exact one either way, ties resolved to the lowest slot.
+    exact maximum from above within (ln K) / beta. The slot lookup
+    (``ReducedProblem.slots``) reads the exact maximum either way, ties
+    resolved to the lowest slot.
 
-    Floats are viewed as one row of k slots per (vehicle, subframe): one
-    argmax per row, then one gather of the entry it picks, so a block's
-    value keeps that entry's sign bit (-0.0 ahead of 0.0 gives -0.0).
-    Non-negative integers (the level indices of a quantized decision)
-    become c * k + (k - 1 - slot), in the narrowest type that holds the
-    largest, one slot per row: a block's maximum over k contiguous rows,
-    faster than an argmax along the short slot axis, is its maximal entry
-    at the lowest slot.
+    Floats and non-negative integers (the level indices of a quantized
+    decision) take one route: the entries are viewed as one row of k
+    slots per (vehicle, subframe), and the maximum runs across the k
+    slot columns. Finite floats that compare equal have the same bits,
+    save -0.0 and 0.0, so a block whose maximum is 0 takes its first
+    maximal entry, sign bit included (-0.0 ahead of 0.0 gives -0.0).
     """
     c = _check_cost(cost_vector, k, l)
     n = c.size // (k * l)
     blocks = c.reshape(n * l, k)  # one row of k slots per (vehicle, subframe)
-    if c.dtype.kind == "f":
-        slot = blocks.argmax(axis=1)
-        # the entry at the argmax is the maximum itself, since c is finite
-        exact = blocks[np.arange(n * l), slot].reshape(n, l)
-        argmax_slot = slot.reshape(n, l)
-    else:
-        key_type = np.min_scalar_type(int(c.max()) * k + k - 1)
-        key = blocks.T.astype(key_type, order="C")
-        key *= k
-        key += np.arange(k - 1, -1, -1, dtype=key_type)[:, None]
-        top = np.maximum.reduce(key).reshape(n, l)
-        argmax_slot = k - 1 - (top % k).astype(np.int64)
-        exact = top // k
+    top = blocks[:, 0].copy()
+    for slot in range(1, k):
+        np.maximum(top, blocks[:, slot], out=top)
+    if c.dtype.kind == "f" and not top.all():  # -0.0 == 0.0: first zero wins
+        zero = np.flatnonzero(top == 0)
+        tied = blocks[zero]
+        top[zero] = tied[np.arange(zero.size), (tied == 0).argmax(axis=1)]
+    exact = top.reshape(n, l)
     if beta is None:
         d = exact
     else:
@@ -93,17 +94,16 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
             raise ValueError("beta must be positive")
         gap = np.subtract(blocks.reshape(n, l, k), exact[:, :, None], dtype=float)
         d = exact + np.log(np.exp(beta * gap).sum(axis=2)) / beta
-    return ReducedProblem(d, argmax_slot, k, l)
+    return ReducedProblem(d, c.reshape(n, k * l), k, l)
 
 
 def expand_solution(subframes: np.ndarray, reduced: ReducedProblem) -> Assignment:
     """Subframe of each vehicle 0..N-1 back to its global subchannel.
 
-    Each vehicle lands on the stored best slot of its subframe, i.e.
-    subchannel f*K + argmax_slot[vehicle, f]. Nothing is checked here: a
-    subframe outside 0..L-1 fails the gather or lands outside the grid,
-    and ``solvers.verify_assignment`` rejects both that and a shared
-    subframe.
+    Each vehicle lands on the lowest maximal slot of its subframe
+    (``ReducedProblem.slots``), i.e. subchannel f*K + slot. Nothing is
+    checked here: a subframe outside 0..L-1 fails the gather or lands
+    outside the grid, and ``solvers.verify_assignment`` rejects both
+    that and a shared subframe.
     """
-    slots = reduced.argmax_slot[np.arange(subframes.size), subframes]
-    return Assignment(subframes * reduced.k + slots, "proposed")
+    return Assignment(subframes * reduced.k + reduced.slots(subframes), "proposed")

@@ -23,9 +23,9 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
 
     ``points`` are (label, cluster) pairs. The loop nests repetition x
     point, then width, then method: each width's quantizer is built once,
-    each draw is computed once and each width's rates and block table once
-    per draw, shared by every method, and each is released before the next
-    is made. Seeds are keyed by (repetition, ``cluster.id``). A
+    each draw and its block maxima are computed once, and each width's
+    rates and block table once per draw, from those maxima, shared by
+    every method; each is released before the next is made. Seeds are keyed by (repetition, ``cluster.id``). A
     ``ValueError`` is prefixed with the label, repetition, width and
     method of its cell and re-raised bare, so it keeps its type and
     attributes (``ConfigError.keys``, ``ParseError.row``).

@@ -2,23 +2,26 @@
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster's N
 vehicles: its SINR in dB, the truth, rated only where read
-(``FineRates``), and its 8-bit quantizer index over the configured dB
-range; both serve every width. Its *rates* at one feedback width
+(``FineRates``), its 8-bit quantizer index over the configured dB
+range, and the N x L block maxima of each (``compress``), taken once;
+all serve every width. Its *rates* at one feedback width
 (``draw_rates``) are the decision a scheduler decides on and the block
-table (``compress``) that proposed and greedy read. The ideal decision
-is the truth, keyed by SINR; a quantized decision is keyed by the level
-index of every entry, the draw's 8-bit index shifted right by 8 - b,
-which equals the b-bit quantizer bit for bit (``sideinfo``). Every
-width builds its table one way, as the block maxima of the keys mapped
-to their rates, so only the N x L maxima are rated, then pads it with
-zero rows to the L x L square of the matching kernel (``pad_to_square``).
+table that proposed and greedy read. The ideal decision is the truth,
+keyed by SINR; a quantized decision is keyed by the level index of
+every entry, the draw's 8-bit index shifted right by 8 - b, which
+equals the b-bit quantizer bit for bit (``sideinfo``). A shift keeps
+the order of its inputs, so the b-bit block maxima are the 8-bit ones
+shifted. Every width's table is its key block maxima mapped to their
+rates, so only the N x L maxima are rated, padded with zero rows to the
+L x L square of the matching kernel (``pad_to_square``); a block's slot
+is read from the width's own keys, for the N blocks a method picks.
 A *cell* (``run_cell``) runs one method on those rates. It solves,
 checks the assignment (one subchannel per vehicle) for one vehicle per
 subframe (``verify_assignment``, for every method), and scores it on the
 truth rates. The one cell loop, ``metrics.iter_cells``, nests repetition
-x cluster, then width, then method, so each draw is computed once and
-each width's rates once per draw, shared by every method; each draw is
-released before the next one is made.
+x cluster, then width, then method, so each draw and its block maxima
+are computed once and each width's rates once per draw, shared by every
+method; each draw is released before the next one is made.
 
 Seeds are derived hierarchically from the master seed through
 SeedSequence spawn keys, making every stage a pure function of its
@@ -61,8 +64,10 @@ class Draw:
     ``draw_rates`` takes."""
 
     cluster: Cluster
-    truth: FineRates  # the (N, K*L) SINR, rated where read
-    fine: np.ndarray  # uint8 8-bit index of the SINR over the range
+    truth: FineRates      # the (N, K*L) SINR, rated where read
+    fine: np.ndarray      # uint8 8-bit index of the SINR over the range
+    top: np.ndarray       # (N, L) SINR block maxima
+    top_fine: np.ndarray  # (N, L) uint8 block maxima of ``fine``
 
 
 @dataclass
@@ -83,22 +88,25 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     """The cluster's channel draw; depends only on the seed, the cluster
     and ``quant_range``."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
-    return Draw(cluster, FineRates(sinr, grid.b_hz), _fine_index(*quant_range, sinr))
+    fine = _fine_index(*quant_range, sinr)
+    return Draw(cluster, FineRates(sinr, grid.b_hz), fine,
+                compress(sinr, grid.k, grid.l).d, compress(fine, grid.k, grid.l).d)
 
 
 def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None
                ) -> tuple[FineRates | QuantizedRates, ReducedProblem]:
     """(decision, block table of decision) of a draw at the width of ``q``.
 
-    ``q=None`` (ideal feedback) decides on ``draw.truth``; every other
-    width shifts the draw's 8-bit index, which is made over the range of
-    ``q``. The table is built from the decision's keys, only its N x L
-    block maxima are rated, and the rated table is padded to L x L.
+    ``q=None`` (ideal feedback) decides on ``draw.truth`` and its block
+    maxima; every other width shifts the draw's 8-bit index and its block
+    maxima, which are made over the range of ``q``. Only the N x L block
+    maxima are rated, and the rated table is padded to L x L; its slots
+    are looked up in the decision's keys.
     """
     decision = build_rate_matrices(draw.truth, q, draw.fine)
-    reduced = compress(decision.key.ravel(), grid.k, grid.l)
-    square = pad_to_square(decision.rate(reduced.d), grid)
-    return decision, replace(reduced, d=square)
+    top = draw.top if q is None else draw.top_fine >> (8 - q.bits)
+    square = pad_to_square(decision.rate(top), grid)
+    return decision, ReducedProblem(square, decision.key, grid.k, grid.l)
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,

@@ -19,7 +19,8 @@ floor(y / 2**s) is floor(y) >> s for y >= 0; the top-edge fold of 256
 to 255 shifts to 2**b - 1; and max(x - lo, 0) agrees with
 clip(x, lo, hi) - lo on the range, is 0 below it and reaches 256 bins
 above it either way. So a value is quantized once, at 8 bits, and every
-width reads that one index.
+width reads that one index. A shift keeps x <= y, so the largest b-bit
+index of a block is the 8-bit block maximum shifted.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
+
+_CHUNK = 1 << 14  # entries of ``_fine_index``'s float buffer
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,25 @@ class QuantizerSpec:
 
 
 def _fine_index(lo_db: float, hi_db: float, sinr_db) -> np.ndarray:
-    """The uint8 8-bit bin index over [lo_db, hi_db]; see the module notes."""
-    x = np.subtract(sinr_db, lo_db, out=np.empty(np.shape(sinr_db)), dtype=float)
-    np.maximum(x, 0.0, out=x)
-    x /= (hi_db - lo_db) / 256
-    np.minimum(x, 255.0, out=x)
-    return x.astype(np.uint8)  # truncation is floor on non-negative values
+    """The uint8 8-bit bin index over [lo_db, hi_db]; see the module notes.
+
+    The float arithmetic runs through one buffer of at most ``_CHUNK``
+    entries, not a second N x K*L float array beside the draw's SINR:
+    freeing two such arrays at the end of a draw can shrink the heap, and
+    the next draw then faults every page back in.
+    """
+    sinr = np.asarray(sinr_db, dtype=float)
+    flat = sinr.reshape(-1)
+    out = np.empty(flat.size, np.uint8)
+    x = np.empty(min(flat.size, _CHUNK))
+    for i in range(0, flat.size, _CHUNK):
+        part = x[:flat.size - i]
+        np.subtract(flat[i:i + _CHUNK], lo_db, out=part)
+        np.maximum(part, 0.0, out=part)
+        part /= (hi_db - lo_db) / 256
+        np.minimum(part, 255.0, out=part)
+        out[i:i + part.size] = part  # truncation is floor on non-negative values
+    return out.reshape(sinr.shape)
 
 
 def _bin_index(q: QuantizerSpec, sinr_db) -> np.ndarray:

@@ -84,10 +84,10 @@ def verify_assignment(assignment: Assignment, grid: ResourceGrid) -> None:
 
 
 def solve_proposed(reduced: ReducedProblem) -> np.ndarray:
-    """Optimal subframe of each vehicle, one per row of ``argmax_slot``, on
+    """Optimal subframe of each vehicle, one per row of ``reduced.keys``, on
     the compressed weights ``d``, padded to L x L (``pad_to_square``).
     """
-    n = reduced.argmax_slot.shape[0]
+    n = len(reduced.keys)
     if n > reduced.l:
         raise InfeasibleError(f"{n} vehicles exceed {reduced.l} subframes")
     cols, _ = max_weight_assignment(np.asarray(reduced.d, dtype=float))
@@ -95,15 +95,15 @@ def solve_proposed(reduced: ReducedProblem) -> np.ndarray:
 
 
 def solve_greedy(reduced: ReducedProblem) -> Assignment:
-    """First-come first-served baseline, one vehicle per row of ``argmax_slot``.
+    """First-come first-served baseline, one vehicle per row of ``reduced.keys``.
 
     Vehicles in ascending index order take the best decision-rate
     subchannel among subframes nobody claimed yet; ties go to the lowest
     subchannel index. That subchannel lies in the lowest subframe of
-    highest block maximum, at its stored slot, so only the block table
-    is scanned.
+    highest block maximum, at its lowest maximal slot, so only the block
+    table is scanned, and a slot is looked up for the N picked blocks.
     """
-    k, l, n = reduced.k, reduced.l, reduced.argmax_slot.shape[0]
+    k, l, n = reduced.k, reduced.l, len(reduced.keys)
     if n > l:
         raise InfeasibleError(f"{n} vehicles exceed {l} subframes")
     # a claimed subframe's column reads -inf in every row still to come
@@ -114,8 +114,7 @@ def solve_greedy(reduced: ReducedProblem) -> Assignment:
         picks.append(f)
         dm[:, f] = -np.inf
     frames = np.array(picks, np.int64)
-    slots = reduced.argmax_slot[np.arange(n), frames]
-    return Assignment(frames * k + slots, "greedy")
+    return Assignment(frames * k + reduced.slots(frames), "greedy")
 
 
 def solve_random(grid: ResourceGrid, n_vehicles: int, rng) -> Assignment:

@@ -13,7 +13,7 @@ from sidesched.grid import ResourceGrid
 from sidesched.sideinfo import QuantizedRates, QuantizerSpec
 from sidesched.solvers import verify_assignment
 from util import (assignment_to_x, brute_full_optimum, brute_max_matching,
-                  build_constraint_matrix, decision_of)
+                  build_constraint_matrix, decision_of, slot_table)
 
 
 class TestConstraintMatrix:
@@ -85,14 +85,14 @@ class TestCompress:
     def test_reference_blocks(self):
         r = compress([1, 3, 2, 5, 4, 1, 2, 2], 2, 2)
         np.testing.assert_array_equal(r.d, [[3, 5], [4, 2]])
-        np.testing.assert_array_equal(r.argmax_slot, [[1, 1], [0, 0]])
+        np.testing.assert_array_equal(slot_table(r), [[1, 1], [0, 0]])
 
     def test_tie_takes_lowest_slot(self):
         r = compress([7.0, 7.0], 2, 1)
         assert r.d[0, 0] == 7.0
-        assert r.argmax_slot[0, 0] == 0
+        assert r.slots(np.array([0])).tolist() == [0]
         r = compress([2.0, 5.0, 5.0], 3, 1)
-        assert (r.d[0, 0], r.argmax_slot[0, 0]) == (5.0, 1)
+        assert (r.d[0, 0], *r.slots(np.array([0]))) == (5.0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 3), k=st.integers(1, 5), l=st.integers(1, 4),
@@ -107,21 +107,21 @@ class TestCompress:
         blocks = c.reshape(n * l, k).tolist()
         slots = [b.index(max(b)) for b in blocks]  # max keeps the first of equals
         values = np.array([b[s] for b, s in zip(blocks, slots)])
-        assert r.argmax_slot.dtype == np.int64
-        assert r.argmax_slot.ravel().tolist() == slots
+        assert slot_table(r).dtype == np.int64
+        assert slot_table(r).ravel().tolist() == slots
         assert r.d.tobytes() == values.tobytes()
 
     def test_k1_is_identity(self):
         c = np.arange(9, dtype=float)
         r = compress(c, 1, 3)
         np.testing.assert_array_equal(r.d, c.reshape(3, 3))
-        assert np.all(r.argmax_slot == 0)
+        assert np.all(slot_table(r) == 0)
 
     def test_softened_close_to_exact(self):
         r_exact = compress([1, 3, 2, 5, 4, 1, 2, 2], 2, 2)
         r_soft = compress([1, 3, 2, 5, 4, 1, 2, 2], 2, 2, beta=50.0)
         assert np.max(np.abs(r_soft.d - r_exact.d)) <= 0.05
-        np.testing.assert_array_equal(r_soft.argmax_slot, r_exact.argmax_slot)
+        np.testing.assert_array_equal(slot_table(r_soft), slot_table(r_exact))
 
     def test_softening_bound_random(self):
         # 0 <= lse - max <= ln(K)/beta, elementwise
@@ -152,7 +152,7 @@ class TestCompress:
         for c in ([1.0, 3.0, 2.0, 5.0], np.array([1, 3, 2, 5], np.uint8)):
             r = compress(c, 2, 2)
             np.testing.assert_array_equal(r.d, [[3, 5]])
-            np.testing.assert_array_equal(r.argmax_slot, [[1, 1]])
+            np.testing.assert_array_equal(slot_table(r), [[1, 1]])
         with pytest.raises(ShapeError):
             compress([], 2, 2)
 
@@ -193,8 +193,8 @@ class TestCompressLevelIndices:
         got = decision.rate(keyed.d)
         assert got.dtype == ref.d.dtype == np.float64
         assert got.tobytes() == ref.d.tobytes()
-        assert keyed.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
-        np.testing.assert_array_equal(keyed.argmax_slot, ref.argmax_slot)
+        assert slot_table(keyed).dtype == slot_table(ref).dtype == np.int64
+        np.testing.assert_array_equal(slot_table(keyed), slot_table(ref))
 
     def test_rejects_negative_integer_keys(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -205,8 +205,8 @@ class TestCompressLevelIndices:
                                              (7, 9, np.uint8)],
                              ids=["keys-above-int16", "uint8-k7"])
     def test_narrow_keys_equal_float_route(self, k, l, dtype):
-        # 256 levels: at k = 200 the largest key, 255 * 200 + 199, needs
-        # more than int16; every level and every slot tie is present
+        # 256 levels, as int64 keys in blocks of 200 slots and as uint8
+        # keys in blocks of 7: every level and every slot tie is present
         rng = np.random.default_rng(4)
         idx = rng.integers(0, 256, k * l * l).astype(dtype)
         idx[:k] = 255
@@ -216,8 +216,8 @@ class TestCompressLevelIndices:
         got = compress(decision.key.ravel(), k, l)
         ref = compress(decision.values.ravel(), k, l)
         assert decision.rate(got.d).tobytes() == ref.d.tobytes()
-        assert got.argmax_slot.dtype == ref.argmax_slot.dtype == np.int64
-        np.testing.assert_array_equal(got.argmax_slot, ref.argmax_slot)
+        assert slot_table(got).dtype == slot_table(ref).dtype == np.int64
+        np.testing.assert_array_equal(slot_table(got), slot_table(ref))
 
 
 class TestExpandSolution:
@@ -296,10 +296,11 @@ class TestCompressionLossless:
         blocks = vals.reshape(l, l, k)
         np.testing.assert_array_equal(r.d, blocks.max(axis=2))
         # the stored slot attains the maximum, and no lower slot does
-        picked = np.take_along_axis(blocks, r.argmax_slot[..., None], 2)[..., 0]
+        slots = slot_table(r)
+        picked = np.take_along_axis(blocks, slots[..., None], 2)[..., 0]
         np.testing.assert_array_equal(picked, r.d)
         for i, f in np.ndindex(l, l):
-            assert np.all(blocks[i, f, :r.argmax_slot[i, f]] < r.d[i, f])
+            assert np.all(blocks[i, f, :slots[i, f]] < r.d[i, f])
         # any bijection keeps its sum through expansion
         perm = rng.permutation(l)
         a = expand_solution(perm, r)

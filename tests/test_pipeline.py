@@ -6,9 +6,13 @@ rated."""
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sidesched import metrics, pipeline, sideinfo
 from sidesched.assignment import compress
@@ -19,6 +23,7 @@ from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel, pad_to_square
 from sidesched.sideinfo import QuantizerSpec, _bin_index
 from sidesched.solvers import Assignment
+from util import slot_table
 
 
 @pytest.mark.parametrize("method, stage", [
@@ -110,7 +115,8 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     fines = _record_calls(monkeypatch, "_fine_index")
     rate_calls = []
     rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
-    compressed = _record_calls(monkeypatch, "compress")
+    compress_in = []
+    compressed = _record_calls(monkeypatch, "compress", first_args=compress_in)
     widths_rated = _record_calls(monkeypatch, "draw_rates", module=metrics)
     proposed_in, greedy_in = [], []
     _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
@@ -132,10 +138,15 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     quantizers = [args[1] for args, _ in rate_calls]
     assert ([id(q) for q in quantizers]
             == [id(q) for q in quantizers[:widths]] * len(draws))
-    # and every width's block table once, padded once, read by proposed and
-    # greedy alike
-    assert len(tables) == len(compressed) == len(padded) == len(rates)
+    # block maxima once per draw, of its SINR and of its 8-bit index, and
+    # every width's block table once, padded once, its slots looked up in
+    # the width's own keys, and read by proposed and greedy alike
+    assert len(compressed) == 2 * len(draws)
+    assert [id(c) for c in compress_in] == [id(a) for pair in zip(draws, fines)
+                                           for a in pair]
+    assert len(tables) == len(padded) == len(rates)
     assert [id(t.d) for t in tables] == [id(p) for p in padded]
+    assert all(t.keys is decision.key for t, decision in zip(tables, rates))
     assert len({id(t) for t in tables}) == len(tables)
     assert [id(t) for t in proposed_in] == [id(t) for t in tables]
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
@@ -154,13 +165,58 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     fine_of = [id(args[2]) for args, _ in rate_calls]
     assert fine_of == [id(f) for f in fines for _ in range(widths)]
     # an ideal width decides on the truth itself, and its table of rated
-    # SINR block maxima is the table of the full rate matrix, padded
+    # SINR block maxima is the table of the full rate matrix, padded, with
+    # that matrix's first maximal slot at every (vehicle, subframe)
     for (args, _), decision, table in zip(rate_calls, rates, tables):
         if args[1] is None:
             assert decision is args[0]
-            ref = compress(decision.values.ravel(), table.k, table.l)
+            full = decision.values
+            ref = compress(full.ravel(), table.k, table.l)
             assert table.d.tobytes() == pad_to_square(ref.d, config.grid).tobytes()
-            np.testing.assert_array_equal(table.argmax_slot, ref.argmax_slot)
+            first = full.reshape(len(full), table.l, table.k).argmax(axis=2)
+            np.testing.assert_array_equal(slot_table(table), first)
+
+
+@st.composite
+def edge_draws(draw):
+    """(grid, n, SINR, quantizer range): SINRs below and above the range,
+    on and one ulp around its 8-bit bin edges, and +-0, among others."""
+    lo, hi = draw(st.sampled_from([-15.0, 0.0])), draw(st.sampled_from([25.0, 35.0]))
+    k, l = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    n = draw(st.integers(1, l))
+    edges = lo + np.arange(257) * ((hi - lo) / 256)
+    special = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                              np.nextafter(edges, np.inf),
+                              [lo - 5.0, hi + 5.0, -0.0, 0.0]])
+    values = st.one_of(st.sampled_from(special.tolist()),
+                       st.floats(lo - 10.0, hi + 10.0))
+    sinr = draw(arrays(float, (n, k * l), elements=values))
+    return ResourceGrid(k=k, l=l), n, sinr, (lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=edge_draws())
+def test_every_width_derives_its_table_from_the_draw_maxima(case):
+    # at every width, the rated table and the slot lookup equal a
+    # per-block reference on the width's own keys: the maximum, kept as
+    # the first maximal entry (so with its sign), and that entry's slot
+    grid, n, sinr, quant_range = case
+    with mock.patch.object(pipeline, "generate_sinr", return_value=sinr):
+        draw = pipeline.draw_cluster(grid, ScenarioModel(), Cluster(0, n), 0,
+                                     quant_range)
+    for bits in range(9):
+        q = QuantizerSpec(bits, *quant_range) if bits else None
+        decision, table = pipeline.draw_rates(grid, draw, q)
+        blocks = decision.key.reshape(n * grid.l, grid.k).tolist()
+        top = [max(b) for b in blocks]  # max keeps the first of equals
+        slots = [b.index(m) for b, m in zip(blocks, top)]
+        rated = decision.rate(np.array(top, decision.key.dtype))
+        assert table.d.shape == (grid.l, grid.l)
+        assert table.d[:n].tobytes() == rated.reshape(n, grid.l).tobytes()
+        assert not table.d[n:].any()
+        assert slot_table(table).ravel().tolist() == slots
+        if not bits:
+            assert draw.top.tobytes() == np.array(top).reshape(n, grid.l).tobytes()
 
 
 @pytest.mark.parametrize("runner", [run_experiment, run_sweep])

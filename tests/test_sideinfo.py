@@ -11,7 +11,7 @@ from sidesched.assignment import compress
 from sidesched.sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
                                 _bin_index, build_rate_matrices, quantize,
                                 rate_from_sinr)
-from util import decision_of
+from util import decision_of, slot_table
 
 
 def mp_rate(b_hz, sinr_db):
@@ -102,6 +102,10 @@ class TestQuantize:
             np.testing.assert_array_equal(x, before)  # input left unchanged
             assert idx.dtype == np.uint8
             np.testing.assert_array_equal(idx, ref)
+            # rows of a 2-D draw, with a buffer boundary inside a row
+            rows = _bin_index(q, x[:20_000].reshape(100, 200))
+            assert (rows.dtype, rows.shape) == (np.uint8, (100, 200))
+            np.testing.assert_array_equal(rows.ravel(), ref[:20_000])
             assert int(_bin_index(q, 35.0)) == q.levels - 1
             assert int(_bin_index(q, -15.0)) == 0
 
@@ -294,4 +298,4 @@ class TestRatedWhereRead:
         table = compress(sinr.ravel(), k, l)
         ref = compress(rate_from_sinr(self.B_HZ, sinr).ravel(), k, l)
         assert rate_from_sinr(self.B_HZ, table.d).tobytes() == ref.d.tobytes()
-        np.testing.assert_array_equal(table.argmax_slot, ref.argmax_slot)
+        np.testing.assert_array_equal(slot_table(table), slot_table(ref))

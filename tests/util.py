@@ -2,7 +2,8 @@
 
 Everything here enumerates or integrates directly, without touching the
 package's solver code paths, so it can serve as an oracle for them. The
-one exception, ``decision_of``, builds solver input.
+two exceptions build solver input or read solver output: ``decision_of``
+and ``slot_table``.
 """
 
 import itertools
@@ -22,6 +23,13 @@ def decision_of(sinr_db, q, b_hz):
     fine = None if q is None else quantize(
         QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0].astype(np.uint8)
     return build_rate_matrices(truth, q, fine)
+
+
+def slot_table(reduced):
+    """The (N, L) table of ``reduced.slots`` at every (vehicle, subframe)."""
+    n = len(reduced.keys)
+    return np.stack([reduced.slots(np.full(n, f)) for f in range(reduced.l)],
+                    axis=1)
 
 
 def brute_max_matching(d):
