@@ -15,7 +15,8 @@ from .pipeline import (CellResult, Draw, derive_seed, draw_cluster, draw_rates,
                        run_cell)
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
 from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
-                       build_rate_matrices, quantize, rate_from_sinr)
+                       build_rate_matrices, level_rates, quantize,
+                       rate_from_sinr)
 from .solvers import (Assignment, METHODS, evaluate, solve_greedy, solve_oracle,
                       solve_proposed, solve_random, verify_assignment)
 

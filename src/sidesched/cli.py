@@ -42,16 +42,16 @@ log = logging.getLogger("sidesched")
 
 
 def _resolve_seed(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` with an int master seed: as configured, drawn when it is
+    None, or coerced when it is a numpy integer, which json cannot write."""
     seed = config.master_seed
+    if type(seed) is int:
+        return config  # ``replace`` would re-run every check of the config
     if seed is None:
         # fresh entropy; the manifest records it so the run stays replayable
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
         log.info("no master seed configured, drew %d", seed)
     return replace(config, master_seed=int(seed))
-
-
-def _mbps(x: float) -> float:
-    return x / 1e6
 
 
 # float.__repr__, not repr() or f"{x!r}": under numpy 2 those write an
@@ -67,11 +67,19 @@ def _csv(header: list[str], rows) -> str:
 def _write(out_dir: str, files: dict[str, str]) -> dict[str, Path]:
     """Make ``out_dir``, write each ``{file name: text}`` into it with
     newline="" (the bytes as built, on every platform) and return
-    ``{file stem: path}``."""
+    ``{file stem: path}``.
+
+    Each artifact is removed before it is written, so a rerun into the
+    same directory creates new files rather than truncating the old ones
+    in place, which costs more. An artifact path that is a symlink is
+    replaced by a file, not written through.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out / name).write_text(text, newline="")
+        path = out / name
+        path.unlink(missing_ok=True)
+        path.write_text(text, newline="")
     return {Path(name).stem: out / name for name in files}
 
 
@@ -82,9 +90,9 @@ def _report_files(reports) -> tuple[str, str, str]:
     cdf_rows, criteria_rows, series = [], [], []
     for rep in reports:
         head = f"{rep.method},{rep.bits},"
-        hi, avg, worst, std = (_num(_mbps(v)) for v in (
+        hi, avg, worst, std = (_num(v / 1e6) for v in (
             rep.highest_bps, rep.average_bps, rep.worst_bps, rep.std_dev_bps))
-        cdf = [(_num(_mbps(x)), _num(p)) for x, p in rep.cdf]
+        cdf = [(_num(x / 1e6), _num(p)) for x, p in rep.cdf]
         cdf_rows += [f"{head}{x},{p}\r\n" for x, p in cdf]
         criteria_rows.append(f"{head}{hi},{avg},{worst},{std}\r\n")
         points = ",\n".join(f"        [\n          {x},\n          {p}\n"
@@ -170,7 +178,7 @@ def run_sweep(config: ExperimentConfig) -> dict[str, Path]:
     config = _resolve_seed(config)
     sweep = _csv(["method", "bits", "n_vehicles", "worst_rate_mbps"],
                  [f"{row.method},{row.bits},{row.n_vehicles},"
-                  f"{_num(_mbps(row.worst_rate_mean_bps))}\r\n"
+                  f"{_num(row.worst_rate_mean_bps / 1e6)}\r\n"
                   for row in sweep_density(config)])
     return _write(config.out_dir, {"sweep.csv": sweep,
                                    "manifest.json": _manifest_json(config, [])})

@@ -14,12 +14,10 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import ConfigError, ParseError
 from .grid import ResourceGrid
 from .scenario import ScenarioModel
-from .sideinfo import QuantizerSpec, quantized_rates
+from .sideinfo import QuantizerSpec, level_rates
 from .solvers import METHODS, ORACLE_MAX_K, ORACLE_MAX_L
 
 
@@ -69,7 +67,7 @@ class ExperimentConfig:
             try:
                 q = QuantizerSpec(bits or 1, self.quant_lo_db, self.quant_hi_db)
                 if bits:
-                    quantized_rates(q, self.grid.b_hz, np.zeros((1, 1), np.uint8))
+                    level_rates(q, self.grid.b_hz)
             except ConfigError as exc:
                 bad += [f"quant.bits[{i}]" if name == "bits" else f"quant.{name}"
                         for name in exc.keys]

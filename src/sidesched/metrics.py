@@ -13,7 +13,7 @@ from .config import ExperimentConfig
 from .pipeline import (RANDOM_STREAM, SCENARIO_STREAM, CellResult, derive_seed,
                        draw_cluster, draw_rates, run_cell)
 from .scenario import Cluster
-from .sideinfo import QuantizerSpec
+from .sideinfo import QuantizerSpec, level_rates
 
 
 def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
@@ -22,7 +22,7 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     widths and methods, for ``repetitions`` repetitions.
 
     ``points`` are (label, cluster) pairs. The loop nests repetition x
-    point, then width, then method: each width's quantizer is built once,
+    point, then width, then method: each width's level table is rated once,
     each draw and its block maxima are computed once, and each width's
     rates and block table once per draw, from those maxima, shared by
     every method; each is released before the next is made. Seeds are keyed by (repetition, ``cluster.id``). A
@@ -32,8 +32,8 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     """
     grid, master = config.grid, config.master_seed
     quant_range = (config.quant_lo_db, config.quant_hi_db)
-    widths = [(bits, QuantizerSpec(bits, *quant_range) if bits else None)
-              for bits in config.bits_list]
+    widths = [(bits, level_rates(QuantizerSpec(bits, *quant_range), grid.b_hz)
+               if bits else None) for bits in config.bits_list]
     where = []
     try:
         for rep in range(config.repetitions):
@@ -42,9 +42,9 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
                 seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
                 draw = draw_cluster(grid, config.scenario, cluster, seed, quant_range)
                 solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
-                for bits, q in widths:
+                for bits, levels in widths:
                     where[2:] = [f"{bits} bits"]
-                    rates = draw_rates(grid, draw, q)
+                    rates = draw_rates(grid, draw, levels)
                     for method in config.methods:
                         where[3:] = [f"method {method}"]
                         yield rep, cluster, run_cell(grid, draw, rates, bits,

@@ -20,7 +20,9 @@ IEEE TAES 2016) where they run out, as with ideal feedback:
    lower v_j, and only on a column they match.
 1. Duals start at u_i = min_j cost[i, j] and v = 0. Every reduced cost
    cost[i, j] - u_i - v_j is then non-negative, and the tight (zero)
-   edges are exactly the row-maximum entries of the weights.
+   edges are exactly the row-maximum entries of the weights. They are
+   held as one Python int per row, bit j set for tight column j, so a
+   set operation on a row's columns is one integer operation.
    Hopcroft-Karp (SIAM J. Comput. 1973) finds a maximum-cardinality
    matching on the tight edges. Its first phase, from the empty
    matching, finds only paths of one edge, so it runs as a row scan:
@@ -128,7 +130,7 @@ def max_weight_assignment(weights):
     constant = row_min == row_max
     varied = np.flatnonzero(~constant)
     col_of_row = np.empty(n, dtype=np.int64)
-    col_of_row[varied] = _solve(hi - w[varied])
+    col_of_row[varied] = _solve(hi - w if varied.size == n else hi - w[varied])
     left = np.ones(n, dtype=bool)
     left[col_of_row[varied]] = False
     col_of_row[constant] = np.flatnonzero(left)  # step 5
@@ -145,16 +147,17 @@ def _solve(cost):
     m, n = cost.shape
     u = cost.min(axis=1)  # row potentials
     v = np.zeros(n)       # column potentials
-    reduced = cost - u[:, None]
-    tight = reduced == 0
-    row_col, col_row = _scan_rows(tight)
+    # cost == u is cost - u == 0: finite floats differ by 0 only when equal
+    tight = _row_bits(cost == u[:, None])
+    row_col, col_row = _scan_rows(tight, n)
     if -1 in row_col:
-        _tight_matching(_adjacency(tight), row_col, col_row)
+        _tight_matching(tight, row_col, col_row)
     if m == n and -1 in row_col:
         # column reduction: 0 where a column has a tight edge already,
         # and every other column gains one
+        reduced = cost - u[:, None]
         v = reduced.min(axis=0)
-        _tight_matching(_adjacency(reduced == v), row_col, col_row)
+        _tight_matching(_row_bits(reduced == v), row_col, col_row)
     if -1 in row_col:
         _reduce_rows(cost, v, row_col, col_row)
         u = (cost - v).min(axis=1)
@@ -171,107 +174,126 @@ def _solve(cost):
     return col_of_row
 
 
-def _scan_rows(tight):
+def _row_bits(mask):
+    """The True columns of each row of a boolean ``mask`` as one int per
+    row, bit j set for column j."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[k:k + width], "little")
+            for k in range(0, len(raw), width)]
+
+
+def _scan_rows(bits, n):
     """Hopcroft-Karp's first phase from the empty matching, as a row scan.
 
-    Every augmenting path of that phase has one edge, and the phase
-    tries the rows in ascending order, so each row takes its
-    lowest-index free tight column. Every row must have a tight column,
-    as it does when u is the row minimum. One argmax over the whole
-    table gives each row's lowest tight column; a row takes it when it
-    is still free, and only a row whose column is taken searches its
-    tight columns against the free ones. Returns ``(row_col, col_row)``
-    lists, -1 for free entries.
+    ``bits[i]`` holds the tight columns of row ``i`` (``_row_bits``) among
+    ``n``. Every augmenting path of that phase has one edge, and the
+    phase tries the rows in ascending order, so each row takes its
+    lowest-index free tight column: the lowest set bit of its tight
+    columns and the free ones. Returns ``(row_col, col_row)`` lists, -1
+    for free entries.
     """
-    m, n = tight.shape
-    row_col, col_row = [-1] * m, [-1] * n
-    free = np.ones(n, dtype=bool)
-    cand = np.empty(n, dtype=bool)
-    for i, j in enumerate(tight.argmax(axis=1).tolist()):
-        if col_row[j] >= 0:
-            np.logical_and(tight[i], free, out=cand)
-            j = int(cand.argmax())
-            if not cand[j]:
-                continue
-        row_col[i], col_row[j] = j, i
-        free[j] = False
+    row_col, col_row = [-1] * len(bits), [-1] * n
+    free = (1 << n) - 1
+    for i, row in enumerate(bits):
+        hit = row & free
+        if hit:
+            low = hit & -hit
+            j = low.bit_length() - 1
+            row_col[i], col_row[j] = j, i
+            free ^= low
     return row_col, col_row
 
 
-def _adjacency(tight):
-    """Per-row lists of the True columns of ``tight``, in ascending order."""
-    rows, cols = np.nonzero(tight)
-    bounds = np.searchsorted(rows, np.arange(tight.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _tight_matching(adj, row_col, col_row):
+def _tight_matching(bits, row_col, col_row):
     """Grow a matching to maximum cardinality on the tight edges (Hopcroft-Karp).
 
-    ``adj[i]`` lists the tight columns of row ``i`` in ascending order.
-    ``row_col`` and ``col_row`` hold the matching to start from, with -1
-    for free entries, and are updated in place.
+    ``bits[i]`` holds the tight columns of row ``i``, bit j for column j
+    (``_row_bits``). ``row_col`` and ``col_row`` hold the matching to
+    start from, with -1 for free entries, and are updated in place.
     """
-    m = len(adj)
+    m = len(bits)
     while True:
         dist = [m] * m  # m marks a row not reached in this phase
-        shortest = _layer_rows(adj, row_col, col_row, dist)
+        shortest = _layer_rows(bits, row_col, col_row, dist)
         if shortest is None:
             return
-        nxt = [0] * m  # next position in adj[i] to try during this phase
+        untried = bits.copy()  # the columns each row has yet to try
         for root in range(m):
             if row_col[root] < 0:
-                _augment_from(root, adj, dist, shortest, nxt, row_col, col_row)
+                _augment_from(root, untried, dist, shortest, row_col, col_row)
 
 
-def _layer_rows(adj, row_col, col_row, dist):
+def _layer_rows(bits, row_col, col_row, dist):
     """Breadth-first layers from the free rows along alternating paths.
 
     Fills ``dist`` with each reached row's layer and returns the layer of
     the first row with an edge to a free column, or None when no
-    augmenting path exists. Every row up to that layer is labelled by then.
+    augmenting path exists. Every row up to that layer is labelled by
+    then. A row reaches the owners of its tight columns in ascending
+    order, up to its first free one; ``unreached`` holds the matched
+    columns whose owner has no layer yet.
     """
-    m = len(adj)
+    m = len(bits)
+    unreached = 0
+    for j in row_col:
+        if j >= 0:
+            unreached |= 1 << j
+    free = ((1 << len(col_row)) - 1) ^ unreached
     queue = [i for i in range(m) if row_col[i] < 0]
     for i in queue:
         dist[i] = 0
     for i in queue:
-        for j in adj[i]:
-            r = col_row[j]
-            if r < 0:
-                return dist[i]
-            if dist[r] == m:
-                dist[r] = dist[i] + 1
+        row = bits[i]
+        hit = row & free
+        if hit:
+            row &= (hit & -hit) - 1  # the columns below the first free one
+        reach = row & unreached
+        if reach:
+            unreached ^= reach
+            layer = dist[i] + 1
+            while reach:
+                low = reach & -reach
+                r = col_row[low.bit_length() - 1]
+                dist[r] = layer
                 queue.append(r)
+                reach ^= low
+        if hit:
+            return dist[i]
     return None
 
 
-def _augment_from(root, adj, dist, shortest, nxt, row_col, col_row):
+def _augment_from(root, untried, dist, shortest, row_col, col_row):
     """Depth-first search for one shortest augmenting path, then flip it.
 
-    Iterative, because the path length is bounded only by the matrix size.
-    Rows found to be dead ends are dropped from the phase's layering.
+    Each row tries its ``untried`` columns lowest first and clears each
+    one it tries, for the rest of the phase. Iterative, because the path
+    length is bounded only by the matrix size. Rows found to be dead ends
+    are dropped from the phase's layering.
     """
     rows, cols = [root], []
     while rows:
         i = rows[-1]
-        a = adj[i]
-        while nxt[i] < len(a):
-            j = a[nxt[i]]
-            nxt[i] += 1
+        left = untried[i]
+        while left:
+            low = left & -left
+            left ^= low
+            j = low.bit_length() - 1
             r = col_row[j]
             if r < 0:
+                untried[i] = left
                 cols.append(j)
                 for row, col in zip(rows, cols):
                     row_col[row] = col
                     col_row[col] = row
                 return
             if dist[i] < shortest and dist[r] == dist[i] + 1:
+                untried[i] = left
                 rows.append(r)
                 cols.append(j)
                 break
         else:
+            untried[i] = 0
             dist[i] = -1
             rows.pop()
             if cols:

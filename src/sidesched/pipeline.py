@@ -39,7 +39,7 @@ import numpy as np
 from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
-from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _fine_index,
+from .sideinfo import (FineRates, QuantizedRates, _fine_index, _shift,
                        build_rate_matrices)
 from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
                       solve_random, verify_assignment)
@@ -93,18 +93,19 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
                 compress(sinr, grid.k, grid.l).d, compress(fine, grid.k, grid.l).d)
 
 
-def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None
+def draw_rates(grid: ResourceGrid, draw: Draw, levels: np.ndarray | None
                ) -> tuple[FineRates | QuantizedRates, ReducedProblem]:
-    """(decision, block table of decision) of a draw at the width of ``q``.
+    """(decision, block table of decision) of a draw at the width of the
+    level table ``levels`` (``sideinfo.level_rates``).
 
-    ``q=None`` (ideal feedback) decides on ``draw.truth`` and its block
-    maxima; every other width shifts the draw's 8-bit index and its block
-    maxima, which are made over the range of ``q``. Only the N x L block
-    maxima are rated, and the rated table is padded to L x L; its slots
-    are looked up in the decision's keys.
+    ``levels=None`` (ideal feedback) decides on ``draw.truth`` and its
+    block maxima; every other width shifts the draw's 8-bit index and its
+    block maxima, which are made over the range of its quantizer. Only
+    the N x L block maxima are rated, and the rated table is padded to
+    L x L; its slots are looked up in the decision's keys.
     """
-    decision = build_rate_matrices(draw.truth, q, draw.fine)
-    top = draw.top if q is None else draw.top_fine >> (8 - q.bits)
+    decision = build_rate_matrices(draw.truth, levels, draw.fine)
+    top = draw.top if levels is None else draw.top_fine >> _shift(levels)
     square = pad_to_square(decision.rate(top), grid)
     return decision, ReducedProblem(square, decision.key, grid.k, grid.l)
 

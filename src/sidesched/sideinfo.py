@@ -139,47 +139,60 @@ class FineRates(_KeyedRates):
         return rate_from_sinr(self.b_hz, key)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedRates(_KeyedRates):
     """Quantized decision rates: the key is a level index per entry, in
-    range by construction (a shifted ``_fine_index``), rated per level."""
+    range by construction (a shifted ``_fine_index``), rated per level
+    from a table that ``level_rates`` made and checked."""
 
     key: np.ndarray          # (N, K*L) uint8 level indices
     level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
 
-    def __post_init__(self):
-        rates = self.level_rates = np.asarray(self.level_rates, dtype=float)
-        if np.ndim(self.key) != 2 or rates.ndim != 1:
-            raise ValueError("need a 2-D index matrix and a 1-D level table")
-        # the largest key has the largest rate only while rates increase
-        if not (np.all(np.isfinite(rates) & (rates >= 0))
-                and np.all(np.diff(rates) > 0)):
-            raise ValueError("level rates must be finite, non-negative and "
-                             "strictly increasing")
-
     def rate(self, key):
-        return self.level_rates[key]
+        return self.level_rates.take(key)
 
 
-def quantized_rates(q: QuantizerSpec, b_hz: float, key) -> QuantizedRates:
-    """Level indices ``key`` at the width of ``q``, rated per level by the
-    float expression ``quantize`` applies per entry, bit for bit."""
+def level_rates(q: QuantizerSpec, b_hz: float) -> np.ndarray:
+    """The rate of each of the 2**bits reconstruction levels of ``q``, by
+    the float expression ``quantize`` applies per entry, bit for bit.
+
+    A run makes each width's table once and every draw's decision at that
+    width shares it. Raises ValueError unless the rates are finite,
+    non-negative and strictly increasing (``_check_level_rates``).
+    """
     with np.errstate(over="ignore"):  # an overflow is an inf rate, rejected
-        levels = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
-    return QuantizedRates(key, levels)
+        rates = rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))
+    _check_level_rates(rates)
+    return rates
 
 
-def build_rate_matrices(truth: FineRates, q: QuantizerSpec | None, fine: np.ndarray):
-    """The decision rates of one cluster at the width of ``q``.
+def _check_level_rates(rates: np.ndarray) -> None:
+    """The rule of a level table: the largest key has the largest rate
+    only while rates increase."""
+    if not (np.all(np.isfinite(rates) & (rates >= 0))
+            and np.all(np.diff(rates) > 0)):
+        raise ValueError("level rates must be finite, non-negative and "
+                         "strictly increasing")
+
+
+def _shift(levels: np.ndarray) -> int:
+    """8 - b for the 2**b rates of a b-bit level table."""
+    return 9 - levels.size.bit_length()
+
+
+def build_rate_matrices(truth: FineRates, levels: np.ndarray | None,
+                        fine: np.ndarray):
+    """The decision rates of one cluster at the width of ``levels``.
 
     The decision is what the scheduler sees: rates of the quantized
     reconstructions, or the fine-grained ``truth`` itself, not a copy,
-    when ``q`` is None (ideal feedback). ``fine`` is the 8-bit index of
-    the SINR behind ``truth`` over the range of ``q`` (``_fine_index``);
-    it is shifted to the width of ``q``, and is not read when ``q`` is None.
-    A quantized decision keeps the bin index of every entry and the
-    2**bits level rates (``quantized_rates``), not an N x KL float matrix.
+    when ``levels`` is None (ideal feedback). ``levels`` is a b-bit
+    quantizer's table of 2**b level rates (``level_rates``). ``fine`` is
+    the 8-bit index of the SINR behind ``truth`` over the quantizer's
+    range (``_fine_index``); it is shifted right by 8 - b, and is not
+    read when ``levels`` is None. A quantized decision keeps the bin
+    index of every entry and the level table, not an N x KL float matrix.
     """
-    if q is None:
+    if levels is None:
         return truth
-    return quantized_rates(q, truth.b_hz, fine >> (8 - q.bits))
+    return QuantizedRates(fine >> _shift(levels), levels)

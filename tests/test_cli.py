@@ -20,7 +20,8 @@ import sidesched
 from sidesched import config as config_module
 from sidesched import metrics, pipeline
 from sidesched.cli import (_manifest_json, _report_files, _reservations,
-                           _run_json, main, run_experiment, run_sweep,
+                           _resolve_seed, _run_json, main, run_experiment,
+                           run_sweep,
                            validate_assignment_file, write_assignment_csv)
 from sidesched.config import (SCHEMA, ExperimentConfig, config_from_dict,
                               config_hash, load_config)
@@ -431,6 +432,51 @@ class TestRunExperiment:
         p2 = run_experiment(cfg2)
         for name in ("cdf", "criteria", "summary"):
             assert p1[name].read_bytes() == p2[name].read_bytes()
+
+    def test_numpy_integer_seed_is_written_as_an_int(self, tmp_path):
+        cfg = config_from_dict(tiny_raw(out_dir=str(tmp_path / "a")))
+        assert _resolve_seed(cfg) is cfg  # an int seed needs nothing done
+        ref = run_experiment(cfg)
+        paths = run_experiment(replace(cfg, out_dir=str(tmp_path / "b"),
+                                       master_seed=np.int64(31)))
+        doc = json.loads(paths["manifest"].read_text())
+        assert type(doc["master_seed"]) is int and doc["master_seed"] == 31
+        assert doc["config"]["master_seed"] == 31
+        for name in ("cdf", "criteria", "summary"):
+            assert paths[name].read_bytes() == ref[name].read_bytes()
+
+    @pytest.mark.parametrize("runner", [run_experiment, run_sweep])
+    def test_rerun_over_longer_stale_artifacts(self, tmp_path, runner):
+        def config(out):
+            return config_from_dict(tiny_raw(out_dir=str(tmp_path / out),
+                                             sweep={"n_vehicles": [2, 4]}))
+
+        fresh = runner(config("fresh"))
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for path in fresh.values():
+            (stale / path.name).write_bytes(path.read_bytes() * 2 + b"stale")
+        again = runner(config("stale"))
+        assert sorted(p.name for p in stale.iterdir()) == sorted(
+            p.name for p in fresh.values())
+        for name, path in fresh.items():
+            old, new = path.read_bytes(), again[name].read_bytes()
+            if name == "manifest":  # names its own out_dir and wall times
+                old, new = (json.loads(b)["runs"] for b in (old, new))
+                for run in old + new:
+                    del run["runtime_s"]
+            assert new == old
+
+    def test_symlinked_artifact_is_replaced_not_written_through(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("kept")
+        (out / "cdf.csv").symlink_to(target)
+        paths = run_experiment(config_from_dict(tiny_raw(out_dir=str(out))))
+        assert target.read_text() == "kept"
+        assert not paths["cdf"].is_symlink()
+        assert paths["cdf"].read_text().startswith("method,bits,")
 
     def test_error_keeps_type_and_location(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):

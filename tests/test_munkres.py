@@ -17,8 +17,9 @@ from sidesched.grid import ResourceGrid
 from sidesched.munkres import max_weight_assignment
 from sidesched.pipeline import draw_cluster, draw_rates
 from sidesched.scenario import Cluster, ScenarioModel, generate_sinr
-from sidesched.sideinfo import QuantizerSpec
-from util import brute_max_matching, decision_of, hopcroft_karp_first_phase
+from sidesched.sideinfo import QuantizerSpec, level_rates
+from util import (bit_rows, brute_max_matching, decision_of, hopcroft_karp,
+                  hopcroft_karp_first_phase)
 
 
 def scipy_min_cost(cost):
@@ -334,13 +335,41 @@ class TestRowScan:
         cost = np.random.default_rng(seed).integers(
             0, k + 1, (m, m + extra)).astype(float)
         tight = cost - cost.min(axis=1)[:, None] == 0
-        assert munkres._scan_rows(tight) == hopcroft_karp_first_phase(tight)
+        assert (munkres._scan_rows(bit_rows(tight), m + extra)
+                == hopcroft_karp_first_phase(tight))
 
     def test_rows_without_a_free_tight_column_stay_free(self):
         tight = np.array([[False, True, True],
                           [False, True, False],
                           [True, True, False]])
-        assert munkres._scan_rows(tight) == ([1, -1, 0], [2, 0, -1])
+        assert munkres._scan_rows(bit_rows(tight), 3) == ([1, -1, 0], [2, 0, -1])
+
+
+class TestTightMatching:
+    """Hopcroft-Karp on bit sets against the list-based reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 60), n=st.integers(1, 120),
+           density=st.floats(0.0, 1.0), empty=st.floats(0.0, 0.3),
+           full=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+    @example(m=1, n=1, density=0.0, empty=0.0, full=0.0, seed=0)
+    @example(m=60, n=120, density=1.0, empty=0.0, full=0.0, seed=0)
+    @example(m=60, n=60, density=0.05, empty=0.1, full=0.1, seed=1)
+    def test_equals_list_based_hopcroft_karp(self, m, n, density, empty, full,
+                                             seed):
+        rng = np.random.default_rng(seed)
+        tight = rng.random((m, n)) < density
+        rows = rng.random(m)
+        tight[rows < empty] = False
+        tight[rows > 1.0 - full] = True
+        # both start from the row scan's matching, as the kernel's step 1
+        bits = bit_rows(tight)
+        row_col, col_row = munkres._scan_rows(bits, n)
+        ref_row_col, ref_col_row = list(row_col), list(col_row)
+        munkres._tight_matching(bits, row_col, col_row)
+        hopcroft_karp(tight, ref_row_col, ref_col_row)
+        assert row_col == ref_row_col
+        assert col_row == ref_col_row
 
 
 @contextmanager
@@ -367,7 +396,7 @@ class TestInsertion:
         u = cost.min(axis=1)
         v = np.zeros(n)
         row_col, col_row = [-1] * m, [-1] * n
-        munkres._tight_matching(munkres._adjacency(cost - u[:, None] == 0),
+        munkres._tight_matching(bit_rows(cost - u[:, None] == 0),
                                 row_col, col_row)
         col_row = np.array(col_row + [-1], dtype=np.int64)
         for i in [i for i in range(m) if row_col[i] < 0]:
@@ -502,8 +531,9 @@ def test_pipeline_matchings_are_pinned():
                 draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
                                     seed, quant_range)
                 for bits in (0, 2, 3, 4):
-                    q = QuantizerSpec(bits, *quant_range) if bits else None
-                    _, reduced = draw_rates(GRID, draw, q)
+                    levels = level_rates(QuantizerSpec(bits, *quant_range),
+                                         GRID.b_hz) if bits else None
+                    _, reduced = draw_rates(GRID, draw, levels)
                     cols, total = max_weight_assignment(reduced.d)
                     digest.update(cols.tobytes())
                     digest.update(float.hex(total).encode())

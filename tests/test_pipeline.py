@@ -21,7 +21,7 @@ from sidesched.config import config_from_dict
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel, pad_to_square
-from sidesched.sideinfo import QuantizerSpec, _bin_index
+from sidesched.sideinfo import QuantizerSpec, _bin_index, level_rates
 from sidesched.solvers import Assignment
 from util import slot_table
 
@@ -62,8 +62,9 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
     assert draw.truth.key.shape == draw.fine.shape == (3, 10)
     truth = draw.truth.key.copy()
-    for bits, q in ((0, None), (2, QuantizerSpec(2, -15.0, 35.0))):
-        rates = pipeline.draw_rates(grid, draw, q)
+    for bits, levels in ((0, None),
+                         (2, level_rates(QuantizerSpec(2, -15.0, 35.0), grid.b_hz))):
+        rates = pipeline.draw_rates(grid, draw, levels)
         cell = pipeline.run_cell(grid, draw, rates, bits, method, solver_seed=5)
         subchannel = assignments[-1].subchannel
         assert isinstance(subchannel, np.ndarray)
@@ -129,15 +130,15 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     assert len(draws) == config.repetitions * len(points)
     assert len(rates) == len(draws) * widths
     # every width of a draw reads one truth, made once, and every draw
-    # reads each width's quantizer, made once per run
+    # reads each width's level table, rated once per run
     truths = [args[0] for args, _ in rate_calls]
     for d in range(len(draws)):
         per_draw = truths[d * widths:(d + 1) * widths]
         assert all(t is per_draw[0] for t in per_draw)
     assert len({id(t) for t in truths}) == len(draws)
-    quantizers = [args[1] for args, _ in rate_calls]
-    assert ([id(q) for q in quantizers]
-            == [id(q) for q in quantizers[:widths]] * len(draws))
+    tables_of = [args[1] for args, _ in rate_calls]
+    assert ([id(t) for t in tables_of]
+            == [id(t) for t in tables_of[:widths]] * len(draws))
     # block maxima once per draw, of its SINR and of its 8-bit index, and
     # every width's block table once, padded once, its slots looked up in
     # the width's own keys, and read by proposed and greedy alike
@@ -156,9 +157,12 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     assert len(fines) == len(draws)
     assert [f.shape for f in fines] == [s.shape for s in draws]
     sinrs = [s for s in draws for _ in range(widths)]
-    for (args, _), decision, sinr in zip(rate_calls, rates, sinrs):
-        q = args[1]
-        if q is not None:
+    for (args, _), decision, sinr, bits in zip(
+            rate_calls, rates, sinrs, config.bits_list * len(draws)):
+        if bits:
+            q = QuantizerSpec(bits, config.quant_lo_db, config.quant_hi_db)
+            assert args[1].tobytes() == level_rates(q, config.grid.b_hz).tobytes()
+            assert decision.level_rates is args[1]
             np.testing.assert_array_equal(decision.key,
                                           _bin_index(q, sinr))
             assert decision.key.dtype == np.uint8
@@ -205,8 +209,9 @@ def test_every_width_derives_its_table_from_the_draw_maxima(case):
         draw = pipeline.draw_cluster(grid, ScenarioModel(), Cluster(0, n), 0,
                                      quant_range)
     for bits in range(9):
-        q = QuantizerSpec(bits, *quant_range) if bits else None
-        decision, table = pipeline.draw_rates(grid, draw, q)
+        levels = (level_rates(QuantizerSpec(bits, *quant_range), grid.b_hz)
+                  if bits else None)
+        decision, table = pipeline.draw_rates(grid, draw, levels)
         blocks = decision.key.reshape(n * grid.l, grid.k).tolist()
         top = [max(b) for b in blocks]  # max keeps the first of equals
         slots = [b.index(m) for b, m in zip(blocks, top)]

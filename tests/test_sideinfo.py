@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress
-from sidesched.sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
-                                _bin_index, build_rate_matrices, quantize,
-                                rate_from_sinr)
+from sidesched.sideinfo import (FineRates, QuantizerSpec, _bin_index,
+                                _check_level_rates, build_rate_matrices,
+                                quantize, rate_from_sinr)
 from util import decision_of, slot_table
 
 
@@ -249,19 +249,18 @@ class TestBuildRateMatrices:
 
 
 class TestQuantizedRates:
-    """The level table's rules, checked where the table is made."""
-
-    KEY = np.zeros((1, 2), np.uint8)
+    """The level table's rules, checked where the table is made, once per
+    width (``level_rates``)."""
 
     def test_rejects_rates_that_do_not_increase(self):
         for levels in ([1.0, 1.0], [2.0, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                QuantizedRates(self.KEY, levels)
+                _check_level_rates(np.array(levels))
 
     def test_rejects_non_finite_or_negative_rates(self):
         for levels in ([1.0, np.inf], [np.nan, 1.0], [-1.0, 1.0]):
             with pytest.raises(ValueError, match="finite, non-negative"):
-                QuantizedRates(self.KEY, levels)
+                _check_level_rates(np.array(levels))
 
 
 class TestRatedWhereRead:

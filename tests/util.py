@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from sidesched.sideinfo import (FineRates, QuantizerSpec, build_rate_matrices,
-                                quantize)
+                                level_rates, quantize)
 
 
 def decision_of(sinr_db, q, b_hz):
@@ -20,9 +20,10 @@ def decision_of(sinr_db, q, b_hz):
     ideal feedback when ``q`` is None, from the truth and the uint8 8-bit
     index, as a draw holds them (``pipeline.draw_cluster``)."""
     truth = FineRates(np.asarray(sinr_db, dtype=float), b_hz)
-    fine = None if q is None else quantize(
-        QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0].astype(np.uint8)
-    return build_rate_matrices(truth, q, fine)
+    if q is None:
+        return build_rate_matrices(truth, None, None)
+    fine = quantize(QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0]
+    return build_rate_matrices(truth, level_rates(q, b_hz), fine.astype(np.uint8))
 
 
 def slot_table(reduced):
@@ -123,21 +124,29 @@ def clamped_normal_mean(mu, sigma, lo, hi):
 
 
 
-def hopcroft_karp_first_phase(tight):
-    """One Hopcroft-Karp phase from the empty matching on a boolean m x n
-    ``tight``, as the kernel ran it before its row scan: breadth-first
-    layers from the free rows, then a depth-first search for a shortest
-    augmenting path from each free row in ascending order, each row trying
-    its tight columns in ascending order. Returns ``(row_col, col_row)``
-    lists, -1 for free entries.
+def bit_rows(tight):
+    """The True columns of each row of a boolean table as one int per
+    row, bit j set for column j: the kernel's form of its tight edges."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist())
+            for row in np.asarray(tight, dtype=bool)]
+
+
+def hopcroft_karp(tight, row_col, col_row, phases=None):
+    """Hopcroft-Karp on a boolean m x n ``tight``, as the kernel ran it on
+    per-row column lists before it held them as bit sets.
+
+    Each phase layers the rows breadth-first from the free rows, then
+    runs a depth-first search for a shortest augmenting path from each
+    free row in ascending order, each row trying its tight columns in
+    ascending order. ``row_col`` and ``col_row`` hold the matching to
+    start from, -1 for free entries, and are updated in place. Runs
+    ``phases`` phases, or until no augmenting path is left when None.
     """
     tight = np.asarray(tight, dtype=bool)
-    m, n = tight.shape
+    m = tight.shape[0]
     adj = [np.flatnonzero(tight[i]).tolist() for i in range(m)]
-    row_col, col_row = [-1] * m, [-1] * n
-    dist = [m] * m  # m marks a row not reached in this phase
 
-    def layer_rows():
+    def layer_rows(dist):
         queue = [i for i in range(m) if row_col[i] < 0]
         for i in queue:
             dist[i] = 0
@@ -151,7 +160,7 @@ def hopcroft_karp_first_phase(tight):
                     queue.append(r)
         return None
 
-    def augment_from(root):
+    def augment_from(root, dist, shortest, nxt):
         rows, cols = [root], []
         while rows:
             i = rows[-1]
@@ -176,10 +185,25 @@ def hopcroft_karp_first_phase(tight):
                 if cols:
                     cols.pop()
 
-    shortest = layer_rows()
-    if shortest is not None:
-        nxt = [0] * m
+    done = 0
+    while phases is None or done < phases:
+        dist = [m] * m  # m marks a row not reached in this phase
+        shortest = layer_rows(dist)
+        if shortest is None:
+            return
+        nxt = [0] * m  # next position in adj[i] to try during this phase
         for root in range(m):
             if row_col[root] < 0:
-                augment_from(root)
+                augment_from(root, dist, shortest, nxt)
+        done += 1
+
+
+def hopcroft_karp_first_phase(tight):
+    """One ``hopcroft_karp`` phase from the empty matching on a boolean
+    m x n ``tight``, as the kernel ran it before its row scan. Returns
+    ``(row_col, col_row)`` lists, -1 for free entries.
+    """
+    m, n = np.shape(tight)
+    row_col, col_row = [-1] * m, [-1] * n
+    hopcroft_karp(tight, row_col, col_row, phases=1)
     return row_col, col_row
