@@ -213,33 +213,36 @@ def _tight_matching(bits, row_col, col_row):
     start from, with -1 for free entries, and are updated in place.
     """
     m = len(bits)
+    matched = 0  # the matched columns as bits
+    for j in row_col:
+        if j >= 0:
+            matched |= 1 << j
     while True:
         dist = [m] * m  # m marks a row not reached in this phase
-        shortest = _layer_rows(bits, row_col, col_row, dist)
+        shortest = _layer_rows(bits, matched, row_col, col_row, dist)
         if shortest is None:
             return
         untried = bits.copy()  # the columns each row has yet to try
         for root in range(m):
             if row_col[root] < 0:
-                _augment_from(root, untried, dist, shortest, row_col, col_row)
+                matched |= _augment_from(root, untried, dist, shortest,
+                                         row_col, col_row)
 
 
-def _layer_rows(bits, row_col, col_row, dist):
+def _layer_rows(bits, matched, row_col, col_row, dist):
     """Breadth-first layers from the free rows along alternating paths.
 
-    Fills ``dist`` with each reached row's layer and returns the layer of
-    the first row with an edge to a free column, or None when no
-    augmenting path exists. Every row up to that layer is labelled by
-    then. A row reaches the owners of its tight columns in ascending
-    order, up to its first free one; ``unreached`` holds the matched
-    columns whose owner has no layer yet.
+    ``matched`` holds the matched columns as bits. Fills ``dist`` with
+    each reached row's layer and returns the layer of the first row with
+    an edge to a free column, or None when no augmenting path exists.
+    Every row up to that layer is labelled by then. A row reaches the
+    owners of its tight columns in ascending order, up to its first free
+    one; ``unreached`` holds the matched columns whose owner has no layer
+    yet.
     """
     m = len(bits)
-    unreached = 0
-    for j in row_col:
-        if j >= 0:
-            unreached |= 1 << j
-    free = ((1 << len(col_row)) - 1) ^ unreached
+    unreached = matched
+    free = ((1 << len(col_row)) - 1) ^ matched
     queue = [i for i in range(m) if row_col[i] < 0]
     for i in queue:
         dist[i] = 0
@@ -269,7 +272,8 @@ def _augment_from(root, untried, dist, shortest, row_col, col_row):
     Each row tries its ``untried`` columns lowest first and clears each
     one it tries, for the rest of the phase. Iterative, because the path
     length is bounded only by the matrix size. Rows found to be dead ends
-    are dropped from the phase's layering.
+    are dropped from the phase's layering. Returns the bit of the free
+    column the path ends on, or 0 when there is no path.
     """
     rows, cols = [root], []
     while rows:
@@ -286,7 +290,7 @@ def _augment_from(root, untried, dist, shortest, row_col, col_row):
                 for row, col in zip(rows, cols):
                     row_col[row] = col
                     col_row[col] = row
-                return
+                return low
             if dist[i] < shortest and dist[r] == dist[i] + 1:
                 untried[i] = left
                 rows.append(r)
@@ -298,6 +302,7 @@ def _augment_from(root, untried, dist, shortest, row_col, col_row):
             rows.pop()
             if cols:
                 cols.pop()
+    return 0
 
 
 def _reduce_rows(cost, v, row_col, col_row):
