@@ -148,6 +148,10 @@ class QuantizedRates(_KeyedRates):
     key: np.ndarray          # (N, K*L) uint8 level indices
     level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
 
+    def __post_init__(self):
+        if np.ndim(self.key) != 2 or np.ndim(self.level_rates) != 1:
+            raise ValueError("need a 2-D index matrix and a 1-D level table")
+
     def rate(self, key):
         return self.level_rates.take(key)
 

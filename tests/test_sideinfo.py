@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sidesched.assignment import compress
-from sidesched.sideinfo import (FineRates, QuantizerSpec, _bin_index,
-                                _check_level_rates, build_rate_matrices,
-                                quantize, rate_from_sinr)
+from sidesched.sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
+                                _bin_index, _check_level_rates,
+                                build_rate_matrices, quantize, rate_from_sinr)
 from util import decision_of, slot_table
 
 
@@ -261,6 +261,14 @@ class TestQuantizedRates:
         for levels in ([1.0, np.inf], [np.nan, 1.0], [-1.0, 1.0]):
             with pytest.raises(ValueError, match="finite, non-negative"):
                 _check_level_rates(np.array(levels))
+
+    def test_decision_rejects_a_key_or_table_of_the_wrong_rank(self):
+        levels = np.array([1.0, 2.0])
+        QuantizedRates(np.zeros((1, 2), np.uint8), levels)
+        for key, table in ((np.zeros(2, np.uint8), levels),
+                           (np.zeros((1, 2), np.uint8), levels[None])):
+            with pytest.raises(ValueError, match="2-D index matrix"):
+                QuantizedRates(key, table)
 
 
 class TestRatedWhereRead:
