@@ -1,9 +1,9 @@
 """Experiment runner: orchestration, CSV/JSON artifacts and the command line.
 
-Configs are JSON. Rates cross the I/O boundary in Mbit/s; everything
-internal stays in bits/s. Artifacts (cdf.csv, criteria.csv, sweep.csv,
-summary.json) are byte-reproducible for a given config and master seed;
-manifest.json additionally records wall-clock runtimes, which are not.
+Configs are JSON; rates are Mbit/s at the I/O boundary and bits/s inside.
+Artifacts (cdf.csv, criteria.csv, sweep.csv, summary.json) reproduce byte
+for byte from a config and master seed on one numpy build and CPU dispatch
+path; manifest.json also records wall-clock runtimes, which do not.
 
 Each artifact is one string in fixed bytes: CSV rows end in \\r\\n (the
 csv module's default dialect), every float is written as
@@ -286,9 +286,11 @@ def main(argv=None) -> int:
     try:
         if args.command in ("run", "sweep"):
             # overrides go through the same checks as the config's own keys
-            overrides = {"master_seed": args.seed, "out_dir": args.out}
-            config = replace(load_config(args.config), **{
-                key: value for key, value in overrides.items() if value is not None})
+            overrides = {key: value for key, value in (
+                ("master_seed", args.seed), ("out_dir", args.out)) if value is not None}
+            config = load_config(args.config)
+            if overrides:  # else ``replace`` would only repeat those checks
+                config = replace(config, **overrides)
             runner = run_experiment if args.command == "run" else run_sweep
             paths = runner(config)
             for name, p in sorted(paths.items()):

@@ -1,9 +1,11 @@
 """Maximum-weight perfect matching on a square matrix.
 
-Maximization is turned into a non-negative minimization by subtracting
-every weight from the matrix maximum; the per-matrix constant offset never
-changes which matching is optimal, so adding any constant to all weights
-leaves the argmax intact.
+The weights are scaled by a power of two that puts the largest magnitude
+in [2**47, 2**48] and rounded to integers, so every value the steps
+below form is held exactly (``max_weight_assignment``) and the tie rule
+holds as written. Maximization is then a non-negative minimization: each
+weight is subtracted from the matrix maximum, an offset that never
+changes which matching is optimal.
 
 The kernel exploits ties, which quantized weights have in abundance, and
 falls back on Jonker-Volgenant initialisation (Computing 38, 1987; Crouse,
@@ -74,9 +76,6 @@ reach with every scan in ascending index order:
 - the set-aside rows, in ascending index, take the unmatched columns in
   ascending index.
 
-Ties are those of the floating-point values: where rounding splits two
-values that are equal in exact arithmetic, the smaller one wins.
-
 The result depends on the cost matrix alone (no randomness, hashing or
 clock), so equal input gives an equal matching. When the row maxima admit
 a perfect matching, as they usually do for quantized feedback, every row
@@ -86,7 +85,6 @@ receives one of its row-maximum columns.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 
 import numpy as np
@@ -96,20 +94,20 @@ def max_weight_assignment(weights):
     """Best column per row under the one-to-one constraint.
 
     Returns ``(col_of_row, total)`` where ``col_of_row[i]`` is the column
-    matched to row ``i`` and ``total`` is the matching weight, summed in
-    row order.
+    matched to row ``i`` and ``total`` is numpy's pairwise sum of the
+    matched weights, taken in row order.
 
-    Precondition, else a ValueError: every weight is finite and at most
-    W = MAX / (max(n, 10) + 1) in magnitude, MAX being the largest float.
-    Then neither the total nor any step overflows. The costs lie in
-    [0, C], C <= 2W. Between insertions every dual lies in [-C, C]: a
-    matched row's u is at most its cost to a free column, whose v is
-    never lowered, so >= 0, and its column's v is its cost less that u.
-    Row reduction lowers no v below -2C, and within an insertion a
-    distance is at most 2C and a reduced cost at most 5C. So in exact
-    arithmetic every value is at most 10W and the total at most nW, both
-    at most MAX - W, and rounding, a relative error near n * 2**-53,
-    stays far inside that margin.
+    Raises a ValueError unless every weight and the total are finite.
+    The kernel solves on the weights in units of 2**-48 of the power of
+    two above their largest magnitude, rounded half to even: a weight
+    below 2**-49 of the largest magnitude rounds to 0 and ties with 0.
+
+    Exactness: the costs are integers in [0, C], C <= 2**49. Between
+    insertions every dual lies in [-C, C]: a matched row's u is at most its
+    cost to a free column, whose v is never lowered, so >= 0, and its
+    column's v is its cost less that u. Row reduction lowers no v below -2C;
+    an insertion's distances are at most 2C and its reduced costs 5C. So
+    every value is an integer of magnitude at most 10 * 2**48 < 2**53.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -119,35 +117,38 @@ def max_weight_assignment(weights):
     n = w.shape[0]
     row_min, row_max = w.min(axis=1), w.max(axis=1)
     lo, hi = float(row_min.min()), float(row_max.max())
-    bound = sys.float_info.max / (max(n, 10) + 1)
-    if not -bound <= lo <= hi <= bound:  # NaN fails this too
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("weights must be finite")
-        raise ValueError(f"weights must lie within +-{bound:.6g} so that no "
-                         f"step overflows, got [{lo!r}, {hi!r}]")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("weights must be finite")
+    # ldexp: 2.0**scale overflows where the largest magnitude is subnormal
+    scale = 48 - math.frexp(max(-lo, hi))[1]
+    top = np.rint(np.ldexp(row_max, scale))
 
     # step 0: a constant row weighs the same on every column
-    constant = row_min == row_max
+    constant = np.rint(np.ldexp(row_min, scale)) == top
     varied = np.flatnonzero(~constant)
+    cost = np.ldexp(w if varied.size == n else w[varied], scale)
+    peak = round(math.ldexp(hi, scale))  # the largest of top
+    cost = np.subtract(peak, np.rint(cost, out=cost), out=cost)
     col_of_row = np.empty(n, dtype=np.int64)
-    col_of_row[varied] = _solve(hi - w if varied.size == n else hi - w[varied])
+    col_of_row[varied] = _solve(cost, peak - top[varied])
     left = np.ones(n, dtype=bool)
     left[col_of_row[varied]] = False
     col_of_row[constant] = np.flatnonzero(left)  # step 5
-    total = float(w[np.arange(n), col_of_row].sum())
+    with np.errstate(over="ignore"):
+        total = float(w[np.arange(n), col_of_row].sum())
+    if not math.isfinite(total):
+        raise ValueError("the matching's total weight overflows")
     return col_of_row, total
 
 
-def _solve(cost):
+def _solve(cost, u):
     """Minimum-cost column per row of an m x n ``cost``, m <= n (steps 1-4).
 
-    Returns ``col_of_row``, an int64 array of length m. Column reduction
-    raises v, so it runs only when m == n.
+    ``u`` holds the row minima. Returns ``col_of_row``, an int64 array of
+    length m. Column reduction raises v, so it runs only when m == n.
     """
     m, n = cost.shape
-    u = cost.min(axis=1)  # row potentials
-    v = np.zeros(n)       # column potentials
-    # cost == u is cost - u == 0: finite floats differ by 0 only when equal
+    v = np.zeros(n)  # column potentials
     tight = _row_bits(cost == u[:, None])
     row_col, col_row = _scan_rows(tight, n)
     if -1 in row_col:
@@ -356,14 +357,9 @@ def _insert_row(i, cost, u, v, col_row):
     unscanned = np.ones(n, dtype=bool)
     j0, i0, mu = n, i, 0.0
     while True:
-        # the reduced cost first, then the distance: edges that tie in
-        # exact arithmetic then tie more often after rounding too
         r = cost[i0] - v
-        r -= u[i0]
-        r += mu
-        # a scanned column holds inf, so only the mask keeps its
-        # predecessor; no tolerance against its distance would, because
-        # rounding can put a tight edge to it below that distance
+        r -= u[i0] - mu
+        # a scanned column holds inf, so only the mask keeps its predecessor
         better = r < open_d
         better &= unscanned
         way[better] = j0

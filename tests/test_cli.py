@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import sidesched
 from sidesched import config as config_module
-from sidesched import metrics, pipeline
+from sidesched import metrics, pipeline, sideinfo
 from sidesched.cli import (_manifest_json, _report_files, _reservations,
                            _resolve_seed, _run_json, main, run_experiment,
                            run_sweep,
@@ -740,6 +740,25 @@ class TestMainEntry:
         assert (a / "cdf.csv").read_bytes() == (b / "cdf.csv").read_bytes()
         assert (a / "cdf.csv").read_bytes() != (c / "cdf.csv").read_bytes()
 
+    def test_config_rates_each_level_table_once(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the config checks each quantized width's level table when it is
+        # built; with no override, main does not build it a second time
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sideinfo.level_rates(*args)
+
+        monkeypatch.setattr(config_module, "level_rates", counted)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_raw(out_dir=str(out))))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert (out / "cdf.csv").exists()
+        assert len(calls) == 1  # bits [0, 1]: one quantized width
+        capsys.readouterr()
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_validate_rejects_k_below_one(self, tmp_path, capsys, k):
         p = tmp_path / "assn.csv"
@@ -838,10 +857,10 @@ class TestMainEntry:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
-    # Smoke configs that got past load and then overflowed a sum: each
-    # warned and exited 0 (sweep) or 2 with its directory made (run). A
-    # sweep's mean worst rate whose plain sum overflows is taken on
-    # scaled samples, so that sweep runs clean.
+    # Smoke configs that get past load and then overflow a sum: each exits
+    # 2 naming the cell and leaves no directory, or runs clean. A sweep's
+    # mean worst rate whose plain sum overflows is taken on scaled
+    # samples, so that sweep runs clean.
     # The two-state draw's scale overflows to +-inf and is clipped, as a
     # gaussian draw's is, so that one runs clean.
     OVERFLOW_REPROS = {
@@ -863,9 +882,12 @@ class TestMainEntry:
         ("evaluate-sum", "sweep",
          "N=4, repetition 0, 2 bits, method greedy: decision sum rate overflows"),
         ("kernel-total", "run",
-         "cluster 0, repetition 0, 2 bits, method proposed: weights must lie within"),
+         "cluster 0, repetition 0, 2 bits, method proposed: "
+         "the matching's total weight overflows"),
+        # at N=2 the sweep's table has a finite total, at N=4 it overflows
         ("kernel-total", "sweep",
-         "N=2, repetition 0, 2 bits, method proposed: weights must lie within"),
+         "N=4, repetition 0, 2 bits, method proposed: "
+         "the matching's total weight overflows"),
         ("two-state-scale", "run", None),
         ("two-state-scale", "sweep", None),
     ]
