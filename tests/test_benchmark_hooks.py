@@ -4,9 +4,7 @@ breaks the benchmark's traced replay."""
 
 import dataclasses
 import importlib
-import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,25 +13,6 @@ from sidesched import cli
 from sidesched.pipeline import CellResult
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve a module's annotations through sys.modules
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def tracer():
-    return _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    return _load("perfbench_run", ROOT / "perfbench" / "run.py").WORKLOADS
 
 
 def _params(caller, attr):
