@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .sideinfo import QuantizerSpec, _bin_index
 from .solvers import Assignment
 
 
@@ -37,12 +38,16 @@ class ReducedProblem:
     keys: np.ndarray  # (N, K*L) entries the maxima were taken of
     k: int
     l: int
+    quantizer: QuantizerSpec | None = None  # keys the entries when set
 
     def slots(self, frames: np.ndarray) -> np.ndarray:
         """Lowest maximal slot of block ``frames[i]`` of each vehicle
-        i < frames.size: one gather of K keys per vehicle, one argmax."""
+        i < frames.size: a gather of K entries each, keyed by ``quantizer``."""
         blocks = self.keys.reshape(len(self.keys), self.l, self.k)
-        return blocks[np.arange(frames.size), frames].argmax(axis=1)
+        picked = blocks[np.arange(frames.size), frames]
+        if self.quantizer is not None:
+            picked = _bin_index(self.quantizer, picked)
+        return picked.argmax(axis=1)
 
 
 def _check_cost(cost_vector, k: int, l: int) -> np.ndarray:

@@ -32,8 +32,10 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     """
     grid, master = config.grid, config.master_seed
     quant_range = (config.quant_lo_db, config.quant_hi_db)
-    widths = [(bits, level_rates(QuantizerSpec(bits, *quant_range), grid.b_hz)
-               if bits else None) for bits in config.bits_list]
+    widths = []
+    for bits in config.bits_list:
+        q = QuantizerSpec(bits, *quant_range) if bits else None
+        widths.append((bits, q, level_rates(q, grid.b_hz) if q else None))
     where = []
     try:
         for rep in range(config.repetitions):
@@ -42,9 +44,9 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
                 seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
                 draw = draw_cluster(grid, config.scenario, cluster, seed, quant_range)
                 solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
-                for bits, levels in widths:
+                for bits, q, levels in widths:
                     where[2:] = [f"{bits} bits"]
-                    rates = draw_rates(grid, draw, levels)
+                    rates = draw_rates(grid, draw, q, levels)
                     for method in config.methods:
                         where[3:] = [f"method {method}"]
                         yield rep, cluster, run_cell(grid, draw, rates, bits,

@@ -2,19 +2,18 @@
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster's N
 vehicles: its SINR in dB, the truth, rated only where read
-(``FineRates``), its 8-bit quantizer index over the configured dB
-range, and the N x L block maxima of each (``compress``), taken once;
-all serve every width. Its *rates* at one feedback width
+(``FineRates``), its N x L SINR block maxima (``compress``, once per
+draw) and the 8-bit quantizer index of those maxima over the configured
+dB range; all serve every width. Its *rates* at one feedback width
 (``draw_rates``) are the decision a scheduler decides on and the block
 table that proposed and greedy read. The ideal decision is the truth,
-keyed by SINR; a quantized decision is keyed by the level index of
-every entry, the draw's 8-bit index shifted right by 8 - b, which
-equals the b-bit quantizer bit for bit (``sideinfo``). A shift keeps
-the order of its inputs, so the b-bit block maxima are the 8-bit ones
-shifted. Every width's table is its key block maxima mapped to their
-rates, so only the N x L maxima are rated, padded with zero rows to the
-L x L square of the matching kernel (``pad_to_square``); a block's slot
-is read from the width's own keys, for the N blocks a method picks.
+keyed by SINR; a quantized decision holds the same SINR array and keys
+an entry by its b-bit level index only where it is read: the N scored
+entries and the K slots of each picked block. The b-bit block maxima
+are the 8-bit index of the SINR block maxima shifted right by 8 - b
+(``sideinfo``). Every width's table is its key block maxima mapped to
+their rates, so only the N x L maxima are rated, padded with zero rows
+to the L x L square of the matching kernel (``pad_to_square``).
 A *cell* (``run_cell``) runs one method on those rates. It solves,
 checks the assignment (one subchannel per vehicle) for one vehicle per
 subframe (``verify_assignment``, for every method), and scores it on the
@@ -39,7 +38,7 @@ import numpy as np
 from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
-from .sideinfo import (FineRates, QuantizedRates, _fine_index, _shift,
+from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _fine_index,
                        build_rate_matrices)
 from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
                       solve_random, verify_assignment)
@@ -59,15 +58,14 @@ def derive_seed(master_seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class Draw:
-    """One channel realisation of a cluster, one row per vehicle. ``fine``
-    is over the run's quantizer range, the range of every width
-    ``draw_rates`` takes."""
+    """One channel realisation of a cluster, one row per vehicle.
+    ``top_fine`` is over the run's quantizer range, the range of every
+    width ``draw_rates`` takes."""
 
     cluster: Cluster
     truth: FineRates      # the (N, K*L) SINR, rated where read
-    fine: np.ndarray      # uint8 8-bit index of the SINR over the range
     top: np.ndarray       # (N, L) SINR block maxima
-    top_fine: np.ndarray  # (N, L) uint8 block maxima of ``fine``
+    top_fine: np.ndarray  # (N, L) uint8 8-bit index of ``top``
 
 
 @dataclass
@@ -88,26 +86,27 @@ def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
     """The cluster's channel draw; depends only on the seed, the cluster
     and ``quant_range``."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
-    fine = _fine_index(*quant_range, sinr)
-    return Draw(cluster, FineRates(sinr, grid.b_hz), fine,
-                compress(sinr, grid.k, grid.l).d, compress(fine, grid.k, grid.l).d)
+    top = compress(sinr, grid.k, grid.l).d
+    return Draw(cluster, FineRates(sinr, grid.b_hz), top,
+                _fine_index(*quant_range, top))
 
 
-def draw_rates(grid: ResourceGrid, draw: Draw, levels: np.ndarray | None
+def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None,
+               levels: np.ndarray | None
                ) -> tuple[FineRates | QuantizedRates, ReducedProblem]:
-    """(decision, block table of decision) of a draw at the width of the
-    level table ``levels`` (``sideinfo.level_rates``).
+    """(decision, block table of decision) of a draw under the quantizer
+    ``q`` and its level table ``levels`` (``sideinfo.level_rates``).
 
-    ``levels=None`` (ideal feedback) decides on ``draw.truth`` and its
-    block maxima; every other width shifts the draw's 8-bit index and its
-    block maxima, which are made over the range of its quantizer. Only
-    the N x L block maxima are rated, and the rated table is padded to
-    L x L; its slots are looked up in the decision's keys.
+    ``q=None`` (ideal feedback) decides on ``draw.truth`` and its block
+    maxima; every other width shifts the 8-bit index of those maxima,
+    made over the range of its quantizer. Only the N x L block maxima
+    are rated, and the rated table is padded to L x L; its slots are
+    looked up in the draw's SINR, keyed by ``q``.
     """
-    decision = build_rate_matrices(draw.truth, levels, draw.fine)
-    top = draw.top if levels is None else draw.top_fine >> _shift(levels)
+    decision = build_rate_matrices(draw.truth, q, levels)
+    top = draw.top if q is None else draw.top_fine >> (8 - q.bits)
     square = pad_to_square(decision.rate(top), grid)
-    return decision, ReducedProblem(square, decision.key, grid.k, grid.l)
+    return decision, ReducedProblem(square, draw.truth.key, grid.k, grid.l, q)
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,

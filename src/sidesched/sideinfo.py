@@ -8,7 +8,8 @@ it: the SINR in dB and ``rate_from_sinr`` (``FineRates``), or the bin
 index and the 2**bits level rates (``QuantizedRates``). So a table of
 key block maxima, mapped through ``rate``, is the table of rate block
 maxima, and only the entries read are rated. (SINRs an ulp apart may
-round to one rate; the table then keeps the larger SINR's slot.)
+round to one rate; the table then keeps the larger SINR's slot.) A
+quantized decision indexes an entry only where it is read.
 
 Widths nest: the b-bit index of a value is its 8-bit index shifted right
 by 8 - b, bit for bit. The b-bit bin width is the 8-bit one times the
@@ -18,9 +19,9 @@ power-of-two scaling, so the b-bit quotient is the 8-bit quotient over
 floor(y / 2**s) is floor(y) >> s for y >= 0; the top-edge fold of 256
 to 255 shifts to 2**b - 1; and max(x - lo, 0) agrees with
 clip(x, lo, hi) - lo on the range, is 0 below it and reaches 256 bins
-above it either way. So a value is quantized once, at 8 bits, and every
-width reads that one index. A shift keeps x <= y, so the largest b-bit
-index of a block is the 8-bit block maximum shifted.
+above it either way. The index and a shift are non-decreasing, so the
+index of a block's SINR maximum is its largest index at every width: a
+draw indexes its N x L SINR block maxima once, and each width shifts it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-
-_CHUNK = 1 << 14  # entries of ``_fine_index``'s float buffer
 
 
 @dataclass(frozen=True)
@@ -56,25 +55,10 @@ class QuantizerSpec:
 
 
 def _fine_index(lo_db: float, hi_db: float, sinr_db) -> np.ndarray:
-    """The uint8 8-bit bin index over [lo_db, hi_db]; see the module notes.
-
-    The float arithmetic runs through one buffer of at most ``_CHUNK``
-    entries, not a second N x K*L float array beside the draw's SINR:
-    freeing two such arrays at the end of a draw can shrink the heap, and
-    the next draw then faults every page back in.
-    """
-    sinr = np.asarray(sinr_db, dtype=float)
-    flat = sinr.reshape(-1)
-    out = np.empty(flat.size, np.uint8)
-    x = np.empty(min(flat.size, _CHUNK))
-    for i in range(0, flat.size, _CHUNK):
-        part = x[:flat.size - i]
-        np.subtract(flat[i:i + _CHUNK], lo_db, out=part)
-        np.maximum(part, 0.0, out=part)
-        part /= (hi_db - lo_db) / 256
-        np.minimum(part, 255.0, out=part)
-        out[i:i + part.size] = part  # truncation is floor on non-negative values
-    return out.reshape(sinr.shape)
+    """The uint8 8-bit bin index over [lo_db, hi_db]; see the module notes."""
+    x = np.maximum(np.subtract(sinr_db, lo_db, dtype=float), 0.0)
+    # truncation is floor on non-negative values
+    return np.minimum(x / ((hi_db - lo_db) / 256), 255.0).astype(np.uint8)
 
 
 def _bin_index(q: QuantizerSpec, sinr_db) -> np.ndarray:
@@ -141,16 +125,25 @@ class FineRates(_KeyedRates):
 
 @dataclass(frozen=True)
 class QuantizedRates(_KeyedRates):
-    """Quantized decision rates: the key is a level index per entry, in
-    range by construction (a shifted ``_fine_index``), rated per level
-    from a table that ``level_rates`` made and checked."""
+    """Quantized decision rates: the key of an entry is its level index
+    under ``q``, taken from the SINR where it is read, and rated per
+    level from a table that ``level_rates`` made and checked."""
 
-    key: np.ndarray          # (N, K*L) uint8 level indices
+    sinr: np.ndarray         # (N, K*L) SINR in dB, the truth's own array
+    q: QuantizerSpec
     level_rates: np.ndarray  # (2**bits,) rate of each reconstruction level
 
     def __post_init__(self):
-        if np.ndim(self.key) != 2 or np.ndim(self.level_rates) != 1:
-            raise ValueError("need a 2-D index matrix and a 1-D level table")
+        if np.ndim(self.sinr) != 2 or np.shape(self.level_rates) != (self.q.levels,):
+            raise ValueError("need a 2-D SINR matrix and 2**bits level rates")
+
+    @property
+    def key(self) -> np.ndarray:
+        """The uint8 level index of every entry, built on each access."""
+        return _bin_index(self.q, self.sinr)
+
+    def at(self, rows, cols) -> np.ndarray:
+        return self.rate(_bin_index(self.q, self.sinr[rows, cols]))
 
     def rate(self, key):
         return self.level_rates.take(key)
@@ -179,24 +172,17 @@ def _check_level_rates(rates: np.ndarray) -> None:
                          "strictly increasing")
 
 
-def _shift(levels: np.ndarray) -> int:
-    """8 - b for the 2**b rates of a b-bit level table."""
-    return 9 - levels.size.bit_length()
-
-
-def build_rate_matrices(truth: FineRates, levels: np.ndarray | None,
-                        fine: np.ndarray):
-    """The decision rates of one cluster at the width of ``levels``.
+def build_rate_matrices(truth: FineRates, q: QuantizerSpec | None,
+                        levels: np.ndarray | None):
+    """The decision rates of one cluster under the quantizer ``q``.
 
     The decision is what the scheduler sees: rates of the quantized
     reconstructions, or the fine-grained ``truth`` itself, not a copy,
-    when ``levels`` is None (ideal feedback). ``levels`` is a b-bit
-    quantizer's table of 2**b level rates (``level_rates``). ``fine`` is
-    the 8-bit index of the SINR behind ``truth`` over the quantizer's
-    range (``_fine_index``); it is shifted right by 8 - b, and is not
-    read when ``levels`` is None. A quantized decision keeps the bin
-    index of every entry and the level table, not an N x KL float matrix.
+    when ``q`` is None (ideal feedback). ``levels`` is q's table of 2**b
+    level rates (``level_rates``). A quantized decision keeps the SINR
+    array behind ``truth``, not a copy, and takes the level index of an
+    entry only where it is read: no N x KL index or float matrix is made.
     """
-    if levels is None:
+    if q is None:
         return truth
-    return QuantizedRates(fine >> _shift(levels), levels)
+    return QuantizedRates(truth.key, q, levels)

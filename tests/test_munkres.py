@@ -541,9 +541,9 @@ def test_pipeline_matchings_are_pinned():
                 draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
                                     seed, quant_range)
                 for bits in (0, 2, 3, 4):
-                    levels = level_rates(QuantizerSpec(bits, *quant_range),
-                                         GRID.b_hz) if bits else None
-                    _, reduced = draw_rates(GRID, draw, levels)
+                    q = QuantizerSpec(bits, *quant_range) if bits else None
+                    levels = level_rates(q, GRID.b_hz) if bits else None
+                    _, reduced = draw_rates(GRID, draw, q, levels)
                     cols, total = max_weight_assignment(reduced.d)
                     digest.update(cols.tobytes())
                     totals.append(total)
@@ -566,8 +566,8 @@ def test_exact_tie_pick_on_a_mixed_density_table():
     quant_range = (MIXED.sinr_floor_db, MIXED.sinr_ceil_db)
     draw = draw_cluster(GRID, MIXED, Cluster(id=0, n_vehicles=100),
                         derive_seed(0, SCENARIO_STREAM, 0, 0), quant_range)
-    _, reduced = draw_rates(
-        GRID, draw, level_rates(QuantizerSpec(4, *quant_range), GRID.b_hz))
+    q = QuantizerSpec(4, *quant_range)
+    _, reduced = draw_rates(GRID, draw, q, level_rates(q, GRID.b_hz))
     d = reduced.d
     cols, total = max_weight_assignment(d)
     float_pick = np.array(FLOAT_PICK)

@@ -42,7 +42,7 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
                                  scenario_seed=1, quant_range=(-15.0, 35.0))
     with pytest.raises(ConstraintViolation):
-        rates = pipeline.draw_rates(grid, draw, None)
+        rates = pipeline.draw_rates(grid, draw, None, None)
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
 
 
@@ -60,11 +60,12 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
-    assert draw.truth.key.shape == draw.fine.shape == (3, 10)
+    assert draw.truth.key.shape == (3, 10)
+    assert draw.top.shape == draw.top_fine.shape == (3, 5)
     truth = draw.truth.key.copy()
-    for bits, levels in ((0, None),
-                         (2, level_rates(QuantizerSpec(2, -15.0, 35.0), grid.b_hz))):
-        rates = pipeline.draw_rates(grid, draw, levels)
+    for bits, q in ((0, None), (2, QuantizerSpec(2, -15.0, 35.0))):
+        levels = level_rates(q, grid.b_hz) if q else None
+        rates = pipeline.draw_rates(grid, draw, q, levels)
         cell = pipeline.run_cell(grid, draw, rates, bits, method, solver_seed=5)
         subchannel = assignments[-1].subchannel
         assert isinstance(subchannel, np.ndarray)
@@ -113,7 +114,16 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
     padded = _record_calls(monkeypatch, "pad_to_square")
-    fines = _record_calls(monkeypatch, "_fine_index")
+    fine_calls = []
+    fines = _record_calls(monkeypatch, "_fine_index", calls=fine_calls)
+    indexed = []  # (vehicles of the latest draw, entries indexed) per read
+    real_index = sideinfo._fine_index
+
+    def sized(lo_db, hi_db, sinr_db):
+        indexed.append((len(draws[-1]) if draws else 0, np.size(sinr_db)))
+        return real_index(lo_db, hi_db, sinr_db)
+
+    monkeypatch.setattr(sideinfo, "_fine_index", sized)
     rate_calls = []
     rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
     compress_in = []
@@ -123,60 +133,66 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
     _record_calls(monkeypatch, "solve_greedy", first_args=greedy_in)
     runner(config)
+    monkeypatch.setattr(sideinfo, "_fine_index", real_index)
+    grid = config.grid
     tables = [table for _, table in widths_rated]
     points = (config.cluster_sizes if runner is run_experiment
               else config.sweep_n_vehicles)
     widths = len(config.bits_list)
+    quantized = sum(1 for bits in config.bits_list if bits)
     assert len(draws) == config.repetitions * len(points)
     assert len(rates) == len(draws) * widths
+    # no per-entry index is made per draw or per width: a quantized width
+    # indexes at most the K slots of each vehicle's picked block, and only
+    # the oracle, which rates its whole decision, indexes every entry
+    assert indexed and all(size <= n * grid.k for n, size in indexed
+                           if size != n * grid.n_subchannels)
+    full = [size for n, size in indexed if size == n * grid.n_subchannels]
+    assert len(full) == len(draws) * quantized * config.methods.count("oracle")
     # every width of a draw reads one truth, made once, and every draw
-    # reads each width's level table, rated once per run
+    # reads each width's quantizer and level table, rated once per run
     truths = [args[0] for args, _ in rate_calls]
     for d in range(len(draws)):
         per_draw = truths[d * widths:(d + 1) * widths]
         assert all(t is per_draw[0] for t in per_draw)
     assert len({id(t) for t in truths}) == len(draws)
-    tables_of = [args[1] for args, _ in rate_calls]
-    assert ([id(t) for t in tables_of]
-            == [id(t) for t in tables_of[:widths]] * len(draws))
-    # block maxima once per draw, of its SINR and of its 8-bit index, and
-    # every width's block table once, padded once, its slots looked up in
-    # the width's own keys, and read by proposed and greedy alike
-    assert len(compressed) == 2 * len(draws)
-    assert [id(c) for c in compress_in] == [id(a) for pair in zip(draws, fines)
-                                           for a in pair]
+    for arg in (1, 2):
+        of_width = [id(args[arg]) for args, _ in rate_calls]
+        assert of_width == of_width[:widths] * len(draws)
+    # block maxima once per draw, of its SINR, and the 8-bit index once,
+    # of those N x L maxima; every width's block table once, padded once,
+    # its slots looked up in the draw's SINR itself, and read by proposed
+    # and greedy alike
+    assert [id(c) for c in compress_in] == [id(s) for s in draws]
+    assert [id(args[2]) for args, _ in fine_calls] == [id(c.d) for c in compressed]
+    assert [f.shape for f in fines] == [(len(s), grid.l) for s in draws]
+    sinrs = [s for s in draws for _ in range(widths)]
     assert len(tables) == len(padded) == len(rates)
     assert [id(t.d) for t in tables] == [id(p) for p in padded]
-    assert all(t.keys is decision.key for t, decision in zip(tables, rates))
+    assert all(t.keys is sinr for t, sinr in zip(tables, sinrs))
     assert len({id(t) for t in tables}) == len(tables)
     assert [id(t) for t in proposed_in] == [id(t) for t in tables]
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
-    # the 8-bit index once per draw, of its real vehicles only, read by
-    # every width of that draw, and each width's indices those of its own
-    # quantizer from scratch
-    assert len(fines) == len(draws)
-    assert [f.shape for f in fines] == [s.shape for s in draws]
-    sinrs = [s for s in draws for _ in range(widths)]
-    for (args, _), decision, sinr, bits in zip(
-            rate_calls, rates, sinrs, config.bits_list * len(draws)):
+    # each quantized width keys the draw's SINR by its own quantizer, and
+    # its indices are those of that quantizer from scratch
+    for (args, _), decision, table, sinr, bits in zip(
+            rate_calls, rates, tables, sinrs, config.bits_list * len(draws)):
         if bits:
             q = QuantizerSpec(bits, config.quant_lo_db, config.quant_hi_db)
-            assert args[1].tobytes() == level_rates(q, config.grid.b_hz).tobytes()
-            assert decision.level_rates is args[1]
-            np.testing.assert_array_equal(decision.key,
-                                          _bin_index(q, sinr))
+            assert args[1] == q and table.quantizer is args[1]
+            assert args[2].tobytes() == level_rates(q, grid.b_hz).tobytes()
+            assert decision.sinr is sinr and decision.level_rates is args[2]
+            np.testing.assert_array_equal(decision.key, _bin_index(q, sinr))
             assert decision.key.dtype == np.uint8
-    fine_of = [id(args[2]) for args, _ in rate_calls]
-    assert fine_of == [id(f) for f in fines for _ in range(widths)]
     # an ideal width decides on the truth itself, and its table of rated
     # SINR block maxima is the table of the full rate matrix, padded, with
     # that matrix's first maximal slot at every (vehicle, subframe)
     for (args, _), decision, table in zip(rate_calls, rates, tables):
         if args[1] is None:
-            assert decision is args[0]
+            assert decision is args[0] and table.quantizer is None
             full = decision.values
             ref = compress(full.ravel(), table.k, table.l)
-            assert table.d.tobytes() == pad_to_square(ref.d, config.grid).tobytes()
+            assert table.d.tobytes() == pad_to_square(ref.d, grid).tobytes()
             first = full.reshape(len(full), table.l, table.k).argmax(axis=2)
             np.testing.assert_array_equal(slot_table(table), first)
 
@@ -209,9 +225,9 @@ def test_every_width_derives_its_table_from_the_draw_maxima(case):
         draw = pipeline.draw_cluster(grid, ScenarioModel(), Cluster(0, n), 0,
                                      quant_range)
     for bits in range(9):
-        levels = (level_rates(QuantizerSpec(bits, *quant_range), grid.b_hz)
-                  if bits else None)
-        decision, table = pipeline.draw_rates(grid, draw, levels)
+        q = QuantizerSpec(bits, *quant_range) if bits else None
+        levels = level_rates(q, grid.b_hz) if q else None
+        decision, table = pipeline.draw_rates(grid, draw, q, levels)
         blocks = decision.key.reshape(n * grid.l, grid.k).tolist()
         top = [max(b) for b in blocks]  # max keeps the first of equals
         slots = [b.index(m) for b, m in zip(blocks, top)]
@@ -252,7 +268,7 @@ def test_an_ideal_cell_rates_its_chosen_entries_once(monkeypatch):
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
                                  scenario_seed=4, quant_range=(-15.0, 35.0))
-    rates = pipeline.draw_rates(grid, draw, None)
+    rates = pipeline.draw_rates(grid, draw, None, None)
     assignments = _record_calls(monkeypatch, "expand_solution")
     sizes = []
     real = sideinfo.rate_from_sinr

@@ -1,5 +1,7 @@
 """Quantizer and rate-map behavior, including the frozen reference points."""
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,10 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sidesched import pipeline
 from sidesched.assignment import compress
+from sidesched.grid import ResourceGrid
+from sidesched.scenario import Cluster, ScenarioModel, generate_sinr
 from sidesched.sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
-                                _bin_index, _check_level_rates,
-                                build_rate_matrices, quantize, rate_from_sinr)
+                                _bin_index, _check_level_rates, _fine_index,
+                                build_rate_matrices, level_rates, quantize,
+                                rate_from_sinr)
 from util import decision_of, slot_table
 
 
@@ -181,8 +187,38 @@ def ranges_and_edges(draw):
     return lo, hi, x
 
 
+@st.composite
+def blocked_edges(draw):
+    """(lo, hi, k, l, SINR): a range, lo = 0 among them, and an (n, k*l)
+    SINR of values at and one ulp either side of its 8-bit bin edges,
+    outside it, -0.0 and 0.0, and at random, in blocks of k."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)))
+    hi = lo + draw(st.floats(1e-3, 200.0))
+    assume(lo < hi)
+    k, l = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    edges = lo + np.arange(257) * ((hi - lo) / 256)
+    special = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                              np.nextafter(edges, np.inf),
+                              [lo - 5.0, hi + 5.0, -1e9, 1e9, -0.0, 0.0]])
+    values = st.one_of(st.sampled_from(special.tolist()),
+                       st.floats(lo - 50.0, hi + 50.0))
+    n = draw(st.integers(1, 4))
+    return lo, hi, k, l, draw(arrays(float, (n, k * l), elements=values))
+
+
 class TestNestedWidths:
     """Every width's index is the 8-bit index shifted, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=blocked_edges())
+    def test_index_of_block_maxima_is_block_maxima_of_index(self, case):
+        # what a draw's ``top_fine`` rests on: the index is non-decreasing
+        # in the SINR, so it commutes with a block maximum
+        lo, hi, k, l, sinr = case
+        got = _fine_index(lo, hi, compress(sinr, k, l).d)
+        ref = compress(_fine_index(lo, hi, sinr), k, l).d
+        assert got.dtype == ref.dtype == np.uint8
+        assert got.tobytes() == ref.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(case=ranges_and_edges())
@@ -263,12 +299,13 @@ class TestQuantizedRates:
                 _check_level_rates(np.array(levels))
 
     def test_decision_rejects_a_key_or_table_of_the_wrong_rank(self):
-        levels = np.array([1.0, 2.0])
-        QuantizedRates(np.zeros((1, 2), np.uint8), levels)
-        for key, table in ((np.zeros(2, np.uint8), levels),
-                           (np.zeros((1, 2), np.uint8), levels[None])):
-            with pytest.raises(ValueError, match="2-D index matrix"):
-                QuantizedRates(key, table)
+        q, levels = QuantizerSpec(bits=1), np.array([1.0, 2.0])
+        QuantizedRates(np.zeros((1, 2)), q, levels)
+        for sinr, table in ((np.zeros(2), levels),
+                            (np.zeros((1, 2)), levels[None]),
+                            (np.zeros((1, 2)), np.arange(1.0, 5.0))):
+            with pytest.raises(ValueError, match="2-D SINR matrix"):
+                QuantizedRates(sinr, q, table)
 
 
 class TestRatedWhereRead:
@@ -306,3 +343,33 @@ class TestRatedWhereRead:
         ref = compress(rate_from_sinr(self.B_HZ, sinr).ravel(), k, l)
         assert rate_from_sinr(self.B_HZ, table.d).tobytes() == ref.d.tobytes()
         np.testing.assert_array_equal(slot_table(table), slot_table(ref))
+
+    @pytest.mark.parametrize("kind", ["uniform", "two-state", "tie-heavy"])
+    def test_quantized_reads_equal_the_full_index(self, kind):
+        # a quantized decision indexes only what is read: the N scored
+        # entries and the K slots of each picked block read as the same
+        # entries of the whole index matrix, at every width, on the clamp
+        # range and on a range narrower than it
+        grid, n = ResourceGrid(k=7, l=100), 70
+        model = ScenarioModel(kind="uniform" if kind == "uniform" else "two-state")
+        sinr = generate_sinr(model, Cluster(0, n), grid)
+        if kind == "tie-heavy":
+            sinr = np.round(sinr / 5) * 5
+        rng = np.random.default_rng(19)
+        rows = np.arange(n)
+        for quant_range in ((-15.0, 35.0), (0.0, 25.0)):
+            with mock.patch.object(pipeline, "generate_sinr", return_value=sinr):
+                draw = pipeline.draw_cluster(grid, model, Cluster(0, n), 0,
+                                             quant_range)
+            for bits in range(1, 9):
+                q = QuantizerSpec(bits, *quant_range)
+                decision, table = pipeline.draw_rates(
+                    grid, draw, q, level_rates(q, grid.b_hz))
+                full = _bin_index(q, sinr)
+                cols = rng.integers(0, grid.n_subchannels, n)
+                assert (decision.at(rows, cols).tobytes()
+                        == decision.rate(full[rows, cols]).tobytes())
+                frames = rng.permutation(grid.l)[:n]
+                picked = full.reshape(n, grid.l, grid.k)[rows, frames]
+                np.testing.assert_array_equal(table.slots(frames),
+                                              picked.argmax(axis=1))

@@ -11,19 +11,15 @@ import itertools
 import numpy as np
 from scipy import stats
 
-from sidesched.sideinfo import (FineRates, QuantizerSpec, build_rate_matrices,
-                                level_rates, quantize)
+from sidesched.sideinfo import FineRates, build_rate_matrices, level_rates
 
 
 def decision_of(sinr_db, q, b_hz):
     """Decision rates of an SINR matrix in dB at quantizer ``q``, or at
-    ideal feedback when ``q`` is None, from the truth and the uint8 8-bit
-    index, as a draw holds them (``pipeline.draw_cluster``)."""
+    ideal feedback when ``q`` is None, as a draw's width builds them
+    (``pipeline.draw_rates``)."""
     truth = FineRates(np.asarray(sinr_db, dtype=float), b_hz)
-    if q is None:
-        return build_rate_matrices(truth, None, None)
-    fine = quantize(QuantizerSpec(8, q.lo_db, q.hi_db), sinr_db)[0]
-    return build_rate_matrices(truth, level_rates(q, b_hz), fine.astype(np.uint8))
+    return build_rate_matrices(truth, q, level_rates(q, b_hz) if q else None)
 
 
 def slot_table(reduced):
