@@ -13,9 +13,10 @@ expansion is an ``Assignment`` array of subchannels, checked like every
 other method's assignment, by ``solvers.verify_assignment``.
 
 Cost vectors are vehicle-major: entry i*(K*L) + k is vehicle i on global
-subchannel k, with k = l*K + slot. They hold rates, or the keys of a
-decision (``sideinfo``): a rate increases with its key, so the key
-table mapped to rates is the rate table, at the same slots.
+subchannel k, with k = l*K + slot. They hold rates, or the SINRs a
+decision keys its entries by (``sideinfo``): a rate increases with its
+key, so the key table mapped to rates is the rate table, at the same
+slots.
 """
 
 from __future__ import annotations
@@ -50,20 +51,6 @@ class ReducedProblem:
         return picked.argmax(axis=1)
 
 
-def _check_cost(cost_vector, k: int, l: int) -> np.ndarray:
-    c = np.asarray(cost_vector).ravel()
-    c = c if c.dtype.kind in "iu" else c.astype(float, copy=False)
-    if k < 1 or l < 1:
-        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={l}")
-    if c.size == 0 or c.size % (k * l):
-        raise ShapeError(f"{c.size} cost entries are not n*{k * l} for an n >= 1")
-    if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
-        raise ValueError("cost entries must be finite")
-    if c.dtype.kind == "i" and c.min() < 0:
-        raise ValueError("integer keys must be non-negative")
-    return c
-
-
 def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedProblem:
     """Per-(vehicle, subframe) block maxima over the K in-subframe slots, for
     every vehicle of ``cost_vector`` (its size over k*l).
@@ -74,20 +61,26 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     (``ReducedProblem.slots``) reads the exact maximum either way, ties
     resolved to the lowest slot.
 
-    Floats and non-negative integers (the level indices of a quantized
-    decision) take one route: the entries are viewed as one row of k
-    slots per (vehicle, subframe), and the maximum runs across the k
-    slot columns. Finite floats that compare equal have the same bits,
-    save -0.0 and 0.0, so a block whose maximum is 0 takes its first
-    maximal entry, sign bit included (-0.0 ahead of 0.0 gives -0.0).
+    The entries are taken as float64 (an integer is exact below 2**53)
+    and viewed as one row of k slots per (vehicle, subframe); the maximum
+    runs across the k slot columns. Finite floats that compare equal have
+    the same bits, save -0.0 and 0.0, so a block whose maximum is 0 takes
+    its first maximal entry, sign bit included (-0.0 ahead of 0.0 gives
+    -0.0).
     """
-    c = _check_cost(cost_vector, k, l)
+    c = np.asarray(cost_vector, dtype=float).ravel()
+    if k < 1 or l < 1:
+        raise ValueError(f"need k >= 1 and l >= 1, got k={k}, l={l}")
+    if c.size == 0 or c.size % (k * l):
+        raise ShapeError(f"{c.size} cost entries are not n*{k * l} for an n >= 1")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost entries must be finite")
     n = c.size // (k * l)
     blocks = c.reshape(n * l, k)  # one row of k slots per (vehicle, subframe)
     top = blocks[:, 0].copy()
     for slot in range(1, k):
         np.maximum(top, blocks[:, slot], out=top)
-    if c.dtype.kind == "f" and not top.all():  # -0.0 == 0.0: first zero wins
+    if not top.all():  # -0.0 == 0.0: first zero wins
         zero = np.flatnonzero(top == 0)
         tied = blocks[zero]
         top[zero] = tied[np.arange(zero.size), (tied == 0).argmax(axis=1)]
@@ -97,7 +90,7 @@ def compress(cost_vector, k: int, l: int, beta: float | None = None) -> ReducedP
     else:
         if beta <= 0:
             raise ValueError("beta must be positive")
-        gap = np.subtract(blocks.reshape(n, l, k), exact[:, :, None], dtype=float)
+        gap = blocks.reshape(n, l, k) - exact[:, :, None]
         d = exact + np.log(np.exp(beta * gap).sum(axis=2)) / beta
     return ReducedProblem(d, c.reshape(n, k * l), k, l)
 

@@ -3,11 +3,12 @@
     python tools/compare_artifacts.py REV
 
 REV is exported with ``git archive | tar -x`` into a temporary directory,
-which works on a shallow clone and leaves no worktree behind. ``python -m
-sidesched run`` and ``sweep`` (``PYTHONPATH=src``) run in the export and in
-this tree on the same five configs, all built from this tree's files. Each
-command writes to its own directory, so the sweep's manifest does not
-overwrite the run's.
+which works on a shallow clone and leaves no worktree behind. ``python -W
+error -m sidesched run`` and ``sweep`` (``PYTHONPATH=src``) run in the
+export and in this tree on the same five configs, all built from this
+tree's files. A warning on either side is an error and stops the
+comparison. Each command writes to its own directory, so the sweep's
+manifest does not overwrite the run's.
 
 - ``smoke``: configs/smoke.json.
 - ``full_scale``: configs/full_scale.json at 5 repetitions. It covers
@@ -141,8 +142,8 @@ def main() -> int:
                 dirs.append(f"{name}-{cmd}")
                 for tree, side in ((export, "rev"), (ROOT, "tree")):
                     subprocess.run(
-                        [sys.executable, "-m", "sidesched", cmd, "--config",
-                         str(config), "--out", str(tmp / side / dirs[-1])],
+                        [sys.executable, "-W", "error", "-m", "sidesched", cmd,
+                         "--config", str(config), "--out", str(tmp / side / dirs[-1])],
                         cwd=tree, env=ENV, check=True, stdout=subprocess.DEVNULL)
 
         print(f"### Artifacts against {rev}")
