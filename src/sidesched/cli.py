@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -32,11 +31,10 @@ from .config import ExperimentConfig, config_hash, load_config
 from .errors import ParseError
 from .grid import ResourceGrid
 from .metrics import build_report, iter_cells, sweep_density
-from .pipeline import TIMER_STREAM, derive_seed
 from .scenario import Cluster
 from .solvers import shared_subframes
-# Not called here: perfbench/tracer.py WRAPS needs the name bound in this module.
-from .pipeline import run_cell  # noqa: F401
+# Not called here: perfbench/tracer.py WRAPS needs the names bound in this module.
+from .pipeline import derive_seed, run_cell  # noqa: F401
 
 log = logging.getLogger("sidesched")
 
@@ -122,14 +120,11 @@ def _run_json(rep: int, cluster: int, cell) -> str:
             f'      "sum_rate_truth_bps": {_num(cell.sum_rate_truth_bps)}\n    }}')
 
 
-def _manifest_json(config: ExperimentConfig, runs: list[str],
-                   reservations: list[dict] | None = None) -> str:
+def _manifest_json(config: ExperimentConfig, runs: list[str]) -> str:
     """manifest.json text; ``runs`` are ``_run_json`` records."""
     fields = asdict(config)
     doc = {"config": fields, "config_hash": config_hash(fields),
            "master_seed": config.master_seed}
-    if reservations is not None:
-        doc["reservations"] = reservations
     # "runs" sorts after every other key, and every newline json.dumps
     # writes is layout, so the list is joined on in place of the last one
     runs_text = "[\n" + ",\n".join(runs) + "\n  ]" if runs else "[]"
@@ -137,28 +132,14 @@ def _manifest_json(config: ExperimentConfig, runs: list[str],
             + f',\n  "runs": {runs_text}\n}}\n')
 
 
-def _reservations(config: ExperimentConfig, clusters) -> list[dict]:
-    """Per-cluster reservation horizon the grants would persist for: a
-    uniform draw from the pool, on a stream keyed by ``cluster.id``."""
-    pool = config.t_sps_pool_s
-    out = []
-    for cluster in clusters:
-        rng = np.random.default_rng(
-            derive_seed(config.master_seed, TIMER_STREAM, cluster.id))
-        t_sps = float(pool[int(rng.integers(0, len(pool)))])
-        out.append({"cluster": cluster.id, "t_sps_s": t_sps,
-                    "windows": math.ceil(t_sps * 1000 / config.grid.window_ms)})
-    return out
-
-
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Full Monte-Carlo pass; writes cdf.csv, criteria.csv, summary.json,
     manifest.json into the configured output directory."""
     config = _resolve_seed(config)
-    clusters = [Cluster(j, n) for j, n in enumerate(config.cluster_sizes)]
     samples = {(m, b): [] for m in config.methods for b in config.bits_list}
     runs = []
-    points = [(f"cluster {c.id}", c) for c in clusters]
+    points = [(f"cluster {j}", Cluster(j, n))
+              for j, n in enumerate(config.cluster_sizes)]
     for rep, cluster, cell in iter_cells(config, points):
         samples[cell.method, cell.bits].append(cell.vehicle_rates_bps)
         runs.append(_run_json(rep, cluster.id, cell))
@@ -168,9 +149,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         reports.append(build_report(pooled, config.cdf_grid_points, method, bits))
         log.info("series %s/%d bits done (%d samples)", method, bits, pooled.size)
     cdf, criteria, summary = _report_files(reports)
-    manifest = _manifest_json(config, runs, _reservations(config, clusters))
     return _write(config.out_dir, {"cdf.csv": cdf, "criteria.csv": criteria,
-                                   "summary.json": summary, "manifest.json": manifest})
+                                   "summary.json": summary,
+                                   "manifest.json": _manifest_json(config, runs)})
 
 
 def run_sweep(config: ExperimentConfig) -> dict[str, Path]:

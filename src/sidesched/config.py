@@ -38,7 +38,6 @@ class ExperimentConfig:
     quant_lo_db: float = -15.0
     quant_hi_db: float = 35.0
     sweep_n_vehicles: tuple[int, ...] | None = None  # None: sweep_densities
-    t_sps_pool_s: tuple[float, ...] = (1.0, 4.0, 8.0)  # Release-14 SPS periods
 
     @property
     def sweep_densities(self) -> tuple[int, ...]:
@@ -88,9 +87,6 @@ class ExperimentConfig:
             ("master_seed", self.master_seed is None or self.master_seed >= 0),
             ("out_dir", bool(self.out_dir)),
             ("cdf_grid_points", self.cdf_grid_points >= 2),
-            ("t_sps_pool_s", bool(self.t_sps_pool_s) and all(
-                0 < t and math.isfinite(t * 1000 / self.grid.window_ms)
-                for t in self.t_sps_pool_s)),
         ) if not ok]
         if bad:
             raise ConfigError(sorted(set(bad)))
@@ -111,7 +107,6 @@ SCHEMA = {
     "scenario.p_bad": ("scenario.p_bad", "number"),
     "scenario.floor_db": ("scenario.sinr_floor_db", "number"),
     "scenario.ceil_db": ("scenario.sinr_ceil_db", "number"),
-    "scenario.p_t_dbm": ("scenario.p_t_dbm", "number"),
     "clusters": ("cluster_sizes", "[int]"),
     "quant.bits": ("bits_list", "[int]|int"),
     "quant.lo_db": ("quant_lo_db", "number"),
@@ -122,7 +117,6 @@ SCHEMA = {
     "out_dir": ("out_dir", "string"),
     "cdf_grid_points": ("cdf_grid_points", "int"),
     "sweep.n_vehicles": ("sweep_n_vehicles", "[int]"),
-    "t_sps_pool_s": ("t_sps_pool_s", "[number]"),
 }
 
 _KEY_OF = {path: key for key, (path, _) in SCHEMA.items()}
@@ -146,8 +140,8 @@ def _entry(x, json_type: str):
 def _read(value, json_type: str):
     """``value`` as its field's Python type, and the suffixes of its key
     where it is not of ``json_type``: "" for the value, "[i]" for an entry.
-    A scalar number must be finite, so a JSON NaN or Infinity fails here
-    and not in a cell; list entries are left to the owner's rule."""
+    A number must be finite, so a JSON NaN or Infinity fails here and
+    not in a cell."""
     if value is None and json_type.endswith("|null"):
         return None, []
     if json_type.startswith("["):

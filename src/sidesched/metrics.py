@@ -25,10 +25,11 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     point, then width, then method: each width's level table is rated once,
     each draw and its block maxima are computed once, and each width's
     rates and block table once per draw, from those maxima, shared by
-    every method; each is released before the next is made. Seeds are keyed by (repetition, ``cluster.id``). A
-    ``ValueError`` is prefixed with the label, repetition, width and
-    method of its cell and re-raised bare, so it keeps its type and
-    attributes (``ConfigError.keys``, ``ParseError.row``).
+    every method; each is released before the next is made. Seeds are
+    keyed by (repetition, ``cluster.id``). A ``ValueError`` is prefixed
+    with the label, repetition, width and method of its cell and re-raised
+    bare, so it keeps its type and attributes (``ConfigError.keys``,
+    ``ParseError.row``).
     """
     grid, master = config.grid, config.master_seed
     quant_range = (config.quant_lo_db, config.quant_hi_db)

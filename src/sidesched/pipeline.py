@@ -46,7 +46,6 @@ from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
 # Stream tags keeping scenario draws and solver randomness disjoint.
 SCENARIO_STREAM = 0
 RANDOM_STREAM = 1
-TIMER_STREAM = 2
 
 
 def derive_seed(master_seed: int, *key) -> int:

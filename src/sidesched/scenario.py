@@ -18,9 +18,6 @@ from .grid import ResourceGrid
 
 SCENARIO_KINDS = ("uniform", "gaussian", "two-state")
 
-#: Transmit power (dBm) the synthetic SINR levels are calibrated to.
-REFERENCE_P_T_DBM = 23.0
-
 
 @dataclass(frozen=True)
 class Cluster:
@@ -42,8 +39,7 @@ class ScenarioModel:
     ``mean_db``. ``two-state`` first puts each vehicle in a good or a bad
     channel state (bad with probability ``p_bad``), then draws its whole
     row around that state's center, so subchannel variation rides on a
-    per-vehicle level. Gaussian and two-state levels shift with transmit
-    power relative to the reference; everything clamps to [floor, ceil].
+    per-vehicle level. Everything clamps to [floor, ceil].
     """
 
     kind: str = "uniform"
@@ -53,7 +49,6 @@ class ScenarioModel:
     p_bad: float = 0.2          # low-state probability, two-state only
     sinr_floor_db: float = -15.0
     sinr_ceil_db: float = 35.0
-    p_t_dbm: float = 23.0       # transmit power behind the levels
     seed: int = 0
 
     def __post_init__(self):
@@ -63,7 +58,7 @@ class ScenarioModel:
                 bad_mean_db=fin(self.bad_mean_db), p_bad=0.0 <= self.p_bad <= 1.0,
                 sinr_floor_db=fin(self.sinr_floor_db) and ordered,
                 sinr_ceil_db=fin(self.sinr_ceil_db) and ordered,
-                p_t_dbm=fin(self.p_t_dbm), seed=self.seed >= 0)
+                seed=self.seed >= 0)
 
 
 def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) -> np.ndarray:
@@ -76,12 +71,11 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=model.seed, spawn_key=(cluster.id,)))
     shape = (cluster.n_vehicles, grid.n_subchannels)
-    shift = model.p_t_dbm - REFERENCE_P_T_DBM
     if model.kind == "uniform":
-        # support pinned to the clamp range; power shift has nothing to move
+        # support pinned to the clamp range
         vals = rng.uniform(model.sinr_floor_db, model.sinr_ceil_db, shape)
     elif model.kind == "gaussian":
-        vals = rng.normal(model.mean_db + shift, model.std_db, shape)
+        vals = rng.normal(model.mean_db, model.std_db, shape)
     else:  # two-state
         # state is a property of the vehicle, not of the subchannel
         bad_row = rng.random((cluster.n_vehicles, 1)) < model.p_bad
@@ -89,7 +83,7 @@ def generate_sinr(model: ScenarioModel, cluster: Cluster, grid: ResourceGrid) ->
         # broadcast, and like it silent where a level overflows to +-inf
         vals = rng.standard_normal(shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            centers = np.where(bad_row, model.bad_mean_db, model.mean_db) + shift
+            centers = np.where(bad_row, model.bad_mean_db, model.mean_db)
             vals *= model.std_db
             vals += centers
     return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db, out=vals)

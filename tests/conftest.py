@@ -31,3 +31,8 @@ def workloads():
 @pytest.fixture(scope="session")
 def compare():
     return _load("compare_artifacts", ROOT / "tools" / "compare_artifacts.py")
+
+
+@pytest.fixture(scope="session")
+def mutants():
+    return _load("mutants", ROOT / "tools" / "mutants.py")

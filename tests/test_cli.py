@@ -19,17 +19,15 @@ from hypothesis import strategies as st
 import sidesched
 from sidesched import config as config_module
 from sidesched import metrics, pipeline, sideinfo
-from sidesched.cli import (_manifest_json, _report_files, _reservations,
-                           _resolve_seed, _run_json, main, run_experiment,
-                           run_sweep,
+from sidesched.cli import (_manifest_json, _report_files, _resolve_seed,
+                           _run_json, main, run_experiment, run_sweep,
                            validate_assignment_file, write_assignment_csv)
 from sidesched.config import (SCHEMA, ExperimentConfig, config_from_dict,
                               config_hash, load_config)
 from sidesched.errors import ConfigError, ParseError, ShapeError
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import EvalReport
-from sidesched.pipeline import TIMER_STREAM, CellResult, derive_seed
-from sidesched.scenario import Cluster
+from sidesched.pipeline import CellResult
 from sidesched.solvers import METHODS, Assignment
 
 
@@ -74,12 +72,12 @@ LOADER_CASES = [
     ({"methods": ["proposed", 3]}, ["methods[1]"]),
     ({"sweep.n_vehicles": [0, 7]},
      ["sweep.n_vehicles[0]", "sweep.n_vehicles[1]"]),
-    ({"t_sps_pool_s": [math.inf]}, ["t_sps_pool_s"]),
-    ({"t_sps_pool_s": [0.0]}, ["t_sps_pool_s"]),
-    # 1e308 s is a finite float, but not a finite count of 6 ms windows
-    ({"t_sps_pool_s": [4.0, 1e308]}, ["t_sps_pool_s"]),
-    ({"t_sps_pool_s": []}, ["t_sps_pool_s"]),
-    ({"t_sps_pool_s": 4.0}, ["t_sps_pool_s"]),
+    # a removed key is unknown, whatever its value: no rule reads it
+    ({"t_sps_pool_s": [math.inf]}, ["unknown key 't_sps_pool_s'"]),
+    ({"t_sps_pool_s": [0.0]}, ["unknown key 't_sps_pool_s'"]),
+    ({"t_sps_pool_s": [4.0, 1e308]}, ["unknown key 't_sps_pool_s'"]),
+    ({"t_sps_pool_s": []}, ["unknown key 't_sps_pool_s'"]),
+    ({"t_sps_pool_s": 4.0}, ["unknown key 't_sps_pool_s'"]),
     ({"out_dir": ""}, ["out_dir"]),
     ({"out_dir": 5}, ["out_dir"]),
     ({"cdf_grid_points": 1}, ["cdf_grid_points"]),
@@ -101,7 +99,6 @@ class TestConfigParsing:
         assert cfg.bits_list == (0,)
         assert cfg.repetitions == 100
         assert cfg.master_seed is None
-        assert cfg.t_sps_pool_s == (1.0, 4.0, 8.0)
         # every default is its field's: the reader holds none of its own
         assert cfg == ExperimentConfig()
 
@@ -197,12 +194,11 @@ class TestConfigParsing:
         assert exc.value.keys == [key]
 
     @pytest.mark.parametrize("field, value, key", [
-        ("t_sps_pool_s", (), "t_sps_pool_s"),
-        ("t_sps_pool_s", (4.0, math.inf), "t_sps_pool_s"),
+        ("methods", ("greedy", "fastest"), "methods[1]"),
+        ("bits_list", (0, 9), "quant.bits[1]"),
         ("cdf_grid_points", 1, "cdf_grid_points"),
         ("master_seed", -3, "master_seed"),
         ("sweep_n_vehicles", (), "sweep.n_vehicles"),
-        ("t_sps_pool_s", (1e308,), "t_sps_pool_s"),
     ])
     def test_direct_config_fails_before_any_output(self, tmp_path, field,
                                                    value, key):
@@ -257,22 +253,21 @@ class TestConfigParsing:
         assert cfg.sweep_densities == (10, 20, 30, 40, 50)
 
     @pytest.mark.parametrize("name, digest", [
-        ("full_scale", "f781d49b9253440d2ce4930bbc42e25253769fdfc717058783136d59bb394945"),
-        ("smoke", "7d50d1117e31afe0e55f5740a833bd0bebdd5bebca350f24c6cf9d8e9b1aaf83"),
-    ])
+        ("full_scale", "d5ff6ef9cd10fc40161ac2f39c0e5aaec3ef89f9d4fafe5ba3900aa1ca9aaa3f"),
+        ("smoke", "2343f60f07b1dbe464fff14e008544f6ee2fcb97ec852d819a473cc59ab590fa"),
+    ], ids=["full_scale", "smoke"])
     def test_shipped_config_hashes_are_pinned(self, name, digest):
         path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         assert config_hash(load_config(path)) == digest
 
     @pytest.mark.parametrize("key, value", [
-        ("scenario.p_t_dbm", math.inf),
+        ("scenario.bad_mean_db", math.inf),
         ("scenario.mean_db", math.nan),
         ("quant.hi_db", math.inf),
         ("grid.b_hz", math.inf),
-        ("t_sps_pool_s", [math.inf]),
-        ("scenario.p_t_dbm", 10 ** 400),
-    ], ids=["p_t_dbm-Infinity", "mean_db-NaN", "hi_db-Infinity",
-            "b_hz-Infinity", "t_sps_pool_s-Infinity", "p_t_dbm-huge-int"])
+        ("scenario.mean_db", 10 ** 400),
+    ], ids=["bad_mean_db-Infinity", "mean_db-NaN", "hi_db-Infinity",
+            "b_hz-Infinity", "mean_db-huge-int"])
     def test_non_finite_number_named_at_load(self, tmp_path, key, value):
         raw = tiny_raw()
         *sections, leaf = key.split(".")
@@ -390,33 +385,15 @@ class TestRunExperiment:
         assert {r["method"] for r in doc["runs"]} == {"proposed", "greedy",
                                                       "random"}
         assert all(r["runtime_s"] >= 0 for r in doc["runs"])
-        assert doc["reservations"][0]["t_sps_s"] in (1.0, 4.0, 8.0)
-        # a reservation lasts whole windows, rounded up
-        for res in doc["reservations"]:
-            assert res["windows"] == math.ceil(
-                res["t_sps_s"] * 1000 / cfg.grid.window_ms)
+        assert set(doc) == {"config", "config_hash", "master_seed", "runs"}
 
     def test_clusters_are_numbered_from_0_in_order(self, tmp_path):
         raw = tiny_raw(clusters=[3, 2], methods=["greedy"], repetitions=1,
                        out_dir=str(tmp_path / "out"))
         doc = json.loads(run_experiment(config_from_dict(raw))["manifest"]
                          .read_text())
-        assert [r["cluster"] for r in doc["reservations"]] == [0, 1]
+        assert "reservations" not in doc
         assert [r["cluster"] for r in doc["runs"]] == [0, 0, 1, 1]  # 2 widths
-
-    def test_reservation_stream_is_keyed_by_cluster_id(self):
-        cfg = config_from_dict(tiny_raw())
-        res = _reservations(cfg, [Cluster(5, 3), Cluster(2, 4)])
-        assert [r["cluster"] for r in res] == [5, 2]
-        pool = cfg.t_sps_pool_s
-        for r in res:
-            rng = np.random.default_rng(
-                derive_seed(cfg.master_seed, TIMER_STREAM, r["cluster"]))
-            assert r["t_sps_s"] == pool[rng.integers(0, len(pool))]
-        # an id draws the same period wherever its cluster stands
-        forward = _reservations(cfg, [Cluster(j, 1) for j in range(30)])
-        backward = _reservations(cfg, [Cluster(j, 1) for j in range(29, -1, -1)])
-        assert forward == backward[::-1]
 
     def test_seed_drawn_when_missing(self, tmp_path):
         raw = tiny_raw(out_dir=str(tmp_path / "out"))
@@ -565,10 +542,6 @@ RUNS = st.lists(st.tuples(
               bits=st.integers(0, 8),
               vehicle_rates_bps=NUMBERS.map(lambda x: np.array([x])),
               sum_rate_decision_bps=NUMBERS, runtime_s=NUMBERS)), max_size=8)
-# None: a sweep's manifest, which has no reservations key
-RESERVATIONS = st.none() | st.lists(st.fixed_dictionaries({
-    "cluster": st.integers(0, 99), "t_sps_s": NUMBERS,
-    "windows": st.integers(0, 10**4)}), min_size=1, max_size=3)
 
 
 def csv_text(header, rows):
@@ -607,8 +580,8 @@ class TestArtifactWriters:
             "cdf": [[x / 1e6, p] for x, p in r.cdf]} for r in reports]})
 
     @settings(max_examples=40, deadline=None)
-    @given(RUNS, RESERVATIONS, st.text(min_size=1), st.integers(0, 2**64 - 1))
-    def test_manifest_matches_json(self, runs, reservations, out_dir, seed):
+    @given(RUNS, st.text(min_size=1), st.integers(0, 2**64 - 1))
+    def test_manifest_matches_json(self, runs, out_dir, seed):
         config = replace(config_from_dict(tiny_raw()), out_dir=out_dir,
                          master_seed=seed)
         doc = {"config": asdict(config), "config_hash": config_hash(config),
@@ -618,11 +591,8 @@ class TestArtifactWriters:
                    "sum_rate_decision_bps": cell.sum_rate_decision_bps,
                    "sum_rate_truth_bps": cell.sum_rate_truth_bps,
                    "runtime_s": cell.runtime_s} for rep, cluster, cell in runs]}
-        if reservations is not None:
-            doc["reservations"] = reservations
         assert _manifest_json(
-            config, [_run_json(*run) for run in runs],
-            reservations) == json_text(doc)
+            config, [_run_json(*run) for run in runs]) == json_text(doc)
 
     def test_assignment_csv_matches_csv(self, tmp_path):
         p = tmp_path / "assn.csv"
@@ -826,6 +796,24 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("key, raw", [
+        ("scenario.p_t_dbm", tiny_raw(scenario={"kind": "uniform",
+                                                "p_t_dbm": 23.0})),
+        ("t_sps_pool_s", tiny_raw(t_sps_pool_s=[1.0, 4.0, 8.0])),
+    ], ids=["scenario.p_t_dbm", "t_sps_pool_s"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, raw):
+        # neither key moved a number of any artifact, so both were deleted;
+        # their old defaults are rejected too
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.keys == [f"unknown key '{key}'"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_raw(repetitions=-1)))
@@ -833,12 +821,14 @@ class TestMainEntry:
         assert "repetitions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("over, named", [
-        ({"t_sps_pool_s": [1e308]}, "t_sps_pool_s"),
+        # the top level of the 1-bit width rates to inf
+        ({"grid": {"k_subchannels": 2, "l_subframes": 6, "b_hz": 1e308}},
+         "quant.hi_db"),
         # one vehicle's rate is finite, and so is its mean over 8
         # repetitions, though their sum is not: it runs clean
         ({"grid": {"k_subchannels": 2, "l_subframes": 6, "b_hz": 1e307},
           "methods": ["greedy"], "clusters": [1], "repetitions": 8}, None),
-    ], ids=["period-of-overflowing-window-count", "overflowing-statistic"])
+    ], ids=["overflowing-level-rates", "overflowing-statistic"])
     def test_overflow_fails_before_any_artifact(self, tmp_path, capsys, over,
                                                 named):
         cfg_path = tmp_path / "cfg.json"

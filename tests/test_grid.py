@@ -1,15 +1,11 @@
-"""Grid geometry and reservation timing, the timing read through its
-one caller, ``cli._reservations``, and the subframe map through
+"""Grid geometry, and the subframe map read through its one caller,
 ``verify_assignment``."""
 
 import numpy as np
 import pytest
 
-from sidesched.cli import _reservations
-from sidesched.config import ExperimentConfig
 from sidesched.errors import ConstraintViolation
 from sidesched.grid import ResourceGrid
-from sidesched.scenario import Cluster
 from sidesched.solvers import Assignment, verify_assignment
 
 
@@ -54,20 +50,3 @@ class TestSubframeOf:
         verify(g, [692, 699])
         with pytest.raises(IndexError):
             verify(g, [700])
-
-
-class TestTsPsPool:
-    def test_default_pool(self):
-        assert ExperimentConfig().t_sps_pool_s == (1.0, 4.0, 8.0)
-
-    def test_draws_stay_in_pool_and_reproduce(self):
-        cfg = ExperimentConfig(master_seed=5)
-        clusters = [Cluster(j, 1) for j in range(10)]
-        draws = [r["t_sps_s"] for r in _reservations(cfg, clusters)]
-        assert all(d in cfg.t_sps_pool_s for d in draws)
-        assert draws == [r["t_sps_s"] for r in _reservations(cfg, clusters)]
-
-    def test_all_values_reachable(self):
-        cfg = ExperimentConfig(master_seed=11)
-        res = _reservations(cfg, [Cluster(j, 1) for j in range(100)])
-        assert {r["t_sps_s"] for r in res} == set(cfg.t_sps_pool_s)

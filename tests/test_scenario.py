@@ -86,12 +86,13 @@ class TestGenerateSinr:
         # the same stream; floor and ceil are wide so nothing is clipped
         g = ResourceGrid(k=7, l=100)
         for seed in range(20):
-            m = ScenarioModel(kind="two-state", std_db=6.5, p_t_dbm=20.5,
-                              sinr_floor_db=-1e3, sinr_ceil_db=1e3, seed=seed)
+            m = ScenarioModel(kind="two-state", mean_db=7.5, std_db=6.5,
+                              bad_mean_db=-7.5, sinr_floor_db=-1e3,
+                              sinr_ceil_db=1e3, seed=seed)
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
             bad = rng.random((n, 1)) < m.p_bad
-            centers = np.where(bad, m.bad_mean_db, m.mean_db) + (20.5 - 23.0)
+            centers = np.where(bad, m.bad_mean_db, m.mean_db)
             ref = rng.normal(centers, m.std_db, (n, g.n_subchannels))
             got = generate_sinr(m, Cluster(3, n), g)
             assert got.tobytes() == ref.tobytes()
@@ -109,15 +110,6 @@ class TestGenerateSinr:
         assert got.tobytes() == ref.tobytes()
         assert {m.sinr_floor_db, m.sinr_ceil_db} == set(got.ravel().tolist())
 
-    def test_power_shift_moves_gaussian(self):
-        g = ResourceGrid(k=10, l=20)
-        c = Cluster(0, 30)
-        ref = ScenarioModel(kind="gaussian", mean_db=5.0, std_db=3.0, seed=8)
-        hot = ScenarioModel(kind="gaussian", mean_db=5.0, std_db=3.0, seed=8,
-                            p_t_dbm=29.0)
-        d = generate_sinr(hot, c, g).mean() - generate_sinr(ref, c, g).mean()
-        assert 5.0 < d < 7.0
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ScenarioModel(kind="rayleigh")
@@ -128,7 +120,7 @@ class TestGenerateSinr:
 
 
 LEVEL_FIELDS = ("mean_db", "std_db", "bad_mean_db", "sinr_floor_db",
-                "sinr_ceil_db", "p_t_dbm")
+                "sinr_ceil_db")
 
 
 class TestScenarioModelLevels:
