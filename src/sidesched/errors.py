@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the checks that raise them, shared across the package."""
+
+import math
+
+import numpy as np
 
 
 class CapacityError(ValueError):
@@ -42,3 +46,13 @@ def require(**conditions):
     bad = [name for name, ok in conditions.items() if not ok]
     if bad:
         raise ConfigError(bad)
+
+
+def finite_sum(values, name):
+    """numpy's sum of ``values`` as a float; a ValueError names ``name``
+    when that sum is not finite, as when it overflows."""
+    with np.errstate(over="ignore"):
+        total = float(values.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"{name} overflows")
+    return total

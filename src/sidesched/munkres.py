@@ -89,6 +89,8 @@ from collections import deque
 
 import numpy as np
 
+from .errors import finite_sum
+
 
 def max_weight_assignment(weights):
     """Best column per row under the one-to-one constraint.
@@ -134,11 +136,8 @@ def max_weight_assignment(weights):
     left = np.ones(n, dtype=bool)
     left[col_of_row[varied]] = False
     col_of_row[constant] = np.flatnonzero(left)  # step 5
-    with np.errstate(over="ignore"):
-        total = float(w[np.arange(n), col_of_row].sum())
-    if not math.isfinite(total):
-        raise ValueError("the matching's total weight overflows")
-    return col_of_row, total
+    return col_of_row, finite_sum(w[np.arange(n), col_of_row],
+                                  "the matching's total weight")
 
 
 def _solve(cost, u):

@@ -69,15 +69,14 @@ class Draw:
 
 @dataclass
 class CellResult:
+    """One method's cell; both sum rates are ``evaluate``'s, taken once."""
+
     method: str
     bits: int  # 0 = ideal fine-grained feedback
     vehicle_rates_bps: np.ndarray  # truth rate of each vehicle, ascending index
+    sum_rate_truth_bps: float  # what the fine-grained SINR delivers
     sum_rate_decision_bps: float  # what the scheduler believed
     runtime_s: float  # solve time, checks and scoring excluded
-
-    @property
-    def sum_rate_truth_bps(self) -> float:
-        return float(self.vehicle_rates_bps.sum())
 
 
 def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,

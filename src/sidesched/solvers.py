@@ -10,19 +10,19 @@ constraint, at most one vehicle per subframe, is checked in one place,
 assignment. The optimal route (``solve_proposed``) and greedy work on
 the compressed block table; the oracle rates every row of a decision
 and enumerates the feasible set, capped to small instances.
-``evaluate`` reads the truth rates and the decision sum.
+``evaluate`` reads the truth rates and both sum rates.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CapacityError, ConstraintViolation, InfeasibleError, ShapeError
+from .errors import (CapacityError, ConstraintViolation, InfeasibleError,
+                     ShapeError, finite_sum)
 from .grid import ResourceGrid
 from .munkres import max_weight_assignment
 
@@ -164,36 +164,22 @@ def solve_oracle(decision: FineRates | QuantizedRates,
     return Assignment(subchannel, "oracle")
 
 
-def _check_sum(rates: np.ndarray, name: str) -> None:
-    """Raise a ValueError naming ``name`` if the sum of the non-negative
-    ``rates`` overflows.
-
-    With n * max <= MAX / 2 it cannot: every partial sum is at most
-    n * max before rounding, which adds a relative n * 2**-53 at most.
-    Only above that bound is the sum taken, overflow ignored, to see
-    whether it is finite; a usual cell pays one ``max``.
-    """
-    if rates.max() > sys.float_info.max / (2 * rates.size):
-        with np.errstate(over="ignore"):
-            if not np.isfinite(rates.sum()):
-                raise ValueError(f"{name} overflows")
-
-
 def evaluate(assignment: Assignment, decision: FineRates | QuantizedRates,
-             truth: FineRates | QuantizedRates) -> tuple[np.ndarray, float]:
-    """(truth rate of every vehicle of ``assignment``, decision sum rate).
+             truth: FineRates | QuantizedRates
+             ) -> tuple[np.ndarray, float, float]:
+    """(truth rate of every vehicle of ``assignment``, truth sum rate,
+    decision sum rate).
 
     Rates come back in ascending vehicle order, and each side is rated
-    only at the chosen entries, once when the decision is the truth.
-    Both sums (the truth one is ``CellResult.sum_rate_truth_bps``) are
-    finite, or a ValueError names the one that overflows.
+    and summed only at the chosen entries, once when the decision is the
+    truth. The truth sum is checked first; a sum that is not finite
+    raises a ValueError naming it (``finite_sum``).
     """
     cols = assignment.subchannel
     rows = np.arange(cols.size)
     rates = truth.at(rows, cols)
-    _check_sum(rates, "truth sum rate")
+    truth_sum = finite_sum(rates, "truth sum rate")
     if decision is truth:
-        return rates, float(rates.sum())
-    decided = decision.at(rows, cols)
-    _check_sum(decided, "decision sum rate")
-    return rates, float(decided.sum())
+        return rates, truth_sum, truth_sum
+    return rates, truth_sum, finite_sum(decision.at(rows, cols),
+                                        "decision sum rate")

@@ -541,7 +541,8 @@ RUNS = st.lists(st.tuples(
     st.builds(CellResult, method=st.sampled_from(METHODS),
               bits=st.integers(0, 8),
               vehicle_rates_bps=NUMBERS.map(lambda x: np.array([x])),
-              sum_rate_decision_bps=NUMBERS, runtime_s=NUMBERS)), max_size=8)
+              sum_rate_truth_bps=NUMBERS, sum_rate_decision_bps=NUMBERS,
+              runtime_s=NUMBERS)), max_size=8)
 
 
 def csv_text(header, rows):

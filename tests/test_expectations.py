@@ -1,4 +1,4 @@
-"""Monte-Carlo means against exact expectations: one vehicle, uniform SINR.
+"""Monte-Carlo means against exact expectations on a uniform SINR draw.
 
 A vehicle alone in its cluster draws K*L = KL SINRs, uniform on [lo, hi],
 and the quantizer spans the same range. With r the rate of a SINR and F
@@ -12,11 +12,15 @@ the uniform CDF, each method's expected truth rate has a closed form:
   entry's SINR is uniform within the bin, whichever of its entries the
   tie rule picks.
 
+At full load, N = L vehicles on the same grid, two of these still hold:
+``random``'s pick stays blind, so each vehicle's truth rate is r(U), and
+``greedy``'s vehicle 0 picks first, so at 0 bits it takes the best of KL.
+
 The rate is written out here, not taken from ``sidesched``, so a wrong
 rate formula, a wrong bin edge or a biased pick moves a mean; a wrong
-slot inside the top bin does not. The seed and the bound were fixed
-before the test first ran: a failure is mended in the program or in a
-formula, never with a new seed.
+slot inside the top bin does not. The seeds, the repetitions and the
+bound were fixed before each test first ran: a failure is mended in the
+program or in a formula, never with a new seed.
 """
 
 import math
@@ -37,6 +41,8 @@ WIDTHS = (0, 2, 3)
 METHODS = ("proposed", "greedy", "random")
 REPETITIONS = 1000
 MASTER_SEED = 12345
+FULL_LOAD_REPETITIONS = 200
+FULL_LOAD_SEED = 271828
 Z_BOUND = 4.0
 
 
@@ -61,18 +67,40 @@ def expected(method, bits):
                * mean_rate(edges[j], edges[j + 1]) for j in range(m))
 
 
-@pytest.fixture(scope="module")
-def samples():
+def cells(n, widths, methods, repetitions, seed):
+    """Every cell of one cluster of ``n`` vehicles on the uniform grid."""
     config = ExperimentConfig(
         grid=GRID, scenario=ScenarioModel(kind="uniform", sinr_floor_db=LO,
                                           sinr_ceil_db=HI),
-        cluster_sizes=(1,), bits_list=WIDTHS, methods=METHODS,
-        repetitions=REPETITIONS, master_seed=MASTER_SEED,
+        cluster_sizes=(n,), bits_list=widths, methods=methods,
+        repetitions=repetitions, master_seed=seed,
         quant_lo_db=LO, quant_hi_db=HI)
+    return (cell for _, _, cell in
+            iter_cells(config, [("cluster 0", Cluster(0, n))]))
+
+
+def z_score(x, exact):
+    return (x.mean() - exact) / (x.std(ddof=1) / math.sqrt(x.size))
+
+
+@pytest.fixture(scope="module")
+def samples():
     out = {(m, b): [] for m in METHODS for b in WIDTHS}
-    for _, _, cell in iter_cells(config, [("cluster 0", Cluster(0, 1))]):
+    for cell in cells(1, WIDTHS, METHODS, REPETITIONS, MASTER_SEED):
         out[cell.method, cell.bits].append(cell.sum_rate_truth_bps)
     return {key: np.array(rates) for key, rates in out.items()}
+
+
+@pytest.fixture(scope="module")
+def full_load():
+    """At N = L and 0 bits: every vehicle's truth rate under ``random``,
+    and vehicle 0's under ``greedy``."""
+    out = {"random": [], "greedy": []}
+    for cell in cells(GRID.l, (0,), ("greedy", "random"),
+                      FULL_LOAD_REPETITIONS, FULL_LOAD_SEED):
+        rates = cell.vehicle_rates_bps
+        out[cell.method].append(rates if cell.method == "random" else rates[:1])
+    return {method: np.concatenate(rates) for method, rates in out.items()}
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
@@ -81,7 +109,21 @@ def test_mean_rate_matches_its_exact_expectation(samples, method, bits):
     x = samples[method, bits]
     assert x.size == REPETITIONS
     exact = expected(method, bits)
-    z = (x.mean() - exact) / (x.std(ddof=1) / math.sqrt(x.size))
+    z = z_score(x, exact)
     assert abs(z) <= Z_BOUND, (
         f"{method} at {bits} bits: mean {x.mean() / 1e6:.4f} Mbps, exact "
+        f"{exact / 1e6:.4f} Mbps, z = {z:.2f}")
+
+
+@pytest.mark.parametrize("method, size", [
+    ("random", FULL_LOAD_REPETITIONS * GRID.l), ("greedy", FULL_LOAD_REPETITIONS)],
+    ids=["random", "greedy"])
+def test_full_load_mean_matches_its_exact_expectation(full_load, method, size):
+    # random: every vehicle's rate; greedy: vehicle 0's, the best of KL
+    x = full_load[method]
+    assert x.size == size
+    exact = expected(method, 0)
+    z = z_score(x, exact)
+    assert abs(z) <= Z_BOUND, (
+        f"{method} at full load: mean {x.mean() / 1e6:.4f} Mbps, exact "
         f"{exact / 1e6:.4f} Mbps, z = {z:.2f}")

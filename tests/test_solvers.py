@@ -241,10 +241,9 @@ class TestVerifyAndEvaluate:
     def test_evaluate_single_vehicle(self):
         a_vals = np.array([[1.0, 2.0]])
         from sidesched.solvers import Assignment
-        v, decision_sum = evaluate(Assignment(np.array([1]), "greedy"),
-                                   Rates(a_vals), Rates(a_vals))
-        assert decision_sum == 2.0
-        assert v.sum() == 2.0
+        v, truth_sum, decision_sum = evaluate(Assignment(np.array([1]), "greedy"),
+                                              Rates(a_vals), Rates(a_vals))
+        assert truth_sum == decision_sum == 2.0
         np.testing.assert_array_equal(v, [2.0])
 
     def test_evaluate_names_the_sum_that_overflows(self):
@@ -255,18 +254,23 @@ class TestVerifyAndEvaluate:
             evaluate(both, huge, huge)
         with pytest.raises(ValueError, match="^decision sum rate overflows$"):
             evaluate(both, huge, ones)
-        # past the unchecked bound n * max <= MAX / 2, but a finite sum
+        # a NaN sum is not finite either, and is named the same way
+        nan = Rates([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^truth sum rate overflows$"):
+            evaluate(both, ones, nan)
+        # near the largest float, but finite: each sum is returned as taken
         near = Rates([[1e308, 0.0], [0.0, 1e307]])
-        v, decision_sum = evaluate(both, near, near)
-        assert decision_sum == 1e308 + 1e307 == float(v.sum())
+        v, truth_sum, decision_sum = evaluate(both, near, near)
+        assert truth_sum == decision_sum == 1e308 + 1e307 == float(v.sum())
 
     def test_evaluate_splits_decision_and_truth(self):
         from sidesched.solvers import Assignment
         dec = Rates([[5.0, 1.0]])
         tru = Rates([[2.0, 3.0]])
-        v, decision_sum = evaluate(Assignment(np.array([0]), "greedy"), dec, tru)
+        v, truth_sum, decision_sum = evaluate(Assignment(np.array([0]), "greedy"),
+                                              dec, tru)
         assert decision_sum == 5.0
-        assert v.sum() == 2.0
+        assert truth_sum == 2.0
         np.testing.assert_array_equal(v, [2.0])
 
 

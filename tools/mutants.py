@@ -103,6 +103,22 @@ MUTANTS = {
         "        if False:\n",
         ["tests/test_solvers.py::TestVerifyAndEvaluate::"
          "test_verify_flags_shared_subframe"]),
+    # a sum that overflows passes as inf, in evaluate and in the kernel
+    "unchecked-sum": (
+        "src/sidesched/errors.py",
+        "    if not math.isfinite(total):\n",
+        "    if False:\n",
+        ["tests/test_solvers.py::TestVerifyAndEvaluate::"
+         "test_evaluate_names_the_sum_that_overflows",
+         "tests/test_cli.py::TestMainEntry::"
+         "test_overflow_past_load_fails_clean_or_runs_clean"]),
+    # an edge within 2**44 units of its row's minimum cost counts as tight
+    "over-inclusive-tight-set": (
+        "src/sidesched/munkres.py",
+        "    tight = _row_bits(cost == u[:, None])\n",
+        "    tight = _row_bits(cost <= u[:, None] + 2.0 ** 44)\n",
+        ["tests/test_munkres.py::TestAgainstEnumeration",
+         "tests/test_munkres.py::TestAgainstScipy"]),
 }
 
 
