@@ -22,20 +22,21 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
     widths and methods, for ``repetitions`` repetitions.
 
     ``points`` are (label, cluster) pairs. The loop nests repetition x
-    point, then width, then method: each width's level table is rated once,
-    each draw and its block maxima are computed once, and each width's
-    rates and block table once per draw, from those maxima, shared by
-    every method; each is released before the next is made. Seeds are
+    point, then width, then method: each width's quantizer and level
+    table are made once, each draw and its block maxima are computed
+    once, and each width's rates and block table once per draw, from
+    those maxima keyed by the width's quantizer, shared by every method;
+    each is released before the next is made. Seeds are
     keyed by (repetition, ``cluster.id``). A ``ValueError`` is prefixed
     with the label, repetition, width and method of its cell and re-raised
     bare, so it keeps its type and attributes (``ConfigError.keys``,
     ``ParseError.row``).
     """
     grid, master = config.grid, config.master_seed
-    quant_range = (config.quant_lo_db, config.quant_hi_db)
     widths = []
     for bits in config.bits_list:
-        q = QuantizerSpec(bits, *quant_range) if bits else None
+        q = (QuantizerSpec(bits, config.quant_lo_db, config.quant_hi_db)
+             if bits else None)
         widths.append((bits, q, level_rates(q, grid.b_hz) if q else None))
     where = []
     try:
@@ -43,7 +44,7 @@ def iter_cells(config: ExperimentConfig, points: list[tuple[str, Cluster]]
             for label, cluster in points:
                 where[:] = [label, f"repetition {rep}"]
                 seed = derive_seed(master, SCENARIO_STREAM, rep, cluster.id)
-                draw = draw_cluster(grid, config.scenario, cluster, seed, quant_range)
+                draw = draw_cluster(grid, config.scenario, cluster, seed)
                 solver_seed = derive_seed(master, RANDOM_STREAM, rep, cluster.id)
                 for bits, q, levels in widths:
                     where[2:] = [f"{bits} bits"]

@@ -2,18 +2,18 @@
 
 A *draw* (``draw_cluster``) is one channel realisation of a cluster's N
 vehicles: its SINR in dB, the truth, rated only where read
-(``FineRates``), its N x L SINR block maxima (``compress``, once per
-draw) and the 8-bit quantizer index of those maxima over the configured
-dB range; all serve every width. Its *rates* at one feedback width
-(``draw_rates``) are the decision a scheduler decides on and the block
-table that proposed and greedy read. The ideal decision is the truth,
-keyed by SINR; a quantized decision holds the same SINR array and keys
-an entry by its b-bit level index only where it is read: the N scored
-entries and the K slots of each picked block. The b-bit block maxima
-are the 8-bit index of the SINR block maxima shifted right by 8 - b
-(``sideinfo``). Every width's table is its key block maxima mapped to
-their rates, so only the N x L maxima are rated, padded with zero rows
-to the L x L square of the matching kernel (``pad_to_square``).
+(``FineRates``), and its N x L SINR block maxima (``compress``, once per
+draw); both serve every width, and neither depends on a quantizer. Its
+*rates* at one feedback width (``draw_rates``) are the decision a
+scheduler decides on and the block table that proposed and greedy read.
+The ideal decision is the truth, keyed by SINR; a quantized decision
+holds the same SINR array and keys an entry by its b-bit level index
+only where it is read: the N scored entries, the K slots of each picked
+block and the N x L SINR block maxima, each through the width's own
+quantizer (``sideinfo._bin_index``). Every width's table is its key
+block maxima mapped to their rates, so only the N x L maxima are rated,
+padded with zero rows to the L x L square of the matching kernel
+(``pad_to_square``).
 A *cell* (``run_cell``) runs one method on those rates. It solves,
 checks the assignment (one subchannel per vehicle) for one vehicle per
 subframe (``verify_assignment``, for every method), and scores it on the
@@ -38,7 +38,7 @@ import numpy as np
 from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
-from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _fine_index,
+from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _bin_index,
                        build_rate_matrices)
 from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
                       solve_random, verify_assignment)
@@ -57,14 +57,12 @@ def derive_seed(master_seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class Draw:
-    """One channel realisation of a cluster, one row per vehicle.
-    ``top_fine`` is over the run's quantizer range, the range of every
-    width ``draw_rates`` takes."""
+    """One channel realisation of a cluster, one row per vehicle; it
+    holds no quantizer, so any width can read it."""
 
     cluster: Cluster
-    truth: FineRates      # the (N, K*L) SINR, rated where read
-    top: np.ndarray       # (N, L) SINR block maxima
-    top_fine: np.ndarray  # (N, L) uint8 8-bit index of ``top``
+    truth: FineRates  # the (N, K*L) SINR, rated where read
+    top: np.ndarray   # (N, L) SINR block maxima
 
 
 @dataclass
@@ -80,13 +78,12 @@ class CellResult:
 
 
 def draw_cluster(grid: ResourceGrid, model: ScenarioModel, cluster: Cluster,
-                 scenario_seed: int, quant_range: tuple[float, float]) -> Draw:
-    """The cluster's channel draw; depends only on the seed, the cluster
-    and ``quant_range``."""
+                 scenario_seed: int) -> Draw:
+    """The cluster's channel draw; depends only on the seed and the
+    cluster."""
     sinr = generate_sinr(replace(model, seed=scenario_seed), cluster, grid)
-    top = compress(sinr, grid.k, grid.l).d
-    return Draw(cluster, FineRates(sinr, grid.b_hz), top,
-                _fine_index(*quant_range, top))
+    return Draw(cluster, FineRates(sinr, grid.b_hz),
+                compress(sinr, grid.k, grid.l).d)
 
 
 def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None,
@@ -96,13 +93,13 @@ def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None,
     ``q`` and its level table ``levels`` (``sideinfo.level_rates``).
 
     ``q=None`` (ideal feedback) decides on ``draw.truth`` and its block
-    maxima; every other width shifts the 8-bit index of those maxima,
-    made over the range of its quantizer. Only the N x L block maxima
-    are rated, and the rated table is padded to L x L; its slots are
-    looked up in the draw's SINR, keyed by ``q``.
+    maxima; every other width keys those maxima by its level index under
+    ``q``. Only the N x L block maxima are rated, and the rated table is
+    padded to L x L; its slots are looked up in the draw's SINR, keyed
+    by ``q``.
     """
     decision = build_rate_matrices(draw.truth, q, levels)
-    top = draw.top if q is None else draw.top_fine >> (8 - q.bits)
+    top = draw.top if q is None else _bin_index(q, draw.top)
     square = pad_to_square(decision.rate(top), grid)
     return decision, ReducedProblem(square, draw.truth.key, grid.k, grid.l, q)
 

@@ -21,7 +21,7 @@ to 255 shifts to 2**b - 1; and max(x - lo, 0) agrees with
 clip(x, lo, hi) - lo on the range, is 0 below it and reaches 256 bins
 above it either way. The index and a shift are non-decreasing, so the
 index of a block's SINR maximum is its largest index at every width: a
-draw indexes its N x L SINR block maxima once, and each width shifts it.
+width's table is its own index of the N x L SINR block maxima.
 """
 
 from __future__ import annotations
@@ -54,16 +54,13 @@ class QuantizerSpec:
         return (self.hi_db - self.lo_db) / self.levels
 
 
-def _fine_index(lo_db: float, hi_db: float, sinr_db) -> np.ndarray:
-    """The uint8 8-bit bin index over [lo_db, hi_db]; see the module notes."""
-    x = np.maximum(np.subtract(sinr_db, lo_db, dtype=float), 0.0)
-    # truncation is floor on non-negative values
-    return np.minimum(x / ((hi_db - lo_db) / 256), 255.0).astype(np.uint8)
-
-
 def _bin_index(q: QuantizerSpec, sinr_db) -> np.ndarray:
-    """The uint8 b-bit index: the top ``q.bits`` bits of the 8-bit one."""
-    return _fine_index(q.lo_db, q.hi_db, sinr_db) >> (8 - q.bits)
+    """The uint8 b-bit index: the top ``q.bits`` bits of the 8-bit index
+    over q's range; see the module notes."""
+    x = np.maximum(np.subtract(sinr_db, q.lo_db, dtype=float), 0.0)
+    # truncation is floor on non-negative values
+    fine = np.minimum(x / ((q.hi_db - q.lo_db) / 256), 255.0).astype(np.uint8)
+    return fine >> (8 - q.bits)
 
 
 def _reconstruct(q: QuantizerSpec, idx) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Monte-Carlo means against exact expectations on a uniform SINR draw.
+"""Monte-Carlo means against exact expectations of one vehicle's rate.
 
 A vehicle alone in its cluster draws K*L = KL SINRs, uniform on [lo, hi],
 and the quantizer spans the same range. With r the rate of a SINR and F
@@ -16,6 +16,15 @@ At full load, N = L vehicles on the same grid, two of these still hold:
 ``random``'s pick stays blind, so each vehicle's truth rate is r(U), and
 ``greedy``'s vehicle 0 picks first, so at 0 bits it takes the best of KL.
 
+The gaussian and two-state draws are clamped to [lo, hi], which puts an
+atom at each end: for the default gaussian (10 +- 8 dB) about 46% of the
+best of KL sits at the ceiling. With N = 1 at 0 bits, ``random`` takes
+one clamped normal entry and ``proposed`` the clamped best of KL, so
+each mean is r at each end times its atom plus the integral of r against
+the density in between. A two-state row is bad with probability
+``p_bad`` as a whole, so its mean is the ``p_bad`` mixture of the two
+states' means, not the mean over a mixed row.
+
 The rate is written out here, not taken from ``sidesched``, so a wrong
 rate formula, a wrong bin edge or a biased pick moves a mean; a wrong
 slot inside the top bin does not. The seeds, the repetitions and the
@@ -28,11 +37,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from sidesched.config import ExperimentConfig
 from sidesched.grid import ResourceGrid
 from sidesched.metrics import iter_cells
 from sidesched.scenario import Cluster, ScenarioModel
+from test_acceptance import MIXED
 
 LO, HI = -15.0, 35.0
 GRID = ResourceGrid(k=7, l=100, b_hz=1.26e6)
@@ -43,6 +54,12 @@ REPETITIONS = 1000
 MASTER_SEED = 12345
 FULL_LOAD_REPETITIONS = 200
 FULL_LOAD_SEED = 271828
+UNIFORM = ScenarioModel(kind="uniform", sinr_floor_db=LO, sinr_ceil_db=HI)
+# the default gaussian and the acceptance bank's two-state, both on [LO, HI]
+CLAMPED = {"gaussian": ScenarioModel(kind="gaussian"), "two-state": MIXED}
+CLAMPED_METHODS = ("proposed", "random")
+CLAMPED_REPETITIONS = 1000
+CLAMPED_SEEDS = {"gaussian": 161803, "two-state": 141421}
 Z_BOUND = 4.0
 
 
@@ -67,11 +84,34 @@ def expected(method, bits):
                * mean_rate(edges[j], edges[j + 1]) for j in range(m))
 
 
-def cells(n, widths, methods, repetitions, seed):
-    """Every cell of one cluster of ``n`` vehicles on the uniform grid."""
+def clamped_mean(cdf, pdf):
+    """E[r(clip(Y, LO, HI))] of a Y with this CDF and density: an atom at
+    each end of the range, and the density in between."""
+    return (rate(LO) * cdf(LO) + rate(HI) * (1.0 - cdf(HI))
+            + quad(lambda x: rate(x) * pdf(x), LO, HI, limit=200)[0])
+
+
+def row_mean(method, dist):
+    """E[r] of a vehicle's pick at 0 bits in a row of KL SINRs of law
+    ``dist``, clamped: ``random`` takes one, ``proposed`` the best."""
+    if method == "random":
+        return clamped_mean(dist.cdf, dist.pdf)
+    return clamped_mean(lambda x: dist.cdf(x) ** KL,
+                        lambda x: KL * dist.cdf(x) ** (KL - 1) * dist.pdf(x))
+
+
+def clamped_expected(model, method):
+    good = row_mean(method, norm(model.mean_db, model.std_db))
+    if model.kind == "gaussian":
+        return good
+    bad = row_mean(method, norm(model.bad_mean_db, model.std_db))
+    return model.p_bad * bad + (1.0 - model.p_bad) * good
+
+
+def cells(n, widths, methods, repetitions, seed, model=UNIFORM):
+    """Every cell of one cluster of ``n`` vehicles on the grid."""
     config = ExperimentConfig(
-        grid=GRID, scenario=ScenarioModel(kind="uniform", sinr_floor_db=LO,
-                                          sinr_ceil_db=HI),
+        grid=GRID, scenario=model,
         cluster_sizes=(n,), bits_list=widths, methods=methods,
         repetitions=repetitions, master_seed=seed,
         quant_lo_db=LO, quant_hi_db=HI)
@@ -126,4 +166,28 @@ def test_full_load_mean_matches_its_exact_expectation(full_load, method, size):
     z = z_score(x, exact)
     assert abs(z) <= Z_BOUND, (
         f"{method} at full load: mean {x.mean() / 1e6:.4f} Mbps, exact "
+        f"{exact / 1e6:.4f} Mbps, z = {z:.2f}")
+
+
+@pytest.fixture(scope="module")
+def clamped():
+    """One vehicle's truth rate at 0 bits, per (scenario, method)."""
+    out = {(name, m): [] for name in CLAMPED for m in CLAMPED_METHODS}
+    for name, model in CLAMPED.items():
+        assert (model.sinr_floor_db, model.sinr_ceil_db) == (LO, HI)
+        for cell in cells(1, (0,), CLAMPED_METHODS, CLAMPED_REPETITIONS,
+                          CLAMPED_SEEDS[name], model):
+            out[name, cell.method].append(cell.sum_rate_truth_bps)
+    return {key: np.array(rates) for key, rates in out.items()}
+
+
+@pytest.mark.parametrize("method", CLAMPED_METHODS)
+@pytest.mark.parametrize("scenario", CLAMPED)
+def test_clamped_mean_matches_its_exact_expectation(clamped, scenario, method):
+    x = clamped[scenario, method]
+    assert x.size == CLAMPED_REPETITIONS
+    exact = clamped_expected(CLAMPED[scenario], method)
+    z = z_score(x, exact)
+    assert abs(z) <= Z_BOUND, (
+        f"{method} on {scenario}: mean {x.mean() / 1e6:.4f} Mbps, exact "
         f"{exact / 1e6:.4f} Mbps, z = {z:.2f}")

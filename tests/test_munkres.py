@@ -535,13 +535,13 @@ def test_pipeline_matchings_are_pinned():
 
     digest, totals = hashlib.sha256(), []
     for model in (UNIFORM, MIXED):
-        quant_range = (model.sinr_floor_db, model.sinr_ceil_db)
+        lo, hi = model.sinr_floor_db, model.sinr_ceil_db
         for n in (10, 40, 70, 100):
             for seed in range(4):
                 draw = draw_cluster(GRID, model, Cluster(id=n, n_vehicles=n),
-                                    seed, quant_range)
+                                    seed)
                 for bits in (0, 2, 3, 4):
-                    q = QuantizerSpec(bits, *quant_range) if bits else None
+                    q = QuantizerSpec(bits, lo, hi) if bits else None
                     levels = level_rates(q, GRID.b_hz) if bits else None
                     _, reduced = draw_rates(GRID, draw, q, levels)
                     cols, total = max_weight_assignment(reduced.d)
@@ -563,10 +563,9 @@ def test_exact_tie_pick_on_a_mixed_density_table():
     """
     from test_acceptance import GRID, MIXED
 
-    quant_range = (MIXED.sinr_floor_db, MIXED.sinr_ceil_db)
     draw = draw_cluster(GRID, MIXED, Cluster(id=0, n_vehicles=100),
-                        derive_seed(0, SCENARIO_STREAM, 0, 0), quant_range)
-    q = QuantizerSpec(4, *quant_range)
+                        derive_seed(0, SCENARIO_STREAM, 0, 0))
+    q = QuantizerSpec(4, MIXED.sinr_floor_db, MIXED.sinr_ceil_db)
     _, reduced = draw_rates(GRID, draw, q, level_rates(q, GRID.b_hz))
     d = reduced.d
     cols, total = max_weight_assignment(d)

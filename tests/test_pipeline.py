@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sidesched import metrics, pipeline, sideinfo
+from sidesched import assignment, metrics, pipeline, sideinfo
 from sidesched.assignment import compress
 from sidesched.cli import load_config, run_experiment, run_sweep
 from sidesched.config import config_from_dict
@@ -40,7 +40,7 @@ def test_run_cell_rejects_shared_subframe(monkeypatch, method, stage):
     monkeypatch.setattr(pipeline, stage, clashing)
     grid, model = ResourceGrid(k=2, l=3), ScenarioModel(kind="uniform")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=2),
-                                 scenario_seed=1, quant_range=(-15.0, 35.0))
+                                 scenario_seed=1)
     with pytest.raises(ConstraintViolation):
         rates = pipeline.draw_rates(grid, draw, None, None)
         pipeline.run_cell(grid, draw, rates, bits=0, method=method)
@@ -59,9 +59,9 @@ def test_assignment_names_real_vehicles_only(monkeypatch, method, stage):
     assignments = _record_calls(monkeypatch, stage)
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
-                                 scenario_seed=4, quant_range=(-15.0, 35.0))
+                                 scenario_seed=4)
     assert draw.truth.key.shape == (3, 10)
-    assert draw.top.shape == draw.top_fine.shape == (3, 5)
+    assert draw.top.shape == (3, 5)
     truth = draw.truth.key.copy()
     for bits, q in ((0, None), (2, QuantizerSpec(2, -15.0, 35.0))):
         levels = level_rates(q, grid.b_hz) if q else None
@@ -114,16 +114,19 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
     padded = _record_calls(monkeypatch, "pad_to_square")
-    fine_calls = []
-    fines = _record_calls(monkeypatch, "_fine_index", calls=fine_calls)
+    top_calls = []
+    tops = _record_calls(monkeypatch, "_bin_index", calls=top_calls)
     indexed = []  # (vehicles of the latest draw, entries indexed) per read
-    real_index = sideinfo._fine_index
+    real_index = sideinfo._bin_index
 
-    def sized(lo_db, hi_db, sinr_db):
+    def sized(q, sinr_db):
         indexed.append((len(draws[-1]) if draws else 0, np.size(sinr_db)))
-        return real_index(lo_db, hi_db, sinr_db)
+        return real_index(q, sinr_db)
 
-    monkeypatch.setattr(sideinfo, "_fine_index", sized)
+    # the entries a decision or a slot lookup reads; a width's table of
+    # block maxima is keyed in ``pipeline`` and recorded in ``top_calls``
+    for module in (sideinfo, assignment):
+        monkeypatch.setattr(module, "_bin_index", sized)
     rate_calls = []
     rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
     compress_in = []
@@ -133,7 +136,8 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
     _record_calls(monkeypatch, "solve_greedy", first_args=greedy_in)
     runner(config)
-    monkeypatch.setattr(sideinfo, "_fine_index", real_index)
+    for module in (sideinfo, assignment):
+        monkeypatch.setattr(module, "_bin_index", real_index)
     grid = config.grid
     tables = [table for _, table in widths_rated]
     points = (config.cluster_sizes if runner is run_experiment
@@ -159,13 +163,18 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     for arg in (1, 2):
         of_width = [id(args[arg]) for args, _ in rate_calls]
         assert of_width == of_width[:widths] * len(draws)
-    # block maxima once per draw, of its SINR, and the 8-bit index once,
-    # of those N x L maxima; every width's block table once, padded once,
-    # its slots looked up in the draw's SINR itself, and read by proposed
-    # and greedy alike
+    # block maxima once per draw, of its SINR, and each quantized width's
+    # index once per draw, of those N x L maxima under its own quantizer;
+    # every width's block table once, padded once, its slots looked up in
+    # the draw's SINR itself, and read by proposed and greedy alike
     assert [id(c) for c in compress_in] == [id(s) for s in draws]
-    assert [id(args[2]) for args, _ in fine_calls] == [id(c.d) for c in compressed]
-    assert [f.shape for f in fines] == [(len(s), grid.l) for s in draws]
+    assert len(top_calls) == len(draws) * quantized
+    quantizers = [id(args[1]) for args, _ in rate_calls if args[1] is not None]
+    assert [id(args[0]) for args, _ in top_calls] == quantizers
+    assert ([id(args[1]) for args, _ in top_calls]
+            == [id(c.d) for c in compressed for _ in range(quantized)])
+    assert [t.shape for t in tops] == [(len(s), grid.l) for s in draws
+                                       for _ in range(quantized)]
     sinrs = [s for s in draws for _ in range(widths)]
     assert len(tables) == len(padded) == len(rates)
     assert [id(t.d) for t in tables] == [id(p) for p in padded]
@@ -220,12 +229,11 @@ def test_every_width_derives_its_table_from_the_draw_maxima(case):
     # at every width, the rated table and the slot lookup equal a
     # per-block reference on the width's own keys: the maximum, kept as
     # the first maximal entry (so with its sign), and that entry's slot
-    grid, n, sinr, quant_range = case
+    grid, n, sinr, (lo, hi) = case
     with mock.patch.object(pipeline, "generate_sinr", return_value=sinr):
-        draw = pipeline.draw_cluster(grid, ScenarioModel(), Cluster(0, n), 0,
-                                     quant_range)
+        draw = pipeline.draw_cluster(grid, ScenarioModel(), Cluster(0, n), 0)
     for bits in range(9):
-        q = QuantizerSpec(bits, *quant_range) if bits else None
+        q = QuantizerSpec(bits, lo, hi) if bits else None
         levels = level_rates(q, grid.b_hz) if q else None
         decision, table = pipeline.draw_rates(grid, draw, q, levels)
         blocks = decision.key.reshape(n * grid.l, grid.k).tolist()
@@ -267,7 +275,7 @@ def test_an_ideal_cell_rates_its_chosen_entries_once(monkeypatch):
     # truth rates of the N chosen entries instead of rating them again
     grid, model = ResourceGrid(k=2, l=5), ScenarioModel(kind="two-state")
     draw = pipeline.draw_cluster(grid, model, Cluster(id=0, n_vehicles=3),
-                                 scenario_seed=4, quant_range=(-15.0, 35.0))
+                                 scenario_seed=4)
     rates = pipeline.draw_rates(grid, draw, None, None)
     assignments = _record_calls(monkeypatch, "expand_solution")
     sizes = []

@@ -14,7 +14,7 @@ from sidesched.assignment import compress
 from sidesched.grid import ResourceGrid
 from sidesched.scenario import Cluster, ScenarioModel, generate_sinr
 from sidesched.sideinfo import (FineRates, QuantizedRates, QuantizerSpec,
-                                _bin_index, _check_level_rates, _fine_index,
+                                _bin_index, _check_level_rates,
                                 build_rate_matrices, level_rates, quantize,
                                 rate_from_sinr)
 from util import decision_of, slot_table
@@ -212,12 +212,14 @@ class TestNestedWidths:
     @settings(max_examples=150, deadline=None)
     @given(case=blocked_edges())
     def test_index_of_block_maxima_is_block_maxima_of_index(self, case):
-        # what a draw's ``top_fine`` rests on: the index is non-decreasing
-        # in the SINR, so it commutes with a block maximum
+        # what every width's table rests on: the 8-bit index is
+        # non-decreasing in the SINR, so it commutes with a block maximum,
+        # and so does each narrower width's, a shift of it
         lo, hi, k, l, sinr = case
         n = len(sinr)
-        got = _fine_index(lo, hi, compress(sinr, k, l).d)
-        ref = _fine_index(lo, hi, sinr).reshape(n, l, k).max(axis=2)
+        q = QuantizerSpec(8, lo, hi)
+        got = _bin_index(q, compress(sinr, k, l).d)
+        ref = _bin_index(q, sinr).reshape(n, l, k).max(axis=2)
         assert got.dtype == ref.dtype == np.uint8
         assert got.tobytes() == ref.tobytes()
 
@@ -347,10 +349,10 @@ class TestRatedWhereRead:
 
     @pytest.mark.parametrize("kind", ["uniform", "two-state", "tie-heavy"])
     def test_quantized_reads_equal_the_full_index(self, kind):
-        # a quantized decision indexes only what is read: the N scored
-        # entries and the K slots of each picked block read as the same
-        # entries of the whole index matrix, at every width, on the clamp
-        # range and on a range narrower than it
+        # a quantized decision indexes only what is read: the block table,
+        # the N scored entries and the K slots of each picked block read as
+        # the same entries of the whole index matrix, at every width, on
+        # the clamp range and on a range narrower than it, all of one draw
         grid, n = ResourceGrid(k=7, l=100), 70
         model = ScenarioModel(kind="uniform" if kind == "uniform" else "two-state")
         sinr = generate_sinr(model, Cluster(0, n), grid)
@@ -358,15 +360,16 @@ class TestRatedWhereRead:
             sinr = np.round(sinr / 5) * 5
         rng = np.random.default_rng(19)
         rows = np.arange(n)
-        for quant_range in ((-15.0, 35.0), (0.0, 25.0)):
-            with mock.patch.object(pipeline, "generate_sinr", return_value=sinr):
-                draw = pipeline.draw_cluster(grid, model, Cluster(0, n), 0,
-                                             quant_range)
+        with mock.patch.object(pipeline, "generate_sinr", return_value=sinr):
+            draw = pipeline.draw_cluster(grid, model, Cluster(0, n), 0)
+        for lo, hi in ((-15.0, 35.0), (0.0, 25.0)):
             for bits in range(1, 9):
-                q = QuantizerSpec(bits, *quant_range)
+                q = QuantizerSpec(bits, lo, hi)
                 decision, table = pipeline.draw_rates(
                     grid, draw, q, level_rates(q, grid.b_hz))
                 full = _bin_index(q, sinr)
+                top = full.reshape(n, grid.l, grid.k).max(axis=2)
+                assert table.d[:n].tobytes() == decision.rate(top).tobytes()
                 cols = rng.integers(0, grid.n_subchannels, n)
                 assert (decision.at(rows, cols).tobytes()
                         == decision.rate(full[rows, cols]).tobytes())

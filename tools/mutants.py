@@ -54,22 +54,50 @@ MUTANTS = {
     # a SINR below the range indexes as far up as it lies below
     "abs-in-the-index": (
         "src/sidesched/sideinfo.py",
-        "x = np.maximum(np.subtract(sinr_db, lo_db, dtype=float), 0.0)",
-        "x = np.abs(np.subtract(sinr_db, lo_db, dtype=float))",
+        "x = np.maximum(np.subtract(sinr_db, q.lo_db, dtype=float), 0.0)",
+        "x = np.abs(np.subtract(sinr_db, q.lo_db, dtype=float))",
         ["tests/test_sideinfo.py::TestNestedWidths::"
          "test_bin_index_equals_out_of_place_formula"]),
     # every 8-bit bin is 1/240 of the range, so the top bins run short
     "bin-edge": (
         "src/sidesched/sideinfo.py",
-        "np.minimum(x / ((hi_db - lo_db) / 256), 255.0)",
-        "np.minimum(x / ((hi_db - lo_db) / 240), 255.0)",
+        "np.minimum(x / ((q.hi_db - q.lo_db) / 256), 255.0)",
+        "np.minimum(x / ((q.hi_db - q.lo_db) / 240), 255.0)",
         ["tests/test_expectations.py"]),
+    # a width's table is keyed over the default dB range, not its own
+    "table-keyed-by-another-range": (
+        "src/sidesched/pipeline.py",
+        "_bin_index(q, draw.top)",
+        "_bin_index(QuantizerSpec(q.bits), draw.top)",
+        ["tests/test_sideinfo.py::TestRatedWhereRead::"
+         "test_quantized_reads_equal_the_full_index"]),
+    # each level's rate is taken 1e-13 dB above its reconstruction
+    "level-table-off-by-1e-13-db": (
+        "src/sidesched/sideinfo.py",
+        "rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)))",
+        "rate_from_sinr(b_hz, _reconstruct(q, np.arange(q.levels)) + 1e-13)",
+        ["tests/test_sideinfo.py::TestQuantizeProperties::"
+         "test_level_table_matches_rate_of_reconstruction"]),
     # the rate takes log2(2 + SINR) for log2(1 + SINR)
     "rate-formula": (
         "src/sidesched/sideinfo.py",
         "np.log2(1.0 + 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0))",
         "np.log2(2.0 + 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0))",
         ["tests/test_expectations.py"]),
+    # a gaussian or two-state draw is left unclamped above the ceiling
+    "unclamped-draw": (
+        "src/sidesched/scenario.py",
+        "    return np.clip(vals, model.sinr_floor_db, model.sinr_ceil_db, out=vals)\n",
+        "    return np.maximum(vals, model.sinr_floor_db, out=vals)\n",
+        ["tests/test_expectations.py::"
+         "test_clamped_mean_matches_its_exact_expectation"]),
+    # the two-state draws a state per entry, not one per vehicle
+    "two-state-per-entry": (
+        "src/sidesched/scenario.py",
+        "bad_row = rng.random((cluster.n_vehicles, 1)) < model.p_bad",
+        "bad_row = rng.random(shape) < model.p_bad",
+        ["tests/test_expectations.py::"
+         "test_clamped_mean_matches_its_exact_expectation"]),
     # the oracle takes the last maximal slot of a block, not the first
     "oracle-last-slot-on-ties": (
         "src/sidesched/solvers.py",
