@@ -15,39 +15,38 @@ other method's assignment, by ``solvers.verify_assignment``.
 Cost vectors are vehicle-major: entry i*(K*L) + k is vehicle i on global
 subchannel k, with k = l*K + slot. They hold rates, or the SINRs a
 decision keys its entries by (``sideinfo``): a rate increases with its
-key, so the key table mapped to rates is the rate table, at the same
-slots.
+key (``key_of``), so the key table mapped to rates is the rate table,
+at the same slots.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .sideinfo import QuantizerSpec, _bin_index
 from .solvers import Assignment
 
 
 @dataclass(frozen=True)
 class ReducedProblem:
     """Block table after per-subframe compression, one row per vehicle;
-    ``pipeline.draw_rates`` pads ``d`` to (L, L) for the matching kernel."""
+    ``pipeline.draw_rates`` pads ``d`` to (L, L) for the matching kernel
+    and keys its slots by its decision's ``key_of``."""
 
     d: np.ndarray     # (N, L) block maxima, or softened values
     keys: np.ndarray  # (N, K*L) entries the maxima were taken of
     k: int
     l: int
-    quantizer: QuantizerSpec | None = None  # keys the entries when set
+    key_of: Callable[[np.ndarray], np.ndarray] = np.asarray  # identity on arrays
 
     def slots(self, frames: np.ndarray) -> np.ndarray:
         """Lowest maximal slot of block ``frames[i]`` of each vehicle
-        i < frames.size: a gather of K entries each, keyed by ``quantizer``."""
+        i < frames.size: a gather of K entries each, keyed by ``key_of``."""
         blocks = self.keys.reshape(len(self.keys), self.l, self.k)
-        picked = blocks[np.arange(frames.size), frames]
-        if self.quantizer is not None:
-            picked = _bin_index(self.quantizer, picked)
+        picked = self.key_of(blocks[np.arange(frames.size), frames])
         return picked.argmax(axis=1)
 
 

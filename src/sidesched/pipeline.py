@@ -8,12 +8,11 @@ draw); both serve every width, and neither depends on a quantizer. Its
 scheduler decides on and the block table that proposed and greedy read.
 The ideal decision is the truth, keyed by SINR; a quantized decision
 holds the same SINR array and keys an entry by its b-bit level index
-only where it is read: the N scored entries, the K slots of each picked
-block and the N x L SINR block maxima, each through the width's own
-quantizer (``sideinfo._bin_index``). Every width's table is its key
-block maxima mapped to their rates, so only the N x L maxima are rated,
-padded with zero rows to the L x L square of the matching kernel
-(``pad_to_square``).
+only where it is read. Every read goes through the decision's own
+``key_of``: the N scored entries, the K slots of each picked block and
+the N x L SINR block maxima. Every width's table is its key block maxima
+mapped to their rates, so only the N x L maxima are rated, padded with
+zero rows to the L x L square of the matching kernel (``pad_to_square``).
 A *cell* (``run_cell``) runs one method on those rates. It solves,
 checks the assignment (one subchannel per vehicle) for one vehicle per
 subframe (``verify_assignment``, for every method), and scores it on the
@@ -38,8 +37,7 @@ import numpy as np
 from .assignment import ReducedProblem, compress, expand_solution
 from .grid import ResourceGrid
 from .scenario import Cluster, ScenarioModel, generate_sinr, pad_to_square
-from .sideinfo import (FineRates, QuantizedRates, QuantizerSpec, _bin_index,
-                       build_rate_matrices)
+from .sideinfo import FineRates, QuantizedRates, QuantizerSpec, build_rate_matrices
 from .solvers import (evaluate, solve_greedy, solve_oracle, solve_proposed,
                       solve_random, verify_assignment)
 
@@ -92,16 +90,16 @@ def draw_rates(grid: ResourceGrid, draw: Draw, q: QuantizerSpec | None,
     """(decision, block table of decision) of a draw under the quantizer
     ``q`` and its level table ``levels`` (``sideinfo.level_rates``).
 
-    ``q=None`` (ideal feedback) decides on ``draw.truth`` and its block
-    maxima; every other width keys those maxima by its level index under
-    ``q``. Only the N x L block maxima are rated, and the rated table is
-    padded to L x L; its slots are looked up in the draw's SINR, keyed
-    by ``q``.
+    ``q=None`` (ideal feedback) decides on ``draw.truth``. Every width
+    keys the draw's block maxima by its decision's ``key_of``: the SINR
+    itself, or its level index under ``q``. Only the N x L block maxima
+    are rated, and the rated table is padded to L x L; its slots are
+    looked up in the draw's SINR, keyed by the same ``key_of``.
     """
     decision = build_rate_matrices(draw.truth, q, levels)
-    top = draw.top if q is None else _bin_index(q, draw.top)
-    square = pad_to_square(decision.rate(top), grid)
-    return decision, ReducedProblem(square, draw.truth.key, grid.k, grid.l, q)
+    key_of = decision.key_of
+    square = pad_to_square(decision.rate(key_of(draw.top)), grid)
+    return decision, ReducedProblem(square, draw.truth.sinr, grid.k, grid.l, key_of)
 
 
 def run_cell(grid: ResourceGrid, draw: Draw,

@@ -3,13 +3,13 @@
 Assignments are decided on quantized reconstructions but judged on the
 fine-grained SINR. The quantizer is uniform over a dB range with
 midpoint reconstruction; bin width is (hi - lo) / 2**bits. Both rate
-types hold a ``key`` per entry and a ``rate(key)`` that increases with
-it: the SINR in dB and ``rate_from_sinr`` (``FineRates``), or the bin
-index and the 2**bits level rates (``QuantizedRates``). So a table of
-key block maxima, mapped through ``rate``, is the table of rate block
-maxima, and only the entries read are rated. (SINRs an ulp apart may
-round to one rate; the table then keeps the larger SINR's slot.) A
-quantized decision indexes an entry only where it is read.
+types hold the SINR and key every entry they read by ``key_of(sinr)``,
+rated by a ``rate(key)`` that increases with it: the SINR itself and
+``rate_from_sinr`` (``FineRates``), or the bin index and the 2**bits
+level rates (``QuantizedRates``). So a table of key block maxima, mapped
+through ``rate``, is the table of rate block maxima, and only the
+entries read are rated. (SINRs an ulp apart may round to one rate; the
+table then keeps the larger SINR's slot.)
 
 Widths nest: the b-bit index of a value is its 8-bit index shifted right
 by 8 - b, bit for bit. The b-bit bin width is the 8-bit one times the
@@ -91,7 +91,11 @@ def rate_from_sinr(b_hz: float, sinr_db):
 
 
 class _KeyedRates:
-    """Rates, in bits/s, of a key per entry, rated only where read."""
+    """Rates, in bits/s, of each SINR's key ``key_of(sinr)``, rated where read."""
+
+    @property
+    def key(self) -> np.ndarray:
+        return self.key_of(self.sinr)
 
     @property
     def values(self) -> np.ndarray:
@@ -100,21 +104,24 @@ class _KeyedRates:
 
     def at(self, rows, cols) -> np.ndarray:
         """Rates of the (rows[i], cols[i]) entries."""
-        return self.rate(self.key[rows, cols])
+        return self.rate(self.key_of(self.sinr[rows, cols]))
 
 
 @dataclass(frozen=True)
 class FineRates(_KeyedRates):
-    """Fine-grained rates: the key is the SINR in dB."""
+    """Fine-grained rates: the key is the SINR in dB itself."""
 
-    key: np.ndarray
+    sinr: np.ndarray  # (N, K*L) SINR in dB
     b_hz: float
 
     def __post_init__(self):
         # rate increases with SINR: the largest SINR's rate bounds them all
         with np.errstate(over="ignore"):
-            if not np.isfinite(self.rate(self.key.max())):
+            if not np.isfinite(self.rate(self.sinr.max())):
                 raise ValueError("rates must be finite")
+
+    def key_of(self, sinr_db):
+        return sinr_db
 
     def rate(self, key):
         return rate_from_sinr(self.b_hz, key)
@@ -122,9 +129,9 @@ class FineRates(_KeyedRates):
 
 @dataclass(frozen=True)
 class QuantizedRates(_KeyedRates):
-    """Quantized decision rates: the key of an entry is its level index
-    under ``q``, taken from the SINR where it is read, and rated per
-    level from a table that ``level_rates`` made and checked."""
+    """Quantized decision rates: the key of an entry is its uint8 level
+    index under ``q``, taken from the SINR where it is read, and rated
+    per level from a table that ``level_rates`` made and checked."""
 
     sinr: np.ndarray         # (N, K*L) SINR in dB, the truth's own array
     q: QuantizerSpec
@@ -134,13 +141,8 @@ class QuantizedRates(_KeyedRates):
         if np.ndim(self.sinr) != 2 or np.shape(self.level_rates) != (self.q.levels,):
             raise ValueError("need a 2-D SINR matrix and 2**bits level rates")
 
-    @property
-    def key(self) -> np.ndarray:
-        """The uint8 level index of every entry, built on each access."""
-        return _bin_index(self.q, self.sinr)
-
-    def at(self, rows, cols) -> np.ndarray:
-        return self.rate(_bin_index(self.q, self.sinr[rows, cols]))
+    def key_of(self, sinr_db):
+        return _bin_index(self.q, sinr_db)
 
     def rate(self, key):
         return self.level_rates.take(key)
@@ -182,4 +184,4 @@ def build_rate_matrices(truth: FineRates, q: QuantizerSpec | None,
     """
     if q is None:
         return truth
-    return QuantizedRates(truth.key, q, levels)
+    return QuantizedRates(truth.sinr, q, levels)

@@ -1,12 +1,19 @@
-"""Scripts outside the package, loaded by path as the tests' fixtures."""
+"""Scripts outside the package, loaded by path as the tests' fixtures,
+and the hypothesis profiles a run may pick with ``--hypothesis-profile``."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# tools/mutants.py asks only whether a named test fails, so it skips the
+# shrink phase: a failing example is reported as first found
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse,
+                                             Phase.generate, Phase.target])
 
 
 def _load(name, path):

@@ -23,7 +23,10 @@ one clamped normal entry and ``proposed`` the clamped best of KL, so
 each mean is r at each end times its atom plus the integral of r against
 the density in between. A two-state row is bad with probability
 ``p_bad`` as a whole, so its mean is the ``p_bad`` mixture of the two
-states' means, not the mean over a mixed row.
+states' means, not the mean over a mixed row. At b bits ``proposed``
+takes the first entry of the top occupied bin, so its SINR has the law
+of one clamped entry given that bin: the top bin holds the ceiling's
+atom and the bottom bin the floor's.
 
 The rate is written out here, not taken from ``sidesched``, so a wrong
 rate formula, a wrong bin edge or a biased pick moves a mean; a wrong
@@ -58,6 +61,7 @@ UNIFORM = ScenarioModel(kind="uniform", sinr_floor_db=LO, sinr_ceil_db=HI)
 # the default gaussian and the acceptance bank's two-state, both on [LO, HI]
 CLAMPED = {"gaussian": ScenarioModel(kind="gaussian"), "two-state": MIXED}
 CLAMPED_METHODS = ("proposed", "random")
+CLAMPED_BITS = 3  # proposed only; both methods run at 0 bits
 CLAMPED_REPETITIONS = 1000
 CLAMPED_SEEDS = {"gaussian": 161803, "two-state": 141421}
 Z_BOUND = 4.0
@@ -91,20 +95,44 @@ def clamped_mean(cdf, pdf):
             + quad(lambda x: rate(x) * pdf(x), LO, HI, limit=200)[0])
 
 
-def row_mean(method, dist):
-    """E[r] of a vehicle's pick at 0 bits in a row of KL SINRs of law
-    ``dist``, clamped: ``random`` takes one, ``proposed`` the best."""
+def top_bin_mean(dist, bits):
+    """E[r] of an entry of the top occupied bin among KL SINRs of law
+    ``dist``, clamped, on 2**bits bins over [LO, HI]: bin j is the top
+    with probability below[j+1]**KL - below[j]**KL, where below[j] is one
+    entry's chance to lie below bin j, and its entry has the clamped law
+    given the bin."""
+    m = 2 ** bits
+    edges = np.linspace(LO, HI, m + 1)
+    below = [0.0, *(dist.cdf(e) for e in edges[1:-1]), 1.0]
+    total = 0.0
+    for j in range(m):
+        integral = quad(lambda x: rate(x) * dist.pdf(x), edges[j], edges[j + 1])[0]
+        if j == 0:
+            integral += rate(LO) * dist.cdf(LO)
+        if j == m - 1:
+            integral += rate(HI) * dist.sf(HI)
+        total += ((below[j + 1] ** KL - below[j] ** KL)
+                  * integral / (below[j + 1] - below[j]))
+    return total
+
+
+def row_mean(method, dist, bits):
+    """E[r] of a vehicle's pick at ``bits`` in a row of KL SINRs of law
+    ``dist``, clamped: ``random`` takes one, ``proposed`` the best at 0
+    bits, else an entry of the top occupied bin."""
     if method == "random":
         return clamped_mean(dist.cdf, dist.pdf)
+    if bits:
+        return top_bin_mean(dist, bits)
     return clamped_mean(lambda x: dist.cdf(x) ** KL,
                         lambda x: KL * dist.cdf(x) ** (KL - 1) * dist.pdf(x))
 
 
-def clamped_expected(model, method):
-    good = row_mean(method, norm(model.mean_db, model.std_db))
+def clamped_expected(model, method, bits):
+    good = row_mean(method, norm(model.mean_db, model.std_db), bits)
     if model.kind == "gaussian":
         return good
-    bad = row_mean(method, norm(model.bad_mean_db, model.std_db))
+    bad = row_mean(method, norm(model.bad_mean_db, model.std_db), bits)
     return model.p_bad * bad + (1.0 - model.p_bad) * good
 
 
@@ -171,23 +199,35 @@ def test_full_load_mean_matches_its_exact_expectation(full_load, method, size):
 
 @pytest.fixture(scope="module")
 def clamped():
-    """One vehicle's truth rate at 0 bits, per (scenario, method)."""
-    out = {(name, m): [] for name in CLAMPED for m in CLAMPED_METHODS}
+    """One vehicle's truth rate per (scenario, method, bits): both methods
+    at 0 bits, and ``proposed`` at ``CLAMPED_BITS``."""
+    kept = [(m, 0) for m in CLAMPED_METHODS] + [("proposed", CLAMPED_BITS)]
+    out = {(name, m, b): [] for name in CLAMPED for m, b in kept}
     for name, model in CLAMPED.items():
         assert (model.sinr_floor_db, model.sinr_ceil_db) == (LO, HI)
-        for cell in cells(1, (0,), CLAMPED_METHODS, CLAMPED_REPETITIONS,
-                          CLAMPED_SEEDS[name], model):
-            out[name, cell.method].append(cell.sum_rate_truth_bps)
+        for cell in cells(1, (0, CLAMPED_BITS), CLAMPED_METHODS,
+                          CLAMPED_REPETITIONS, CLAMPED_SEEDS[name], model):
+            if (name, cell.method, cell.bits) in out:
+                out[name, cell.method, cell.bits].append(cell.sum_rate_truth_bps)
     return {key: np.array(rates) for key, rates in out.items()}
+
+
+def check_clamped(clamped, scenario, method, bits):
+    x = clamped[scenario, method, bits]
+    assert x.size == CLAMPED_REPETITIONS
+    exact = clamped_expected(CLAMPED[scenario], method, bits)
+    z = z_score(x, exact)
+    assert abs(z) <= Z_BOUND, (
+        f"{method} on {scenario} at {bits} bits: mean {x.mean() / 1e6:.4f} "
+        f"Mbps, exact {exact / 1e6:.4f} Mbps, z = {z:.2f}")
 
 
 @pytest.mark.parametrize("method", CLAMPED_METHODS)
 @pytest.mark.parametrize("scenario", CLAMPED)
 def test_clamped_mean_matches_its_exact_expectation(clamped, scenario, method):
-    x = clamped[scenario, method]
-    assert x.size == CLAMPED_REPETITIONS
-    exact = clamped_expected(CLAMPED[scenario], method)
-    z = z_score(x, exact)
-    assert abs(z) <= Z_BOUND, (
-        f"{method} on {scenario}: mean {x.mean() / 1e6:.4f} Mbps, exact "
-        f"{exact / 1e6:.4f} Mbps, z = {z:.2f}")
+    check_clamped(clamped, scenario, method, 0)
+
+
+@pytest.mark.parametrize("scenario", CLAMPED)
+def test_clamped_quantized_mean_matches_its_exact_expectation(clamped, scenario):
+    check_clamped(clamped, scenario, "proposed", CLAMPED_BITS)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sidesched import assignment, metrics, pipeline, sideinfo
+from sidesched import metrics, pipeline, sideinfo
 from sidesched.assignment import compress
 from sidesched.cli import load_config, run_experiment, run_sweep
 from sidesched.config import config_from_dict
@@ -114,19 +114,17 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     config = replace(load_config(SMOKE), out_dir=str(tmp_path))
     draws = _record_calls(monkeypatch, "generate_sinr")
     padded = _record_calls(monkeypatch, "pad_to_square")
-    top_calls = []
-    tops = _record_calls(monkeypatch, "_bin_index", calls=top_calls)
-    indexed = []  # (vehicles of the latest draw, entries indexed) per read
+    # (vehicles of the latest draw, quantizer, SINR indexed) per read; a
+    # decision's table of block maxima, its scored entries and its slot
+    # lookups are all keyed through its ``key_of``, so all index here
+    indexed = []
     real_index = sideinfo._bin_index
 
-    def sized(q, sinr_db):
-        indexed.append((len(draws[-1]) if draws else 0, np.size(sinr_db)))
+    def recorded(q, sinr_db):
+        indexed.append((len(draws[-1]) if draws else 0, q, sinr_db))
         return real_index(q, sinr_db)
 
-    # the entries a decision or a slot lookup reads; a width's table of
-    # block maxima is keyed in ``pipeline`` and recorded in ``top_calls``
-    for module in (sideinfo, assignment):
-        monkeypatch.setattr(module, "_bin_index", sized)
+    monkeypatch.setattr(sideinfo, "_bin_index", recorded)
     rate_calls = []
     rates = _record_calls(monkeypatch, "build_rate_matrices", calls=rate_calls)
     compress_in = []
@@ -136,8 +134,7 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     _record_calls(monkeypatch, "solve_proposed", first_args=proposed_in)
     _record_calls(monkeypatch, "solve_greedy", first_args=greedy_in)
     runner(config)
-    for module in (sideinfo, assignment):
-        monkeypatch.setattr(module, "_bin_index", real_index)
+    monkeypatch.setattr(sideinfo, "_bin_index", real_index)
     grid = config.grid
     tables = [table for _, table in widths_rated]
     points = (config.cluster_sizes if runner is run_experiment
@@ -146,12 +143,18 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     quantized = sum(1 for bits in config.bits_list if bits)
     assert len(draws) == config.repetitions * len(points)
     assert len(rates) == len(draws) * widths
-    # no per-entry index is made per draw or per width: a quantized width
-    # indexes at most the K slots of each vehicle's picked block, and only
-    # the oracle, which rates its whole decision, indexes every entry
-    assert indexed and all(size <= n * grid.k for n, size in indexed
-                           if size != n * grid.n_subchannels)
-    full = [size for n, size in indexed if size == n * grid.n_subchannels]
+    # each quantized width indexes the draw's N x L block maxima once;
+    # beyond them no per-entry index is made per draw or per width: a
+    # quantized width indexes at most the K slots of each vehicle's picked
+    # block, and only the oracle, which rates its whole decision, indexes
+    # every entry
+    maxima = {id(c.d) for c in compressed}
+    tops = [(q, sinr) for _, q, sinr in indexed if id(sinr) in maxima]
+    reads = [(n, np.size(sinr)) for n, _, sinr in indexed
+             if id(sinr) not in maxima]
+    assert reads and all(size <= n * grid.k for n, size in reads
+                         if size != n * grid.n_subchannels)
+    full = [size for n, size in reads if size == n * grid.n_subchannels]
     assert len(full) == len(draws) * quantized * config.methods.count("oracle")
     # every width of a draw reads one truth, made once, and every draw
     # reads each width's quantizer and level table, rated once per run
@@ -168,13 +171,13 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     # every width's block table once, padded once, its slots looked up in
     # the draw's SINR itself, and read by proposed and greedy alike
     assert [id(c) for c in compress_in] == [id(s) for s in draws]
-    assert len(top_calls) == len(draws) * quantized
+    assert len(tops) == len(draws) * quantized
     quantizers = [id(args[1]) for args, _ in rate_calls if args[1] is not None]
-    assert [id(args[0]) for args, _ in top_calls] == quantizers
-    assert ([id(args[1]) for args, _ in top_calls]
+    assert [id(q) for q, _ in tops] == quantizers
+    assert ([id(top) for _, top in tops]
             == [id(c.d) for c in compressed for _ in range(quantized)])
-    assert [t.shape for t in tops] == [(len(s), grid.l) for s in draws
-                                       for _ in range(quantized)]
+    assert [top.shape for _, top in tops] == [(len(s), grid.l) for s in draws
+                                              for _ in range(quantized)]
     sinrs = [s for s in draws for _ in range(widths)]
     assert len(tables) == len(padded) == len(rates)
     assert [id(t.d) for t in tables] == [id(p) for p in padded]
@@ -182,13 +185,15 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     assert len({id(t) for t in tables}) == len(tables)
     assert [id(t) for t in proposed_in] == [id(t) for t in tables]
     assert [id(t) for t in greedy_in] == [id(t) for t in tables]
-    # each quantized width keys the draw's SINR by its own quantizer, and
-    # its indices are those of that quantizer from scratch
+    # each quantized width keys the draw's SINR, and its table's slots, by
+    # its own quantizer, and its indices are those of that quantizer from
+    # scratch
     for (args, _), decision, table, sinr, bits in zip(
             rate_calls, rates, tables, sinrs, config.bits_list * len(draws)):
         if bits:
             q = QuantizerSpec(bits, config.quant_lo_db, config.quant_hi_db)
-            assert args[1] == q and table.quantizer is args[1]
+            assert args[1] == q and decision.q is args[1]
+            assert table.key_of == decision.key_of
             assert args[2].tobytes() == level_rates(q, grid.b_hz).tobytes()
             assert decision.sinr is sinr and decision.level_rates is args[2]
             np.testing.assert_array_equal(decision.key, _bin_index(q, sinr))
@@ -198,7 +203,7 @@ def test_draw_once_per_repetition_and_cluster(monkeypatch, tmp_path, runner):
     # that matrix's first maximal slot at every (vehicle, subframe)
     for (args, _), decision, table in zip(rate_calls, rates, tables):
         if args[1] is None:
-            assert decision is args[0] and table.quantizer is None
+            assert decision is args[0] and table.key_of == decision.key_of
             full = decision.values
             ref = compress(full.ravel(), table.k, table.l)
             assert table.d.tobytes() == pad_to_square(ref.d, grid).tobytes()
@@ -246,6 +251,30 @@ def test_every_width_derives_its_table_from_the_draw_maxima(case):
         assert slot_table(table).ravel().tolist() == slots
         if not bits:
             assert draw.top.tobytes() == np.array(top).reshape(n, grid.l).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=edge_draws(), bits=st.integers(0, 8), data=st.data())
+def test_every_keyed_read_goes_through_key_of(case, bits, data):
+    # both rate types, bit for bit: the whole key is ``key_of`` of the
+    # SINR, a scored entry is the rate of its key, and a picked block's
+    # slot is the first maximum of its keys
+    grid, n, sinr, (lo, hi) = case
+    with mock.patch.object(pipeline, "generate_sinr", return_value=sinr):
+        draw = pipeline.draw_cluster(grid, ScenarioModel(), Cluster(0, n), 0)
+    q = QuantizerSpec(bits, lo, hi) if bits else None
+    decision, table = pipeline.draw_rates(
+        grid, draw, q, level_rates(q, grid.b_hz) if q else None)
+    key = decision.key_of(sinr)
+    assert (decision.key.dtype, decision.key.tobytes()) == (key.dtype, key.tobytes())
+    rows = data.draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))
+    cols = data.draw(arrays(np.int64, n,
+                            elements=st.integers(0, grid.n_subchannels - 1)))
+    assert (decision.at(rows, cols).tobytes()
+            == decision.rate(decision.key_of(sinr[rows, cols])).tobytes())
+    frames = np.array(data.draw(st.permutations(range(grid.l))))[:n]
+    picked = key.reshape(n, grid.l, grid.k)[np.arange(n), frames]
+    assert table.slots(frames).tobytes() == picked.argmax(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("runner", [run_experiment, run_sweep])

@@ -90,9 +90,11 @@ class TestQuantize:
         assert isinstance(idx, int)
         assert isinstance(recon, float)
 
-    def test_bin_index_in_place_matches_formula(self):
-        # the in-place index against the out-of-place formula, on values
-        # inside, outside and exactly at the range edges and bin edges
+    def test_bin_index_matches_formula_keeps_input_and_shape(self):
+        # the index against the floor formula on the default range, on
+        # values inside, outside and exactly at the range and bin edges;
+        # the input is left untouched, a 2-D input keeps its shape, the
+        # bottom edge indexes to bin 0 and the top edge folds into the last
         rng = np.random.default_rng(11)
         for bits in range(1, 9):
             q = QuantizerSpec(bits=bits, lo_db=-15.0, hi_db=35.0)
@@ -108,7 +110,7 @@ class TestQuantize:
             np.testing.assert_array_equal(x, before)  # input left unchanged
             assert idx.dtype == np.uint8
             np.testing.assert_array_equal(idx, ref)
-            # rows of a 2-D draw, with a buffer boundary inside a row
+            # rows of a 2-D draw index entry by entry, shape kept
             rows = _bin_index(q, x[:20_000].reshape(100, 200))
             assert (rows.dtype, rows.shape) == (np.uint8, (100, 200))
             np.testing.assert_array_equal(rows.ravel(), ref[:20_000])

@@ -6,10 +6,13 @@ Each entry of ``MUTANTS`` is a file, an exact snippet of it, the
 snippet's replacement and the tests that must fail once it is made. For
 each entry (every entry, or only those named) the working tree is copied
 to a temporary directory, the snippet is replaced there, and only the
-entry's tests run, with ``python -m pytest -q -x -p no:cacheprovider``
-and ``PYTHONPATH`` set to the copy's ``src``. Before any mutant, an
-unmutated copy runs every test the selected entries name; if it does not
-pass, no verdict would mean anything and the script exits 1.
+entry's tests run, with ``python -m pytest -q -x -p no:cacheprovider
+--hypothesis-profile=mutants`` and ``PYTHONPATH`` set to the copy's
+``src``. That profile (``tests/conftest.py``) skips hypothesis's shrink
+phase, which only makes a failure already found smaller. Before any
+mutant, an unmutated copy runs every test the selected entries name, in
+the same way; if it does not pass, no verdict would mean anything and
+the script exits 1.
 
 One line per mutant reports its verdict:
 
@@ -46,9 +49,8 @@ MUTANTS = {
     # a quantized decision reads its picked slots by SINR, not by level
     "unkeyed-slots": (
         "src/sidesched/assignment.py",
-        "        if self.quantizer is not None:\n"
-        "            picked = _bin_index(self.quantizer, picked)\n",
-        "",
+        "picked = self.key_of(blocks[np.arange(frames.size), frames])",
+        "picked = blocks[np.arange(frames.size), frames]",
         ["tests/test_sideinfo.py::TestRatedWhereRead::"
          "test_quantized_reads_equal_the_full_index"]),
     # a SINR below the range indexes as far up as it lies below
@@ -67,10 +69,18 @@ MUTANTS = {
     # a width's table is keyed over the default dB range, not its own
     "table-keyed-by-another-range": (
         "src/sidesched/pipeline.py",
-        "_bin_index(q, draw.top)",
-        "_bin_index(QuantizerSpec(q.bits), draw.top)",
+        "decision.rate(key_of(draw.top))",
+        "decision.rate(build_rate_matrices(draw.truth, q and QuantizerSpec("
+        "q.bits), levels).key_of(draw.top))",
         ["tests/test_sideinfo.py::TestRatedWhereRead::"
          "test_quantized_reads_equal_the_full_index"]),
+    # the table holds the whole key matrix, so each quantized width
+    # indexes all N x K*L entries of its draw; the artifacts stay the same
+    "per-width-decision-key": (
+        "src/sidesched/pipeline.py",
+        "ReducedProblem(square, draw.truth.sinr, grid.k, grid.l, key_of)",
+        "ReducedProblem(square, decision.key, grid.k, grid.l)",
+        ["tests/test_pipeline.py::test_draw_once_per_repetition_and_cluster"]),
     # each level's rate is taken 1e-13 dB above its reconstruction
     "level-table-off-by-1e-13-db": (
         "src/sidesched/sideinfo.py",
@@ -161,8 +171,9 @@ def run_tests(tree: Path, tests: list[str]) -> int:
     try:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+             "--hypothesis-profile=mutants", *tests], cwd=tree, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
         return -1
 
